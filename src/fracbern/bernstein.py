@@ -20,8 +20,8 @@ counterexample report instead of a silent failure.
 import numpy as np
 
 from .kernels import fractional_kernel, as_points, MeasureOnUnit
-from .funcspace import (SmoothFunction, constant, directional_derivative,
-                        positive_part_square, incremental_quotient,
+from .funcspace import (constant, directional_derivative,
+                        positive_part, positive_part_square, incremental_quotient,
                         averaged_square, averaged_square_root, make_cutoff)
 from .nonlocal_ops import (singular_integral, singular_integral_batch,
                            apply_fractional, apply_nonlocal, default_plan,
@@ -483,7 +483,7 @@ def check_supert_identity(kernel, base, eta, weight, variant, x, e=None,
     if variant == "positive-part":
         dv = gs[1]
         gval = max(float(dv(xm)[0]), 0.0)
-        gfun_pp = _positive_part(dv)
+        gfun_pp = positive_part(dv)
         if gval > 0.0:
             l_g = apply_nonlocal(kernel, gfun_pp, x, plan)
             D1 -= 2 * ev ** 2 * gval * l_g.value
@@ -521,27 +521,6 @@ def check_supert_identity(kernel, base, eta, weight, variant, x, e=None,
         "error_budget": errors, "pass": bool(abs(D1 - D2) <= 10 * errors),
         "variant": variant,
     }
-
-
-def _positive_part(f):
-    """(f)_+ as a composite (C^{1,1} from below; fine a.e.)."""
-
-    def val(x):
-        return np.maximum(f._value(x), 0.0)
-
-    def grad(x):
-        ind = (f._value(x) > 0).astype(float)
-        return ind[:, None] * f._gradient(x)
-
-    def hess(x):
-        ind = (f._value(x) > 0).astype(float)
-        return ind[:, None, None] * f._hessian(x)
-
-    t = f.tail
-    return SmoothFunction(f.n, val, grad, hess, sup=f.sup,
-                          grad_sup=f.grad_sup, hess_sup=f.hess_sup,
-                          tail=type(t)(max(t.limit, 0.0), t.resid,
-                                       t.period, t.amp))
 
 
 # -- the inequality with remainder for general kernels --------------------------

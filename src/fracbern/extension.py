@@ -93,9 +93,9 @@ class ExtensionField:
         self.peak_panels = peak_panels
         h = 1e-4
         self._ux = {
-            0: lambda t: u._value(t),
-            1: lambda t: u._gradient(t)[:, 0],
-            2: lambda t: u._hessian(t)[:, 0, 0],
+            0: u.value,
+            1: lambda t: u.gradient(t)[:, 0],
+            2: lambda t: u.hessian(t)[:, 0, 0],
             3: lambda t: u.d3(t)[:, 0, 0, 0],
             4: lambda t: (u.d3(t + h)[:, 0, 0, 0]
                           - u.d3(t - h)[:, 0, 0, 0]) / (2 * h),
@@ -298,8 +298,8 @@ def verify_extension_identities(u, s, R=1.0, tau=None, sigma=None,
     # (ii): Psi1 = eta^2 (Ux)^2
     ex = xs.reshape(-1, 1)
     e2 = eta * eta
-    e2v, e2g = e2._value(ex), e2._gradient(ex)[:, 0]
-    e2h = e2._hessian(ex)[:, 0, 0]
+    e2v, e2g, e2h = e2.jet(ex, 2)
+    e2g, e2h = e2g[:, 0], e2h[:, 0, 0]
     Ux, Uxx, Uxy = F[(1, 0)], F[(2, 0)], F[(1, 1)]
     Uxxx, Uxxy, Uxyy = F[(3, 0)], F[(2, 1)], F[(1, 2)]
     lap1 = (e2h * Ux ** 2 + 4 * e2g * Ux * Uxx
@@ -316,8 +316,8 @@ def verify_extension_identities(u, s, R=1.0, tau=None, sigma=None,
 
     # (iii): Psi2 = etabar^2 (Uxx)_+^2
     b2 = etab * etab
-    b2v, b2g = b2._value(ex), b2._gradient(ex)[:, 0]
-    b2h = b2._hessian(ex)[:, 0, 0]
+    b2v, b2g, b2h = b2.jet(ex, 2)
+    b2g, b2h = b2g[:, 0], b2h[:, 0, 0]
     W, Wx, Wy = Uxx, Uxxx, Uxxy
     Wxx, Wyy = F[(4, 0)], F[(2, 2)]
     Wp = np.maximum(W, 0.0)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .kernels import MeasureOnUnit, fractional_kernel, as_points
 from .funcspace import SmoothFunction, Tail, GridFunction, constant, \
-    directional_derivative
+    directional_derivative, translate
 from .nonlocal_ops import (Lattice, assemble_discrete, apply_nonlocal,
                            apply_superposition, DiscreteOperatorDense,
                            default_plan, _far_data_integral)
@@ -544,23 +544,15 @@ def _quotient_full(gf, e, sign):
 
 
 def _quotient_closure(ext, e, h, sign):
+    """(ext(x + sign*h*e) - ext(x)) / (sign*h) with gradient-bound metadata."""
     e = np.atleast_1d(np.asarray(e, dtype=float))
-
-    def val(x):
-        return (ext._value(x + sign * h * e) - ext._value(x)) / (sign * h)
-
-    def grad(x):
-        return (ext._gradient(x + sign * h * e) - ext._gradient(x)) / (sign * h)
-
-    def hess(x):
-        return (ext._hessian(x + sign * h * e) - ext._hessian(x)) / (sign * h)
-
+    q = (translate(ext, sign * h * e) - ext) * (1.0 / (sign * h))
     rs = ext.tail.resid
-    tail = Tail(0.0, lambda r: min(ext.grad_sup,
-                                   2.0 * rs(max(r - 1.0, 0.0)) / h),
-                ext.tail.period, ext.grad_sup if ext.tail.period else 0.0)
-    return SmoothFunction(ext.n, val, grad, hess, sup=ext.grad_sup,
-                          grad_sup=ext.hess_sup, hess_sup=np.inf, tail=tail)
+    q.tail = Tail(0.0, lambda r: min(ext.grad_sup,
+                                     2.0 * rs(max(r - 1.0, 0.0)) / h),
+                  ext.tail.period, ext.grad_sup if ext.tail.period else 0.0)
+    q.sup, q.grad_sup, q.hess_sup = ext.grad_sup, ext.hess_sup, np.inf
+    return q
 
 
 def _fd_full(gf, e, order):
@@ -580,32 +572,19 @@ def _fd_full(gf, e, order):
 
 
 def _fd_closure(ext, e, h, order):
+    """Central first (order 1) or second (order 2) difference of ext along e."""
     e = np.atleast_1d(np.asarray(e, dtype=float))
-
-    def val(x):
-        if order == 1:
-            return (ext._value(x + h * e) - ext._value(x - h * e)) / (2 * h)
-        return (ext._value(x + h * e) + ext._value(x - h * e)
-                - 2 * ext._value(x)) / h ** 2
-
-    def grad(x):
-        if order == 1:
-            return (ext._gradient(x + h * e) - ext._gradient(x - h * e)) / (2 * h)
-        return (ext._gradient(x + h * e) + ext._gradient(x - h * e)
-                - 2 * ext._gradient(x)) / h ** 2
-
-    def hess(x):
-        if order == 1:
-            return (ext._hessian(x + h * e) - ext._hessian(x - h * e)) / (2 * h)
-        return (ext._hessian(x + h * e) + ext._hessian(x - h * e)
-                - 2 * ext._hessian(x)) / h ** 2
-
+    up, down = translate(ext, h * e), translate(ext, -h * e)
+    if order == 1:
+        d = (up - down) * (1.0 / (2 * h))
+    else:
+        d = (up + down - ext * 2.0) * (1.0 / h ** 2)
     scale = ext.grad_sup if order == 1 else ext.hess_sup
     rs = ext.tail.resid
-    tail = Tail(0.0, lambda r: min(scale, 4.0 * rs(max(r - 1.0, 0.0)) / h ** order),
-                ext.tail.period, scale if ext.tail.period else 0.0)
-    return SmoothFunction(ext.n, val, grad, hess, sup=scale,
-                          grad_sup=np.inf, hess_sup=np.inf, tail=tail)
+    d.tail = Tail(0.0, lambda r: min(scale, 4.0 * rs(max(r - 1.0, 0.0)) / h ** order),
+                  ext.tail.period, scale if ext.tail.period else 0.0)
+    d.sup, d.grad_sup, d.hess_sup = scale, np.inf, np.inf
+    return d
 
 
 def data_derivative_constants(problem, lattice, samples=400):

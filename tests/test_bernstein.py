@@ -83,6 +83,16 @@ def test_supert_variants_random_probes(variant):
         assert r["pass"], (variant, x, r)
 
 
+def test_supert_incremental_far_from_data():
+    # the segment average underflows to zero at x = 30; the identity still
+    # holds there and its pieces stay finite
+    u = gaussian_bump(1, 0.0, 1.0) + gaussian_bump(1, 0.8, 0.6, -0.5)
+    r = check_supert_identity(fractional_kernel(1, 0.5), u,
+                              make_cutoff(0.25, 0.5), 1.5, "incremental", 30.0)
+    assert np.isfinite([r["D1"], r["D2"], r["error_budget"]]).all()
+    assert r["pass"]
+
+
 def test_supert_custom_kernel():
     K = log_modulated(1, 0.5)
     u = _mix()

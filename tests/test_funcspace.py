@@ -46,6 +46,46 @@ def test_catalog_hessians_match_fd():
         assert np.max(np.abs(H - fd)) < 1e-5
 
 
+def _catalog_leaves():
+    return [constant(0.7, 1), gaussian_bump(1, 0.0, 0.8),
+            polynomial_gaussian([0.2, 1.0, -0.3]),
+            modulated_gaussian(0.2, 1.0, 1.7), plane_wave(1.5, 0.3),
+            make_cutoff(0.25, 0.5, n=1), constant(-0.4, 2),
+            gaussian_bump(2, [0.2, -0.4], 1.1), plane_wave([1.0, -0.5], 0.2),
+            modulated_gaussian([0.1, 0.2], 1.0, [1.5, 0.5], n=2),
+            tensor_product(gaussian_bump(1, 0, 1), polynomial_gaussian([0, 1.0])),
+            make_cutoff(0.3, 0.9, n=2)]
+
+
+def test_catalog_d3_match_fd_of_hessian(monkeypatch):
+    # exact third derivatives: the finite-difference fallback of closure
+    # leaves must not be reached
+    def no_fd(self, x, j):
+        raise AssertionError("finite-difference fallback reached")
+
+    monkeypatch.setattr(SmoothFunction, "_derivative", no_fd)
+    rng = np.random.default_rng(4)
+    h = 1e-5
+    for u in _catalog_leaves():
+        pts = rng.uniform(-1.2, 1.2, size=(40, u.n))
+        T = u.d3(pts)
+        for i in range(u.n):
+            dx = np.zeros((1, u.n)); dx[0, i] = h
+            fd = (u.hessian(pts + dx) - u.hessian(pts - dx)) / (2 * h)
+            scale = max(np.max(np.abs(T)), 1.0)
+            assert np.max(np.abs(T[..., i] - fd)) <= 1e-5 * scale
+
+
+def test_third_bound_rejects_non_finite_d3():
+    bad = SmoothFunction(
+        1, lambda x: x[:, 0], lambda x: np.ones((len(x), 1)),
+        lambda x: np.zeros((len(x), 1, 1)),
+        d3=lambda x: np.full((len(x), 1, 1, 1), np.nan),
+        sup=10.0, grad_sup=1.0, hess_sup=0.0, tail=Tail.bounded(10.0))
+    with pytest.raises(ArithmeticError, match="not finite"):
+        bad.third_bound(np.array([0.3]), 1e-3)
+
+
 def test_sup_metadata_upper_bounds():
     rng = np.random.default_rng(1)
     pts = rng.uniform(-8, 8, size=(2000, 1))
@@ -188,6 +228,16 @@ def test_averaged_square_root_linear_closed_form():
     with pytest.raises(ValueError):
         averaged_square(lin, 1.0, E1, order=8)
     assert asr(np.array([[0.0]]))[0] == pytest.approx(1 / np.sqrt(3), rel=1e-12)
+
+
+def test_averaged_square_root_finite_far_from_data():
+    # u^2 underflows to zero at x = 30: value and derivatives are zero,
+    # not 0/0
+    u = gaussian_bump(1, 0.0, 1.0) + gaussian_bump(1, 0.8, 0.6, -0.5)
+    asr = averaged_square_root(u, 0.1, [1.0])
+    for D in asr.jet([[30.0]], 3):
+        assert np.all(np.isfinite(D))
+    assert asr.hessian([[30.0]])[0, 0, 0] == 0.0
 
 
 def test_averaged_square_against_refined_reference():
