@@ -1,9 +1,9 @@
 """Low-level quadrature building blocks.
 
 Everything here is plain numpy: Gauss-Legendre panels, geometric panel
-grids for integrable power singularities, and two accelerators for
-slowly decaying tails (iterated averaging for alternating series, and a
-periodic-tail summation based on Euler-Maclaurin).
+grids for integrable power singularities, a row-by-row dot product for
+batched quadrature sums, and a periodic-tail summation based on
+Euler-Maclaurin for slowly decaying oscillatory tails.
 """
 
 import numpy as np
@@ -45,44 +45,30 @@ def geometric_edges(r_inner, r_outer, panels_per_decade):
     return np.geomspace(r_inner, r_outer, n + 1)
 
 
-def integrate_panels(f, edges, order):
-    """Integrate a vectorized scalar function over panel edges."""
-    nodes, weights = panel_nodes(edges, order)
-    return float(np.dot(weights, f(nodes)))
+def row_dot(a, w):
+    """a @ w for every row of a, one BLAS dot per row.
 
-
-def iterated_average(terms):
-    """Sum an (eventually alternating) series by iterated averaging.
-
-    Returns (sum_estimate, error_estimate).  Robust for terms of the
-    form smooth-amplitude times alternating sign, which is what the
-    half-period integrals of an oscillatory decaying tail produce.
+    A batch of one then reproduces np.dot(a, w) bit for bit, which a
+    matrix-vector product does not.
     """
-    terms = np.asarray(terms, dtype=float)
-    if terms.size == 0:
-        return 0.0, 0.0
-    s = np.cumsum(terms)
-    prev = s
-    while prev.size > 1:
-        cur = 0.5 * (prev[1:] + prev[:-1])
-        prev = cur
-    est = float(prev[0])
-    err = abs(float(terms[-1])) * 2.0 ** (1 - terms.size) + 1e-300
-    return est, err
+    return (a[..., None, :] @ w)[..., 0]
 
 
 def periodic_tail_1d(g, period, start, kernel_ray, kernel_ray_tail,
                      n_sum=48, order=24):
     """Integral of g(t)*K(t) over [start, inf) for g periodic, mean zero.
 
-    g : vectorized periodic function with the given period and zero mean
+    g : maps the (order,) quadrature nodes of one period to an array of
+        shape (..., order): one row per integrand (e.g. per probe), each
+        periodic with the given period and zero mean
     kernel_ray : t -> K(t) along the ray (vectorized)
     kernel_ray_tail : a -> integral of K over [a, inf) along the ray
 
     Uses the lattice sum S(xi) = sum_m K(start + xi + m*period), whose
     remainder past n_sum terms is evaluated with Euler-Maclaurin; the
-    single-period integral of g * S is then a smooth quadrature.
-    Returns (value, error_estimate).
+    single-period integral of g * S is then a smooth quadrature.  S does
+    not depend on g, so one call serves every row.
+    Returns (value, error_estimate), each of g's leading shape.
     """
     x, w = gl_rule(order)
     xi = 0.5 * period * (x + 1.0)
@@ -96,13 +82,9 @@ def periodic_tail_1d(g, period, start, kernel_ray, kernel_ray_tail,
     k0 = kernel_ray(a)
     k1 = (kernel_ray(a + dk) - kernel_ray(a - dk)) / (2 * dk)
     s += kernel_ray_tail(a) / period + 0.5 * k0 - period * k1 / 12.0
-    value = float(np.dot(wxi, g(start + xi) * s))
+    gv = g(start + xi)
+    value = row_dot(gv * s, wxi)
     # third-derivative EM term, estimated crudely from k1 decay
     err = period ** 3 * np.max(np.abs(k1)) / a[0] ** 2 / 720.0
-    err = abs(err) * period * np.max(np.abs(g(start + xi)))
+    err = abs(err) * period * np.max(np.abs(gv), axis=-1)
     return value, err
-
-
-def richardson_pair(fine, coarse):
-    """Error estimate for a fine/coarse quadrature pair."""
-    return abs(fine - coarse)

@@ -25,8 +25,7 @@ from .funcspace import (constant, directional_derivative,
                         averaged_square, averaged_square_root, make_cutoff)
 from .nonlocal_ops import (singular_integral, singular_integral_batch,
                            apply_fractional, apply_nonlocal, default_plan,
-                           QuadraturePlan)
-from ._quad import geometric_edges, panel_nodes, gl_rule
+                           _radial_nodes)
 
 __all__ = [
     "InequalityReport", "DeltaSigmaSelection", "SearchFailure",
@@ -208,7 +207,12 @@ def check_first_order_fraclap(u, eta, e, s, probes, plan=None,
 
 
 def check_first_order_batch(u, eta, e, s, probes, plan=None):
-    """Batched variant of the sigma0 search (values only, budgeted errors)."""
+    """Batched variant of the sigma0 search data.
+
+    Returns per-probe (A, S, errA, errS), with A + sigma S the residual
+    at weight sigma; each error sums the per-probe quadrature error
+    estimates of the batched integrals it is built from.
+    """
     if plan is None:
         plan = _lenient(u.n)
     probes = as_points(probes, u.n)
@@ -572,23 +576,12 @@ def odd_taper(delta):
     return xi, xi1, xi2
 
 
-def _plain_kernel_integral(kernel, W, r_lo, r_hi, plan, order=None, ppd=None):
+def _plain_kernel_integral(kernel, W, r_lo, r_hi, plan):
     """integral over r_lo < |y| < r_hi of W(y) K(y) dy (even-paired)."""
-    order = order or plan.order
-    ppd = ppd or plan.panels_per_decade
-    edges = geometric_edges(r_lo, r_hi, ppd)
-    t, wt = panel_nodes(edges, order)
-    n = kernel.n
-    if n == 1:
-        pts = t.reshape(-1, 1)
-        vals = 0.5 * (W(pts) + W(-pts)) * kernel(pts)
-        return 2.0 * float(np.dot(wt, vals))
-    from .kernels import sphere_directions
-    m = plan.n_angular
-    dirs = sphere_directions(2, m)
-    pts = (t[:, None, None] * dirs[None, :, :]).reshape(-1, 2)
-    vals = (W(pts) * kernel(pts)).reshape(t.size, m)
-    return float(np.dot(wt * t, vals.sum(axis=1) * (2 * np.pi / m)))
+    z, kz, w = _radial_nodes(kernel, r_lo, r_hi, plan.order,
+                             plan.panels_per_decade)
+    vals = 0.5 * (W(z) + W(-z)) if kernel.n == 1 else W(z)
+    return float(np.dot(vals * kz, w))
 
 
 def taper_moment(kernel, delta, plan=None):

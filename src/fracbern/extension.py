@@ -76,8 +76,7 @@ class ExtensionField:
     """s-harmonic extension of a 1d SmoothFunction with derivative access.
 
     field(kx, ky) returns a vectorized evaluator of d_x^kx d_y^ky U on
-    points (x, y), y > 0; kx <= 3 uses exact base derivatives, kx = 4
-    falls back to a finite difference of the third derivative.
+    points (x, y), y > 0; kx <= 4 uses exact base derivatives.
     """
 
     def __init__(self, u, s, order=16, ppd=6, peak_panels=12):
@@ -91,14 +90,12 @@ class ExtensionField:
         self.order = order
         self.ppd = ppd
         self.peak_panels = peak_panels
-        h = 1e-4
         self._ux = {
             0: u.value,
             1: lambda t: u.gradient(t)[:, 0],
             2: lambda t: u.hessian(t)[:, 0, 0],
             3: lambda t: u.d3(t)[:, 0, 0, 0],
-            4: lambda t: (u.d3(t + h)[:, 0, 0, 0]
-                          - u.d3(t - h)[:, 0, 0, 0]) / (2 * h),
+            4: lambda t: u.jet(t, 4)[4][:, 0, 0, 0, 0],
         }
         d1 = directional_derivative(u, _E1)
         self._ux_tail = {0: u.tail, 1: d1.tail}
@@ -149,7 +146,7 @@ class ExtensionField:
                 return (uf((x + tt).reshape(-1, 1))
                         + uf((x - tt).reshape(-1, 1))) - 2.0 * lim
             val, _ = periodic_tail_1d(gt, tail.period, T, ray, ray_tail)
-            total += val
+            total += float(val)
         return total
 
     # convenience bundles ----------------------------------------------------

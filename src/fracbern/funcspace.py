@@ -349,7 +349,8 @@ class SmoothFunction:
         return plan
 
     def third_bound(self, x, r):
-        """Crude certified-ish bound on sup of |D^3| over B_r(x)."""
+        """Crude certified-ish bound on sup of |D^3| over B_r(x), one per
+        point of x."""
         x = as_points(x, self.n)
         offsets = np.concatenate([np.zeros((1, self.n)), r * np.eye(self.n),
                                   -r * np.eye(self.n)])
@@ -359,7 +360,7 @@ class SmoothFunction:
             raise ArithmeticError(
                 "third derivative is not finite within %g of x = %s"
                 % (r, np.array2string(x.ravel())))
-        return 1.5 * float(np.max(t)) + 1e-12
+        return 1.5 * t.reshape(x.shape[0], -1).max(axis=1) + 1e-12
 
     # algebra ----------------------------------------------------------------
 

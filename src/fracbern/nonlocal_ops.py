@@ -1,14 +1,26 @@
 """Pointwise evaluation of the integro-differential operators.
 
-The single workhorse is singular_integral: the paired principal-value
+The single quadrature pipeline is _integrate: the paired principal-value
 integral of G(x + z) K(z) dz for an integrand G (a SmoothFunction)
-vanishing at z = 0.  Pairing z with -z removes the principal value for
-even kernels; the inner ball is handled by a second-order Taylor
-expansion against exact kernel moments, the annulus by log-radial
-Gauss-Legendre panels (times a trapezoid angular rule in 2d), and the
-far field by the integrand's tail metadata: exact for compact supports,
-certified bounds for decaying tails, and an Euler-Maclaurin periodic
-summation for trigonometric tails in 1d.
+vanishing at z = 0, evaluated at a whole array of probes x at once.
+Pairing z with -z removes the principal value for even kernels.  Every
+stage runs vectorized over the probes and gives each probe its own
+error estimate:
+
+- inner ball |z| < r0: the quadratic Taylor part against the exact
+  kernel second moment;
+- correction zone eps < |z| < r0: a cancellation-free Bochner segment
+  form of the cubic remainder, with a fine/coarse panel pair;
+- below eps: a bound from the third derivative;
+- annulus r0 < |z| < R: log-radial Gauss-Legendre panels (times a
+  trapezoid angular rule in 2d), with a fine/coarse Richardson pair;
+- far field |z| > R: the integrand's tail metadata, exact for compact
+  supports, certified bounds for decaying tails, and an Euler-Maclaurin
+  periodic summation for trigonometric tails in 1d.
+
+Probes whose error misses the tolerance are refined alone.
+singular_integral is a batch of one; singular_integral_batch returns
+the per-probe values and errors.
 
 Sign convention: apply_nonlocal(K, u, x) is the positive-definite form
 int (u(x) - u(y)) K(x - y) dy, which for the standard power kernel is
@@ -18,10 +30,9 @@ the fractional Laplacian with Fourier symbol |xi|^{2s}.
 import numpy as np
 
 from ._quad import (geometric_edges, panel_nodes, periodic_tail_1d,
-                    gl_rule)
-from .kernels import (Kernel, MeasureOnUnit, as_points, fractional_kernel,
+                    gl_rule, row_dot)
+from .kernels import (MeasureOnUnit, as_points, fractional_kernel,
                       sphere_directions)
-from .funcspace import SmoothFunction, constant
 
 __all__ = [
     "QuadraturePlan", "OperatorValue", "QuadratureFailure",
@@ -30,10 +41,16 @@ __all__ = [
     "assemble_discrete", "Lattice", "DiscreteOperatorDense",
 ]
 
+R_INNER = 1e-2   # Taylor part below this radius, panels above
+N_ANGULAR = 48   # trapezoid directions per radius in 2d
+T_NODES = 6      # Gauss nodes of the Bochner segment integral
+CHUNK = 16384    # integrand points per call, see _chunked
+
 
 class QuadratureFailure(Exception):
     """Raised when the error estimate stays above tolerance; carries the
-    partial OperatorValue in .partial."""
+    partial result in .partial (an OperatorValue, or the (values,
+    errors) arrays of a batch)."""
 
     def __init__(self, message, partial):
         super().__init__(message)
@@ -49,27 +66,16 @@ class QuadraturePlan:
     error into their verdict budgets.
     """
 
-    def __init__(self, r_inner=None, r_outer=None, panels_per_decade=6,
-                 order=16, n_angular=48, periodic_terms=48, rel_tol=1e-6,
+    def __init__(self, panels_per_decade=6, order=16, rel_tol=1e-6,
                  max_refine=3, strict=True):
-        self.r_inner = r_inner
-        self.r_outer = r_outer
         self.panels_per_decade = panels_per_decade
         self.order = order
-        self.n_angular = n_angular
-        self.periodic_terms = periodic_terms
         self.rel_tol = rel_tol
         self.max_refine = max_refine
         self.strict = strict
 
     def scaled(self, **kw):
-        out = QuadraturePlan(self.r_inner, self.r_outer,
-                             self.panels_per_decade, self.order,
-                             self.n_angular, self.periodic_terms,
-                             self.rel_tol, self.max_refine, self.strict)
-        for k, v in kw.items():
-            setattr(out, k, v)
-        return out
+        return QuadraturePlan(**{**vars(self), **kw})
 
 
 class OperatorValue(float):
@@ -91,264 +97,245 @@ def default_plan(n, rel_tol=None):
         rel_tol = 1e-6 if n == 1 else 1e-4
     return QuadraturePlan(rel_tol=rel_tol,
                           panels_per_decade=6 if n == 1 else 5,
-                          order=16 if n == 1 else 12,
-                          n_angular=48)
+                          order=16 if n == 1 else 12)
 
 
-def _pick_outer(kernel, G, x, plan):
-    """Outer radius so the certified tail error is a small fraction of
-    the working tolerance (doubling search on the residual bound)."""
-    if plan.r_outer is not None:
-        return plan.r_outer
-    xnorm = float(np.linalg.norm(np.atleast_1d(x)))
+def _pick_outer(kernel, G, xnorm, rel_tol):
+    """Outer radius so the certified tail error at a probe with |x| =
+    xnorm is a small fraction of the working tolerance (doubling search
+    on the residual bound); it grows with xnorm."""
     if G.tail.period is not None:
         return max(16.0, 2.0 * xnorm + 8.0)
     R = max(8.0, 2.0 * xnorm + 4.0)
     scale = max(G.sup, 1e-30)
     for _ in range(14):
         tm, _ = kernel.tail_mass(R)
-        if G.tail.resid(max(R - xnorm, 0.0)) * tm <= 0.003 * plan.rel_tol * scale:
+        if G.tail.resid(max(R - xnorm, 0.0)) * tm <= 0.003 * rel_tol * scale:
             break
         R *= 2.0
     return R
 
 
-def _ring(kernel, F, r0, R, plan, order=None, ppd=None, n_ang=None):
-    """Integral of F(z) K(z) over the annulus r0 < |z| < R.
+def _radial_nodes(kernel, r_lo, r_hi, order, ppd, n_ang=N_ANGULAR):
+    """Nodes z, kernel values K(z) and weights w with
 
-    F must be even-paired already (F(z) = F(-z) enforced by the caller
-    building F as a symmetrized evaluation).
+        sum_k w_k F(z_k) K(z_k) ~ integral over r_lo < |z| < r_hi of F K
+
+    for an even F: Gauss-Legendre panels on a geometric radial grid, on
+    the positive half-line in 1d (weights doubled) and times a trapezoid
+    rule over n_ang directions in 2d.
     """
-    order = order or plan.order
-    ppd = ppd or plan.panels_per_decade
-    edges = geometric_edges(r0, R, ppd)
-    t, wt = panel_nodes(edges, order)
-    n = kernel.n
-    if n == 1:
-        pts = t.reshape(-1, 1)
-        vals = F(pts) * kernel(pts)
-        return 2.0 * float(np.dot(wt, vals))
-    m = n_ang or plan.n_angular
-    dirs = sphere_directions(2, m)
-    pts = (t[:, None, None] * dirs[None, :, :]).reshape(-1, 2)
-    vals = (F(pts) * kernel(pts)).reshape(t.size, m)
-    ang = vals.sum(axis=1) * (2 * np.pi / m)
-    return float(np.dot(wt * t, ang))
+    t, wt = panel_nodes(geometric_edges(r_lo, r_hi, ppd), order)
+    if kernel.n == 1:
+        z = t.reshape(-1, 1)
+        w = 2.0 * wt
+    else:
+        dirs = sphere_directions(2, n_ang)
+        z = (t[:, None, None] * dirs[None]).reshape(-1, 2)
+        w = np.repeat(wt * t * (2 * np.pi / n_ang), n_ang)
+    return z, kernel(z), w
 
 
-def _bochner_pair(G, x, t_order=10):
-    """Cancellation-free paired difference via the segment representation
+def _chunked(F, m, z):
+    """F(rows, z) over all m probes and nodes z (k, n), as an (m, k)
+    array; F maps a slice of the probes and some nodes to their values,
+    paired over +-z.  F is called on groups of probes of at most CHUNK
+    points, and on at most CHUNK // 8 nodes at one probe: that bounds
+    the memory of the evaluation and keeps it in cache."""
+    vals = np.empty((m, len(z)))
+    step, nz = max(CHUNK // (2 * len(z)), 1), CHUNK // 8
+    for i in range(0, m, step):
+        for j in range(0, len(z), nz):
+            vals[i:i + step, j:j + nz] = F(slice(i, i + step), z[j:j + nz])
+    return vals
 
-    (G(x+z) + G(x-z))/2 - G(x)
-        = (1/2) int_0^1 (1-t) [q(x+tz, z) + q(x-tz, z)] dt,
+
+def _richardson(kernel, F, m, r_lo, r_hi, fine, coarse, n_ang=N_ANGULAR):
+    """Fine and coarse (order, panels per decade) rules for the integral
+    of F K over r_lo < |z| < r_hi at m probes (F as in _chunked), on one
+    pass over the nodes of both.
+    Returns (fine value, half the fine-coarse gap) per probe."""
+    zf, kf, wf = _radial_nodes(kernel, r_lo, r_hi, *fine, n_ang)
+    zc, kc, wc = _radial_nodes(kernel, r_lo, r_hi, *coarse, n_ang)
+    vals = _chunked(F, m, np.concatenate([zf, zc]))
+    f = row_dot(vals[:, :len(zf)] * kf, wf)
+    c = row_dot(vals[:, len(zf):] * kc, wc)
+    return f, np.abs(f - c) * 0.5 + 1e-300
+
+
+def _both_signs(f, xs, z):
+    """(f(x + z), f(x - z)) for every probe row x of xs and offset row z
+    of z, from one call of f; each of shape (m, k, ...)."""
+    m, k = xs.shape[0], z.shape[0]
+    pts = np.concatenate([xs[:, None] + z, xs[:, None] - z], axis=1)
+    out = f(pts.reshape(-1, xs.shape[1]))
+    out = out.reshape((m, 2 * k) + out.shape[1:])
+    return out[:, :k], out[:, k:]
+
+
+def _bochner(G, xs, H, z):
+    """Cubic remainder (G(x+z) + G(x-z))/2 - G(x) - z^T H z / 2 without
+    cancellation, through the segment representation
+
+        (G(x+z) + G(x-z))/2 - G(x)
+            = (1/2) int_0^1 (1-t) [q(x+tz, z) + q(x-tz, z)] dt,
 
     q(y, z) = z^T D^2 G(y) z.  Noise scales with |z|^2 instead of with
     the sup norm of G, which is what the singular zone needs.
     """
-    tq, wq = gl_rule(t_order)
-    tq = 0.5 * (tq + 1.0)
-    wq = 0.5 * wq
+    tq, wq = gl_rule(T_NODES)
+    out = np.zeros((xs.shape[0], z.shape[0]))
+    for t, w in zip(0.5 * (tq + 1.0), 0.5 * wq):
+        Hp, Hm = _both_signs(G.hessian, xs, t * z)
+        q = np.einsum("ki,mkij,kj->mk", z, Hp + Hm, z)
+        out += 0.5 * w * (1.0 - t) * q
+    return out - 0.5 * np.einsum("ki,mij,kj->mk", z, H, z)
 
-    def F(z):
-        out = np.zeros(z.shape[0])
-        for t, w in zip(tq, wq):
-            Hp = G.hessian(x[None, :] + t * z)
-            Hm = G.hessian(x[None, :] - t * z)
-            q = np.einsum("mi,mij,mj->m", z, Hp + Hm, z)
-            out += 0.5 * w * (1.0 - t) * q
-        return out
 
-    return F
+def _integrate(kernel, G, xs, plan):
+    """Paired PV integral of (G(x + z) - G(x)) K(z) dz at every probe
+    row x of xs, shape (m, n).
+
+    Returns a dict of per-probe arrays: value, error, the pieces inner,
+    zone, annulus and tail, the outer radius r_outer, the tolerance
+    scale and a converged flag.  Probes that miss plan.rel_tol are
+    refined alone: the annulus and the tail at a higher order with more
+    panels per decade (and a 4x outer radius where the tail holds over
+    half the error), the correction zone only where its own error holds
+    over half the tolerance.  After the last refinement a probe within
+    30x the tolerance still counts as converged.
+    """
+    m = xs.shape[0]
+    gx, _, H = G.jet(xs, 2)
+    # quadratic part against the exact second moment of the kernel
+    M2, m2err = kernel.second_moment_matrix(R_INNER)
+    inner = 0.5 * np.sum(H * M2, axis=(1, 2))
+    inner_err = 0.5 * np.abs(H).sum(axis=(1, 2)) * m2err
+    # below eps the remainder is O(|z|^3), bounded through D^3 G
+    eps = 1e-8 * R_INNER
+    below_err = (G.third_bound(xs, 1e-3) * kernel.third_abs_moment(eps)
+                 / 3.0)
+
+    out = {"inner": inner, "zone": np.empty(m)}
+    for key in ("value", "error", "annulus", "tail", "r_outer", "scale"):
+        out[key] = np.empty(m)
+    zone_err = np.empty(m)
+    todo = stale = np.arange(m)
+    order, ppd = plan.order, plan.panels_per_decade
+    R = _pick_outer(kernel, G, float(np.linalg.norm(xs, axis=1).max()),
+                    plan.rel_tol)
+    for _ in range(plan.max_refine + 1):
+        if stale.size:
+            zx, zh = xs[stale], H[stale]
+            zo, zp = max(order - 8, 8), max(ppd - 2, 3)
+            out["zone"][stale], zone_err[stale] = _richardson(
+                kernel, lambda rows, z: _bochner(G, zx[rows], zh[rows], z),
+                stale.size, eps, R_INNER, (zo, zp),
+                (max(zo - 4, 4), max(zp - 1, 2)), N_ANGULAR // 3)
+        x, gxt = xs[todo], gx[todo]
+
+        def paired(rows, z):
+            p, q = _both_signs(G, x[rows], z)
+            return 0.5 * (p + q) - gxt[rows, None]
+
+        ann, ann_err = _richardson(kernel, paired, todo.size, R_INNER, R,
+                                   (order, ppd),
+                                   (max(order // 2, 4), max(ppd - 2, 2)))
+        tail, tail_err = _tail(kernel, G, x, gxt, R)
+        zone = out["zone"][todo]
+        value = inner[todo] + zone + ann + tail
+        error = inner_err[todo] + zone_err[todo] + below_err[todo] \
+            + ann_err + tail_err
+        # near-cancellation leaves a tiny value; size the tolerance by
+        # the pieces actually integrated, not only by the result
+        piece = np.abs(inner[todo]) + np.abs(zone) + np.abs(ann) \
+            + np.abs(tail)
+        scale = np.maximum(np.maximum(np.abs(value), 0.1 * piece),
+                           max(G.sup * 1e-6, 1e-30))
+        for key, v in (("value", value), ("error", error), ("annulus", ann),
+                       ("tail", tail), ("r_outer", R), ("scale", scale)):
+            out[key][todo] = v
+        tol = plan.rel_tol * scale
+        miss = ~((error <= tol) | (error < 1e-18 * max(1.0, G.sup)))
+        todo = todo[miss]
+        if todo.size == 0:
+            break
+        # the zone runs again only where it holds over half the
+        # tolerance; R grows where the tail holds over half the error
+        stale = todo[zone_err[todo] > 0.5 * tol[miss]]
+        if np.any(tail_err[miss] > 0.5 * error[miss]):
+            R *= 4
+        order, ppd = order + 8, ppd + 3
+    out["converged"] = np.ones(m, dtype=bool)
+    out["converged"][todo] = (out["error"][todo]
+                              <= 30 * plan.rel_tol * out["scale"][todo])
+    return out
 
 
 def singular_integral(kernel, G, x, plan=None):
-    """Paired PV integral of (G(y) - G(x)) K(x - y) dy.
+    """Paired PV integral of (G(y) - G(x)) K(x - y) dy at one point x.
 
-    Splits at |z| = r0: the exact kernel second moment carries the
-    quadratic Taylor part, a Bochner-form correction zone handles
-    [eps, r0] without cancellation noise, log-radial panels cover
-    [r0, R], and the far field uses the integrand's tail metadata.
-    Raises QuadratureFailure if refinement cannot reach plan.rel_tol.
+    A batch of one through the shared pipeline (module docstring).
+    Returns an OperatorValue with the breakdown inner / zone / annulus /
+    tail / r_inner / r_outer and the tolerance scale in .scale; raises
+    QuadratureFailure carrying that value as .partial if refinement
+    cannot reach plan.rel_tol and plan.strict is set.
     """
     if plan is None:
         plan = default_plan(kernel.n)
-    x = as_points(x, kernel.n).reshape(-1)
-    gx = float(G(x.reshape(1, -1))[0])
-
-    def F(z):
-        return 0.5 * (G(x[None, :] + z) + G(x[None, :] - z)) - gx
-
-    H = G.hessian(x.reshape(1, -1))[0]
-    FB = _bochner_pair(G, x, t_order=6)
-
-    plan_now = plan
-    last = None
-    for attempt in range(plan.max_refine + 1):
-        r0 = plan_now.r_inner if plan_now.r_inner is not None else 1e-2
-        R = _pick_outer(kernel, G, x, plan_now)
-
-        # quadratic part against the exact second moment of the kernel
-        M2, m2err = kernel.second_moment_matrix(r0)
-        inner = 0.5 * float(np.sum(H * M2))
-        inner_err = 0.5 * np.abs(H).sum() * m2err
-
-        # correction zone: (F - quadratic)(z) ~ |z|^3, Bochner evaluation
-        eps = max(1e-14, 1e-8 * r0)
-
-        def F4(z):
-            q = np.einsum("mi,ij,mj->m", z, H, z)
-            return FB(z) - 0.5 * q
-
-        zo = max(plan_now.order - 8, 8)
-        zp = max(plan_now.panels_per_decade - 2, 3)
-        za = max(plan_now.n_angular // 3, 12)
-        zone_f = _ring(kernel, F4, eps, r0, plan_now, order=zo, ppd=zp,
-                       n_ang=za)
-        zone_c = _ring(kernel, F4, eps, r0, plan_now,
-                       order=max(zo - 4, 4), ppd=max(zp - 1, 2), n_ang=za)
-        zone_err = abs(zone_f - zone_c) * 0.5 + 1e-300
-        d3 = G.third_bound(x, min(r0, 1e-3))
-        below_err = d3 * kernel.third_abs_moment(eps) / 3.0
-
-        fine = _ring(kernel, F, r0, R, plan_now)
-        coarse = _ring(kernel, F, r0, R, plan_now,
-                       order=max(plan_now.order // 2, 4),
-                       ppd=max(plan_now.panels_per_decade - 2, 2))
-        ring_err = abs(fine - coarse) * 0.5 + 1e-300
-
-        tail_val, tail_err = _tail(kernel, G, x, gx, R, plan_now)
-        value = inner + zone_f + fine + tail_val
-        error = inner_err + zone_err + below_err + ring_err + tail_err
-        out = OperatorValue(value, error, {
-            "inner": inner, "zone": zone_f, "annulus": fine,
-            "tail": tail_val, "r_inner": r0, "r_outer": R})
-        # near-cancellation leaves a tiny value; size the tolerance by
-        # the pieces actually integrated, not only by the result
-        piece = abs(inner) + abs(zone_f) + abs(fine) + abs(tail_val)
-        scale = max(abs(value), 0.1 * piece, G.sup * 1e-6, 1e-30)
-        out.scale = scale
-        if error <= plan.rel_tol * scale or error < 1e-18 * max(1.0, G.sup):
-            return out
-        last = out
-        plan_now = plan_now.scaled(
-            order=plan_now.order + 8,
-            panels_per_decade=plan_now.panels_per_decade + 3,
-            r_outer=(R * 4 if tail_err > 0.5 * error else R))
-    if last.error <= 30 * plan.rel_tol * last.scale or not plan.strict:
-        return last
-    raise QuadratureFailure("error estimate %.2g above tolerance" % last.error,
-                            last)
+    res = _integrate(kernel, G, as_points(x, kernel.n).reshape(1, -1), plan)
+    r = {key: v[0] for key, v in res.items()}
+    out = OperatorValue(r["value"], r["error"], {
+        "inner": float(r["inner"]), "zone": float(r["zone"]),
+        "annulus": float(r["annulus"]), "tail": float(r["tail"]),
+        "r_inner": R_INNER, "r_outer": float(r["r_outer"])})
+    out.scale = float(r["scale"])
+    if r["converged"] or not plan.strict:
+        return out
+    raise QuadratureFailure("error estimate %.2g above tolerance" % out.error,
+                            out)
 
 
-def singular_integral_batch(kernel, G, xs, plan=None, calibrate=3):
-    """Vectorized singular_integral over a probe array xs of shape (m, n).
+def singular_integral_batch(kernel, G, xs, plan=None):
+    """singular_integral at every probe of xs, shape (m, n), in one pass.
 
-    Values come from the same inner / Bochner-zone / annulus / tail
-    pipeline evaluated on stacked points; the error budget is calibrated
-    by running the scalar routine (with its Richardson pairs) on a few
-    representative probes and applying twice the worst estimate to all.
+    Returns (values, errors): each probe's error is its own Richardson,
+    moment and tail estimate, and only the probes that miss the
+    tolerance are refined.  With plan.strict, a probe left above
+    tolerance raises QuadratureFailure whose .partial is the (values,
+    errors) pair.
     """
     if plan is None:
         plan = default_plan(kernel.n)
-    xs = as_points(xs, kernel.n)
-    m = xs.shape[0]
-    if m == 1:
-        ov = singular_integral(kernel, G, xs[0], plan)
-        return np.array([ov.value]), np.array([ov.error])
-    gxs = G(xs)
-    Hs = G.hessian(xs)
-
-    r0 = plan.r_inner if plan.r_inner is not None else 1e-2
-    R = max(_pick_outer(kernel, G, x, plan) for x in xs[:: max(m // 8, 1)])
-
-    M2, m2err = kernel.second_moment_matrix(r0)
-    inner = 0.5 * np.einsum("mij,ij->m", Hs, M2)
-
-    n = kernel.n
-    eps = max(1e-14, 1e-8 * r0)
-
-    def nodes_weights(r_lo, r_hi, ppd, order):
-        edges = geometric_edges(r_lo, r_hi, ppd)
-        t, wt = panel_nodes(edges, order)
-        if n == 1:
-            z = t.reshape(-1, 1)
-            w = 2.0 * wt
-        else:
-            dirs = sphere_directions(2, plan.n_angular)
-            z = (t[:, None, None] * dirs[None, :, :]).reshape(-1, 2)
-            w = (wt[:, None] * t[:, None] * np.full((1, plan.n_angular),
-                 2 * np.pi / plan.n_angular)).ravel()
-        return z, w
-
-    # Bochner correction zone
-    zz, zw = nodes_weights(eps, r0, max(plan.panels_per_decade - 2, 3),
-                           max(plan.order - 8, 8))
-    kz = kernel(zz)
-    tq, wq = gl_rule(8)
-    tq = 0.5 * (tq + 1.0)
-    wq = 0.5 * wq
-    K = zz.shape[0]
-    F4 = np.zeros((m, K))
-    for t, w in zip(tq, wq):
-        pts_p = (xs[:, None, :] + t * zz[None, :, :]).reshape(-1, n)
-        pts_m = (xs[:, None, :] - t * zz[None, :, :]).reshape(-1, n)
-        Hp = G.hessian(pts_p) + G.hessian(pts_m)
-        q = np.einsum("ki,mkij,kj->mk", zz,
-                      Hp.reshape(m, K, n, n), zz)
-        F4 += 0.5 * w * (1.0 - t) * q
-    quad_exact = np.einsum("ki,mij,kj->mk", zz, Hs, zz)
-    F4 -= 0.5 * quad_exact
-    zone = F4 @ (zw * kz)
-
-    # annulus, direct evaluation
-    az, aw = nodes_weights(r0, R, plan.panels_per_decade, plan.order)
-    Ka = kernel(az)
-    pts_p = (xs[:, None, :] + az[None, :, :]).reshape(-1, n)
-    pts_m = (xs[:, None, :] - az[None, :, :]).reshape(-1, n)
-    vals = 0.5 * (G(pts_p) + G(pts_m)).reshape(m, az.shape[0])
-    ann = (vals - gxs[:, None]) @ (aw * Ka)
-
-    # tails per probe (metadata-driven, loop is cheap)
-    tails = np.empty(m)
-    terr = np.empty(m)
-    for i in range(m):
-        tails[i], terr[i] = _tail(kernel, G, xs[i], gxs[i], R, plan)
-
-    values = inner + zone + ann + tails
-    # calibrated error budget
-    idx = np.linspace(0, m - 1, min(calibrate, m)).astype(int)
-    errs = []
-    for i in idx:
-        try:
-            ov = singular_integral(kernel, G, xs[i], plan)
-            errs.append(abs(ov.value - values[i]) + ov.error)
-        except QuadratureFailure as qf:
-            errs.append(abs(qf.partial.value - values[i]) + qf.partial.error)
-    budget = 2.0 * max(errs) + 1e-300
-    return values, np.maximum(terr, 0.0) + budget
+    res = _integrate(kernel, G, as_points(xs, kernel.n), plan)
+    values, errors = res["value"], res["error"]
+    if plan.strict and not res["converged"].all():
+        raise QuadratureFailure(
+            "error estimate above tolerance at %d of %d probes"
+            % (np.count_nonzero(~res["converged"]), values.size),
+            (values, errors))
+    return values, errors
 
 
-def _tail(kernel, G, x, gx, R, plan):
-    """Far-field contribution past |z| = R using G's tail metadata."""
+def _tail(kernel, G, xs, gx, R):
+    """Far-field contribution past |z| = R at every probe row of xs,
+    from G's tail metadata; returns (values, errors)."""
     tm, tm_err = kernel.tail_mass(R)
     lim = G.tail.limit
-    xnorm = float(np.linalg.norm(x))
     value = (lim - gx) * tm
-    error = tm_err * (abs(lim - gx) + G.tail.resid(0.0) + G.tail.amp)
-    resid = G.tail.resid(max(R - xnorm, 0.0))
+    error = tm_err * (np.abs(lim - gx) + G.tail.resid(0.0) + G.tail.amp)
+    resid = np.array([G.tail.resid(max(R - r, 0.0))
+                      for r in np.linalg.norm(xs, axis=1)])
     if G.tail.period is not None and kernel.n == 1:
-        period = G.tail.period
-
         def gtilde(t):
-            pts_p = (x[None, :] + t[:, None])
-            pts_m = (x[None, :] - t[:, None])
-            return (G(pts_p) + G(pts_m)) - 2.0 * lim
+            p, q = _both_signs(G, xs, t[:, None])
+            return (p + q) - 2.0 * lim
 
         e1 = np.array([1.0])
         ray = lambda t: kernel(t.reshape(-1, 1))
-        ray_tail = lambda a: np.array([kernel.ray_tail(ai, e1) for ai in np.atleast_1d(a)])
-        val, err = periodic_tail_1d(gtilde, period, R, ray, ray_tail,
-                                    n_sum=plan.periodic_terms)
+        ray_tail = lambda a: np.array([kernel.ray_tail(ai, e1)
+                                       for ai in np.atleast_1d(a)])
+        val, err = periodic_tail_1d(gtilde, G.tail.period, R, ray, ray_tail)
         value += val
         error += err + resid * tm
     else:
@@ -613,18 +600,15 @@ def assemble_discrete(kernel, lattice, exterior, r_far_factor=2.0):
 
 def _far_data_integral(kernel, exterior, x, R):
     """integral of exterior(x + z) K(z) over |z| > R (paired form)."""
-    plan = default_plan(kernel.n)
-    val, _err = _tail(kernel, exterior, np.asarray(x, dtype=float), 0.0,
-                      R, plan)
+    x = np.asarray(x, dtype=float).reshape(1, -1)
+    val, _ = _tail(kernel, exterior, x, np.zeros(1), R)
+    val = float(val[0])
     resid = exterior.tail.resid(max(R - float(np.linalg.norm(x)), 0.0))
     if resid > 0 and exterior.tail.period is None:
-        lim = exterior.tail.limit
-
-        def F(z):
-            return 0.5 * (exterior(x[None, :] + z)
-                          + exterior(x[None, :] - z)) - lim
-
-        val += _ring(kernel, F, R, R * 1e5, plan, order=8, ppd=3)
+        z, kz, w = _radial_nodes(kernel, R, R * 1e5, 8, 3)
+        p, q = _both_signs(exterior, x, z)
+        val += float(row_dot((0.5 * (p + q) - exterior.tail.limit) * kz,
+                             w)[0])
     return val
 
 

@@ -35,6 +35,17 @@ def test_cos_closed_form_extension():
     assert np.max(np.abs(U - exact)) < 1e-6
 
 
+def test_fourth_x_derivative_is_exact():
+    w, c = 0.8, 0.3
+    E = extend(gaussian_bump(1, c, w), 0.4)
+    t = np.linspace(-2.0, 2.5, 41).reshape(-1, 1)
+    z = (t[:, 0] - c) / w
+    # D^4 exp(-z^2 / 2) = He_4(z) exp(-z^2 / 2) / w^4
+    exact = (z ** 4 - 6 * z ** 2 + 3) * np.exp(-0.5 * z * z) / w ** 4
+    got = E._ux[4](t)
+    assert np.max(np.abs(got - exact)) <= 1e-11 * np.max(np.abs(exact))
+
+
 def test_gaussian_equation_residual():
     E = extend(gaussian_bump(1, 0.0, 1.0), 0.25)
     rng = np.random.default_rng(0)

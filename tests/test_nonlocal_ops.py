@@ -8,7 +8,8 @@ from fracbern.kernels import (fractional_kernel, anisotropic_kernel,
                               MeasureOnUnit, normalizing_constant)
 from fracbern.funcspace import (gaussian_bump, plane_wave, modulated_gaussian,
                                 polynomial_gaussian, constant, tensor_product,
-                                affine_precompose, translate)
+                                affine_precompose, translate, make_cutoff,
+                                directional_derivative)
 from fracbern.nonlocal_ops import (apply_nonlocal, apply_fractional,
                                    apply_superposition, spectral_oracle,
                                    singular_integral, singular_integral_batch,
@@ -189,6 +190,55 @@ def test_batch_matches_scalar():
     for i, x in enumerate(xs):
         ref = singular_integral(K, u, x)
         assert vals[i] == pytest.approx(ref.value, abs=5 * errs[i] + 1e-12)
+
+
+@pytest.mark.parametrize("s", [0.2, 0.5, 0.8])
+@pytest.mark.parametrize("u", [gaussian_bump(1, 0.3, 0.8),
+                               polynomial_gaussian([1.0, -0.5, 0.25]),
+                               modulated_gaussian(0.2, 1.1, 2.0),
+                               plane_wave(1.5, 0.4)],
+                         ids=["bump", "polygauss", "modulated", "wave"])
+def test_batch_errors_cover_oracle(u, s):
+    # every probe's own error covers its gap to the symbol calculus
+    xs = np.linspace(-2.0, 2.0, 32).reshape(-1, 1)
+    vals, errs = singular_integral_batch(fractional_kernel(1, s), u, xs)
+    for v, e, x in zip(vals, errs, xs):
+        ref = spectral_oracle(s, u, x)
+        # the batch integral is -(-Delta)^s u
+        assert abs(-v - ref) <= e + 1e-10 * abs(ref)
+
+
+def test_batch_matches_scalar_refined_composite():
+    # a smooth composite whose probes reach past the scalar's outer
+    # radius, so the batch integrates every probe out to a larger R
+    u = gaussian_bump(1, 0.0, 1.0) + gaussian_bump(1, 0.8, 0.6, -0.5)
+    eta = make_cutoff(0.25, 0.5, n=1)
+    du = directional_derivative(u, np.array([1.0]))
+    G = (eta * eta) * (du * du) + u * u * 3.0
+    K = fractional_kernel(1, 0.5)
+    plan = default_plan(1).scaled(strict=False, max_refine=2)
+    once = plan.scaled(max_refine=0)
+    xs = np.linspace(-3.0, 3.0, 13).reshape(-1, 1)
+    vals, errs = singular_integral_batch(K, G, xs, plan)
+    refined = 0
+    for v, e, x in zip(vals, errs, xs):
+        first = singular_integral(K, G, x, once)
+        refined += first.error > once.rel_tol * first.scale
+        ref = singular_integral(K, G, x, plan)
+        assert abs(v - ref.value) <= e + ref.error
+    assert refined >= 3
+
+
+def test_strict_batch_failure_carries_partial():
+    u = gaussian_bump(1, 0.0, 1.0)
+    plan = default_plan(1).scaled(rel_tol=1e-30, max_refine=0,
+                                  order=4, panels_per_decade=1)
+    xs = np.linspace(-1.0, 1.0, 5).reshape(-1, 1)
+    with pytest.raises(QuadratureFailure) as exc:
+        singular_integral_batch(fractional_kernel(1, 0.5), u, xs, plan)
+    vals, errs = exc.value.partial
+    assert vals.shape == errs.shape == (5,)
+    assert np.all(np.isfinite(vals)) and np.all(np.isfinite(errs))
 
 
 # -- discrete assembly ----------------------------------------------------------
