@@ -45,6 +45,7 @@ R_INNER = 1e-2   # Taylor part below this radius, panels above
 N_ANGULAR = 48   # trapezoid directions per radius in 2d
 T_NODES = 6      # Gauss nodes of the Bochner segment integral
 CHUNK = 16384    # integrand points per call, see _chunked
+STENCIL_BYTES = 1 << 21  # bound on each gather temporary of apply_to_grid
 
 
 class QuadratureFailure(Exception):
@@ -480,162 +481,145 @@ def _cell_masses_1d(kernel, h, kmax):
     return 0.5 * h * vals @ w
 
 
-def assemble_discrete(kernel, lattice, exterior, r_far_factor=2.0):
-    """Monotone difference-form discretization of L_K on the lattice.
+def assemble_discrete(kernel, lattice, exterior):
+    """Monotone difference-form discretization of L_K on the lattice
+    (the finite difference-quadrature scheme of Huang & Oberman).
 
-    Weight of lattice offset k is the kernel mass of its dual cell; the
-    singular cell is folded into the nearest-neighbor weights through a
-    Taylor-consistent second-moment correction, so constants are
-    annihilated exactly and all off-diagonal entries stay nonpositive.
+    The weight of lattice offset k is the kernel mass of its dual cell,
+    for every offset out to R_far = max(4 L, 8), so the stencil covers
+    the difference of any two interior nodes.  The singular cell is
+    folded into the nearest-neighbor weights (on axis and diagonal
+    directions in 2d) through a Taylor-consistent second-moment
+    correction; the kernel mass beyond R_eff = (kmax + 1/2) h acts on
+    u(x_i) alone and, through the exterior data, as a far-field
+    integral.  Constants are annihilated exactly and all off-diagonal
+    entries stay nonpositive.  Returns a DiscreteOperatorDense whose
+    offsets and masses are the half stencil (one offset of each +-pair).
     """
-    lat = lattice
-    h, n = lat.h, lat.n
-    R_far = max(r_far_factor * 2 * lat.L, 8.0)
+    h, n = lattice.h, lattice.n
+    kmax = int(np.ceil(max(4 * lattice.L, 8.0) / h))
+    M2, _ = kernel.second_moment_matrix(h / 2)
     if n == 1:
-        kmax = int(np.ceil(R_far / h))
-        m = _cell_masses_1d(kernel, h, kmax)
-        M2, _ = kernel.second_moment_matrix(h / 2)
-        m = m.copy()
-        m[0] += 0.5 * M2[0, 0] / h ** 2
-        offsets = [(k,) for k in range(1, kmax + 1)]
-        masses = m
-        R_eff = (kmax + 0.5) * h
+        offsets = np.arange(1, kmax + 1).reshape(-1, 1)
+        masses = _cell_masses_1d(kernel, h, kmax)
+        masses[0] += 0.5 * M2[0, 0] / h ** 2
     else:
-        kmax = int(np.ceil(R_far / h))
-        x, w = gl_rule(4)
         ks = np.arange(-kmax, kmax + 1)
         KX, KY = np.meshgrid(ks, ks, indexing="ij")
         cells = np.stack([KX.ravel(), KY.ravel()], axis=1)
-        cells = cells[np.any(cells != 0, axis=1)]
-        rad2 = np.sum(cells * cells, axis=1)
-        cells = cells[rad2 <= (kmax + 0.5) ** 2]
+        cells = cells[np.sum(cells * cells, axis=1) <= (kmax + 0.5) ** 2]
         # keep only one of each +-pair: evenness makes them equal
-        keep = (cells[:, 0] > 0) | ((cells[:, 0] == 0) & (cells[:, 1] > 0))
-        cells = cells[keep]
+        offsets = cells[(cells[:, 0] > 0)
+                        | ((cells[:, 0] == 0) & (cells[:, 1] > 0))]
+        x, w = gl_rule(4)
         gx, gy = np.meshgrid(x, x, indexing="ij")
         sub = np.stack([gx.ravel(), gy.ravel()], axis=1) * 0.5 * h
         subw = np.outer(w, w).ravel() * (0.25 * h * h)
-        pts = (cells[:, None, :] * h + sub[None, :, :]).reshape(-1, 2)
-        kv = kernel(pts).reshape(cells.shape[0], -1)
-        masses = kv @ subw   # the -z twin is applied by the sign loop
-        offsets = [tuple(c) for c in cells]
+        pts = (offsets[:, None, :] * h + sub[None, :, :]).reshape(-1, 2)
+        masses = kernel(pts).reshape(offsets.shape[0], -1) @ subw
         # singular cell: eigen-split of the second moment onto lattice
         # directions (axis and diagonal stencils keep the scheme monotone)
-        M2, _ = kernel.second_moment_matrix(h / 2)
         evals, evecs = np.linalg.eigh(M2)
-        cand = np.array([[1, 0], [0, 1], [1, 1], [1, -1]], dtype=float)
+        cand = np.array([[1, 0], [0, 1], [1, 1], [1, -1]])
         candu = cand / np.linalg.norm(cand, axis=1, keepdims=True)
-        extra = {}
-        for lam, v in zip(evals, evecs.T):
-            scores = np.abs(candu @ v)
-            pick = int(np.argmax(scores))
-            off = cand[pick]
-            wlen2 = np.sum(off * off) * h * h
-            extra[tuple(int(c) for c in off)] = \
-                extra.get(tuple(int(c) for c in off), 0.0) + 0.5 * lam / wlen2
-        off_index = {o: i for i, o in enumerate(offsets)}
-        masses = masses.copy()
-        for o, val in extra.items():
-            masses[off_index[o]] += val
-        R_eff = (kmax + 0.5) * h
-
+        pick = np.argmax(np.abs(evecs.T @ candu.T), axis=1)
+        extra = np.zeros(len(cand))
+        np.add.at(extra, pick,
+                  0.5 * evals / (np.sum(cand[pick] ** 2, axis=1) * h * h))
+        at = [np.flatnonzero(np.all(offsets == c, axis=1))[0] for c in cand]
+        masses[at] += extra
     if np.any(masses < 0):
         raise ValueError("negative cell weight; discretization not monotone")
-    offsets_arr = np.asarray(offsets, dtype=int)
-    masses = np.asarray(masses, dtype=float)
-
-    tm_far, _ = kernel.tail_mass(R_eff)
-    nodes_int = lat.nodes[lat.interior]
-    n_int = lat.n_int
-    A = np.zeros((n_int, n_int))
-    b = np.zeros(n_int)
-    idx_of = np.full(lat.nodes.shape[0], -1)
-    idx_of[lat.interior] = np.arange(n_int)
-    strides = (1,) if n == 1 else (lat.N, 1)
-    flat_int = lat.interior
-
-    def flat_index(base_flat, off):
-        if n == 1:
-            j = base_flat + off[0]
-            ok = (j >= 0) & (j < lat.N)
-        else:
-            i0, i1 = np.divmod(base_flat, lat.N)
-            j0, j1 = i0 + off[0], i1 + off[1]
-            ok = (j0 >= 0) & (j0 < lat.N) & (j1 >= 0) & (j1 < lat.N)
-            j = j0 * lat.N + j1
-        return j, ok
-
-    diag = np.full(n_int, tm_far)
-    rows = np.arange(n_int)
-    for off, w in zip(offsets, masses):
-        if w == 0.0:
-            continue
-        for sgn in (1, -1):
-            o = tuple(sgn * c for c in off)
-            j, ok = flat_index(flat_int, o)
-            diag += w
-            j_int = np.where(ok, idx_of[np.clip(j, 0, idx_of.size - 1)], -1)
-            inside = j_int >= 0
-            A[rows[inside], j_int[inside]] -= w
-            data_nodes = ~inside
-            if data_nodes.any():
-                pts = nodes_int[data_nodes] + np.asarray(o) * h
-                in_box = ok[data_nodes]
-                vals = np.empty(pts.shape[0])
-                if in_box.any():
-                    grid_vals = exterior(lat.nodes[j[data_nodes][in_box]])
-                    vals[in_box] = grid_vals
-                if (~in_box).any():
-                    vals[~in_box] = exterior(pts[~in_box])
-                b[data_nodes] += -w * vals
-    A[rows, rows] += diag
-
-    # far-field data term: - int_{|z| > R_eff} exterior(x_i + z) K(z) dz
-    for i in range(n_int):
-        xi = nodes_int[i]
-        b[i] += -_far_data_integral(kernel, exterior, xi, R_eff)
-    return DiscreteOperatorDense(lat, kernel, A, b, exterior, R_eff,
-                                 offsets_arr, masses, tm_far)
+    W = np.zeros((2 * kmax + 1,) * n)
+    W[tuple((kmax + offsets).T)] = masses
+    W += np.flip(W)
+    R_eff = (kmax + 0.5) * h
+    return DiscreteOperatorDense(lattice, W, exterior,
+                                 kernel.tail_mass(R_eff)[0], kernel, R_eff,
+                                 offsets, masses)
 
 
-def _far_data_integral(kernel, exterior, x, R):
-    """integral of exterior(x + z) K(z) over |z| > R (paired form)."""
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    val, _ = _tail(kernel, exterior, x, np.zeros(1), R)
-    val = float(val[0])
-    resid = exterior.tail.resid(max(R - float(np.linalg.norm(x)), 0.0))
-    if resid > 0 and exterior.tail.period is None:
-        z, kz, w = _radial_nodes(kernel, R, R * 1e5, 8, 3)
-        p, q = _both_signs(exterior, x, z)
-        val += float(row_dot((0.5 * (p + q) - exterior.tail.limit) * kz,
-                             w)[0])
+def _far_data_integral(kernel, exterior, xs, R):
+    """integral of exterior(x + z) K(z) over |z| > R (paired form) at
+    every row x of xs: the tail metadata, plus a radial quadrature out
+    to 1e5 R of the residual where it is not known to vanish."""
+    val, _ = _tail(kernel, exterior, xs, np.zeros(len(xs)), R)
+    if exterior.tail.period is not None:
+        return val
+    resid = np.array([exterior.tail.resid(max(R - r, 0.0))
+                      for r in np.linalg.norm(xs, axis=1)])
+    rows = np.flatnonzero(resid > 0)
+    if rows.size == 0:
+        return val
+    z, kz, w = _radial_nodes(kernel, R, R * 1e5, 8, 3)
+
+    def paired(sl, zz):
+        p, q = _both_signs(exterior, x[sl], zz)
+        return 0.5 * (p + q) - exterior.tail.limit
+
+    # groups of probes keep the (probes, nodes) value array small
+    step = max(STENCIL_BYTES // (8 * len(z)), 1)
+    for a in range(0, rows.size, step):
+        group = rows[a:a + step]
+        x = xs[group]
+        val[group] += row_dot(_chunked(paired, group.size, z) * kz, w)
     return val
 
 
 class DiscreteOperatorDense:
-    """Dense interior matrix A plus affine exterior vector b.
+    """A translation-invariant stencil on a lattice, as a dense interior
+    matrix A plus an affine exterior vector b:
 
-    (L_K u)(x_i) ~ (A u_int + b)_i.  Monotone: off-diagonals <= 0.
-    The raw stencil (offsets, masses, far tail mass) is kept so the same
-    discretization can act on arbitrary grid functions with their own
-    exterior closures (derivatives of the solution, test functions).
+        (L u)(x_i) ~ (A u_int + b)_i
+                   = t u_i + sum_k W_k (u_i - u_{i+k}) - far_i,
+
+    W the full symmetric weight array of side 2 kmax + 1 (zero at its
+    center), t = tail_mass_far the mass acting on u_i alone, and far_i
+    the far-field integral of the exterior data past R_eff (only when a
+    kernel is given).  A[i, j] = -W[j - i] off the diagonal and t +
+    sum W on it, so A is symmetric and monotone (off-diagonals <= 0);
+    b is apply_to_grid of the exterior data with the interior zeroed.
+    offsets and masses keep the half stencil the weights came from.
     """
 
-    def __init__(self, lattice, kernel, A, b, exterior, R_eff,
-                 offsets=None, masses=None, tail_mass_far=0.0):
-        self.lattice = lattice
-        self.kernel = kernel
-        self.A = A
-        self.b = b
-        self.exterior = exterior
-        self.R_eff = R_eff
-        self.offsets = offsets
-        self.masses = masses
+    def __init__(self, lattice, W, exterior, tail_mass_far=0.0, kernel=None,
+                 R_eff=None, offsets=None, masses=None):
+        lat = lattice
+        self.lattice, self.W, self.exterior = lat, W, exterior
         self.tail_mass_far = tail_mass_far
+        self.kernel, self.R_eff = kernel, R_eff
+        self.offsets, self.masses = offsets, masses
+        n, k = lat.n, W.shape[0] // 2
+        idx = np.stack(np.unravel_index(lat.interior, (lat.N,) * n), axis=1)
+        # the band of lattice indices the stencil reaches from the
+        # interior: the neighbours of interior node i are the window of
+        # W's shape at band index idx_i - min(idx)
+        lo = idx.min(axis=0) - k
+        self._side = tuple(idx.max(axis=0) + k + 1 - lo)
+        self._starts = idx - idx.min(axis=0)
+        band = np.indices(self._side).reshape(n, -1).T + lo
+        in_box = np.all((band >= 0) & (band < lat.N), axis=1)
+        self._box = np.flatnonzero(in_box)
+        self._box_nodes = np.ravel_multi_index(band[in_box].T, (lat.N,) * n)
+        # the closure is evaluated only out to the stencil's reach; the
+        # band points past it stay 0 and meet only zero weights
+        pts = lat.axis[0] + band * lat.h
+        reach = lat.R_dom + lat.h * (np.linalg.norm(
+            np.argwhere(W != 0) - k, axis=1).max(initial=0) + 1)
+        beyond = ~in_box & (np.linalg.norm(pts, axis=1) < reach)
+        self._beyond, self._beyond_pts = np.flatnonzero(beyond), pts[beyond]
 
-    def solve(self, f_at_interior):
-        """Interior solution of L_K u = f with the stored exterior data."""
-        return np.linalg.solve(self.A, f_at_interior - self.b)
+        # A[i, j] = -W[idx_j - idx_i], from W padded to cover every
+        # difference of two interior nodes
+        kA = max(k, int(np.max(idx.max(axis=0) - idx.min(axis=0))))
+        Wp = np.pad(W, kA - k).ravel()
+        sp = (2 * kA + 1) ** np.arange(n - 1, -1, -1)
+        fi = idx @ sp
+        self.A = -Wp[fi[None, :] - fi[:, None] + kA * sp.sum()]
+        np.fill_diagonal(self.A, tail_mass_far + W.sum())
+        vals = exterior(lat.nodes)
+        vals[lat.interior] = 0.0
+        self.b = self.apply_to_grid(vals, exterior)
 
     def apply(self, u_int):
         return self.A @ u_int + self.b
@@ -651,39 +635,31 @@ class DiscreteOperatorDense:
         return vals
 
     def apply_to_grid(self, values_full, closure):
-        """Stencil action on an arbitrary grid function.
+        """Stencil action on an arbitrary grid function, in difference
+        form, so constants are annihilated exactly.
 
         values_full: values at every lattice node; closure: SmoothFunction
-        supplying values beyond the box (and the far-field integral).
-        Returns the operator values at interior nodes.
+        supplying values beyond the box (evaluated once, on the lattice
+        points the stencil reaches) and the far-field integral.  Returns
+        the operator values at the interior nodes; interior rows are
+        gathered in chunks of at most STENCIL_BYTES per temporary.
         """
-        lat = self.lattice
-        n = lat.n
-        nodes_int = lat.nodes[lat.interior]
-        vals_int = values_full[lat.interior]
-        out = np.full(lat.n_int, self.tail_mass_far) * vals_int
-        for off, w in zip(self.offsets, self.masses):
-            if w == 0.0:
-                continue
-            for sgn in (1, -1):
-                o = sgn * off
-                if n == 1:
-                    j = lat.interior + o[0]
-                    ok = (j >= 0) & (j < lat.N)
-                else:
-                    i0, i1 = np.divmod(lat.interior, lat.N)
-                    j0, j1 = i0 + o[0], i1 + o[1]
-                    ok = (j0 >= 0) & (j0 < lat.N) & (j1 >= 0) & (j1 < lat.N)
-                    j = j0 * lat.N + j1
-                neigh = np.empty(lat.n_int)
-                neigh[ok] = values_full[j[ok]]
-                if (~ok).any():
-                    pts = nodes_int[~ok] + o * lat.h
-                    neigh[~ok] = closure(pts)
-                out += w * (vals_int - neigh)
-        for i in range(lat.n_int):
-            out[i] -= _far_data_integral(self.kernel, closure,
-                                         nodes_int[i], self.R_eff)
+        lat, w = self.lattice, self.W.ravel()
+        G = np.zeros(self._side)
+        G.flat[self._box] = values_full[self._box_nodes]
+        if self._beyond.size:
+            G.flat[self._beyond] = closure(self._beyond_pts)
+        windows = np.lib.stride_tricks.sliding_window_view(G, self.W.shape)
+        v = values_full[lat.interior]
+        out = self.tail_mass_far * v
+        step = max(STENCIL_BYTES // (8 * w.size), 1)
+        for a in range(0, v.size, step):
+            d = windows[tuple(self._starts[a:a + step].T)].reshape(-1, w.size)
+            np.subtract(v[a:a + step, None], d, out=d)
+            out[a:a + step] += d @ w
+        if self.kernel is not None:
+            out -= _far_data_integral(self.kernel, closure,
+                                      lat.nodes[lat.interior], self.R_eff)
         return out
 
     def export_coo(self):

@@ -15,7 +15,7 @@ from .funcspace import SmoothFunction, Tail, GridFunction, constant, \
     directional_derivative, translate
 from .nonlocal_ops import (Lattice, assemble_discrete, apply_nonlocal,
                            apply_superposition, DiscreteOperatorDense,
-                           default_plan, _far_data_integral)
+                           default_plan)
 
 __all__ = [
     "barrier", "barrier_check", "BellmanProblem", "ObstacleProblem",
@@ -147,74 +147,22 @@ class ObstacleProblem:
             self.f, self.exterior, self.R_dom)
 
 
-class _IdentityOp:
-    """Discrete member for the order-0 atom: L u = u."""
-
-    def __init__(self, lattice):
-        self.lattice = lattice
-        self.A = np.eye(lattice.n_int)
-        self.b = np.zeros(lattice.n_int)
-
-    def apply(self, u_int):
-        return u_int.copy()
-
-    def apply_to_grid(self, values_full, closure):
-        return values_full[self.lattice.interior].copy()
+def _identity_op(lattice, exterior):
+    """Discrete member for the order-0 atom, L u = u: an empty stencil
+    whose whole mass acts on u(x_i)."""
+    return DiscreteOperatorDense(lattice, np.zeros((1,) * lattice.n),
+                                 exterior, 1.0)
 
 
-class _LaplacianOp:
-    """Monotone 3/5-point stencil for the order-1 atom: L u = -Lap u."""
-
-    def __init__(self, lattice, exterior):
-        lat = lattice
-        h2 = lat.h ** 2
-        n_int = lat.n_int
-        A = np.zeros((n_int, n_int))
-        b = np.zeros(n_int)
-        idx_of = np.full(lat.nodes.shape[0], -1)
-        idx_of[lat.interior] = np.arange(n_int)
-        offs = [(1,), (-1,)] if lat.n == 1 else \
-            [(1, 0), (-1, 0), (0, 1), (0, -1)]
-        rows = np.arange(n_int)
-        A[rows, rows] = 2.0 * lat.n / h2
-        for off in offs:
-            j, ok = _shift_index(lat, off)
-            j_int = np.where(ok, idx_of[np.clip(j, 0, idx_of.size - 1)], -1)
-            inside = j_int >= 0
-            A[rows[inside], j_int[inside]] -= 1.0 / h2
-            outside = ~inside
-            if outside.any():
-                pts = lat.nodes[lat.interior][outside] + np.asarray(off) * lat.h
-                b[outside] -= exterior(pts) / h2
-        self.lattice, self.A, self.b = lat, A, b
-        self._offs = offs
-
-    def apply(self, u_int):
-        return self.A @ u_int + self.b
-
-    def apply_to_grid(self, values_full, closure):
-        lat = self.lattice
-        out = 2.0 * lat.n / lat.h ** 2 * values_full[lat.interior]
-        for off in self._offs:
-            j, ok = _shift_index(lat, off)
-            neigh = np.empty(lat.n_int)
-            neigh[ok] = values_full[j[ok]]
-            if (~ok).any():
-                pts = lat.nodes[lat.interior][~ok] + np.asarray(off) * lat.h
-                neigh[~ok] = closure(pts)
-            out -= neigh / lat.h ** 2
-        return out
-
-
-def _shift_index(lat, off):
-    if lat.n == 1:
-        j = lat.interior + off[0]
-        ok = (j >= 0) & (j < lat.N)
-        return j, ok
-    i0, i1 = np.divmod(lat.interior, lat.N)
-    j0, j1 = i0 + off[0], i1 + off[1]
-    ok = (j0 >= 0) & (j0 < lat.N) & (j1 >= 0) & (j1 < lat.N)
-    return j0 * lat.N + j1, ok
+def _laplacian_op(lattice, exterior):
+    """Monotone 3/5-point stencil for the order-1 atom, L u = -Lap u:
+    weight 1/h^2 at the 2n axis neighbours, no far field."""
+    W = np.zeros((3,) * lattice.n)
+    for axis in range(lattice.n):
+        at = [1] * lattice.n
+        at[axis] = slice(None, None, 2)
+        W[tuple(at)] = 1.0 / lattice.h ** 2
+    return DiscreteOperatorDense(lattice, W, exterior)
 
 
 class _SuperpositionOp:
@@ -244,9 +192,9 @@ def assemble_member(op, lattice, exterior):
     if np.isscalar(op):
         s = float(op)
         if s == 0.0:
-            return _IdentityOp(lattice)
+            return _identity_op(lattice, exterior)
         if s == 1.0:
-            return _LaplacianOp(lattice, exterior)
+            return _laplacian_op(lattice, exterior)
         return assemble_discrete(fractional_kernel(lattice.n, s), lattice,
                                  exterior)
     return assemble_discrete(op, lattice, exterior)
@@ -263,15 +211,20 @@ def solve_linear_dirichlet(op, f, exterior, lattice, tol=1e-10):
     """
     disc = assemble_member(op, lattice, exterior)
     f_int = f(lattice.nodes[lattice.interior])
-    u_int = np.linalg.solve(disc.A, f_int - disc.b)
+    u_int = _solve_member(disc, f_int)
     res = float(np.max(np.abs(disc.A @ u_int + disc.b - f_int)))
     if res > tol * max(1.0, float(np.max(np.abs(f_int))) + 1.0):
         raise ArithmeticError("linear solve residual %.2g above tolerance" % res)
-    gf = _to_gridfunction(lattice, disc, u_int, exterior)
+    gf = _to_gridfunction(lattice, u_int, exterior)
     return gf, {"residual": res, "operator": disc}
 
 
-def _to_gridfunction(lattice, disc, u_int, exterior):
+def _solve_member(disc, rhs):
+    """Interior solution of A u = rhs - b for one discrete member."""
+    return np.linalg.solve(disc.A, rhs - disc.b)
+
+
+def _to_gridfunction(lattice, u_int, exterior):
     vals = exterior(lattice.nodes)
     vals[lattice.interior] = u_int
     if lattice.n == 2:
@@ -298,7 +251,7 @@ def solve_bellman(problem, lattice, tol=1e-9, max_iter=80):
         return np.stack([discs[m].apply(u_int) - g_int[m]
                          for m in range(J)], axis=0)
 
-    u = discs[0].solve(f_int + g_int[0])
+    u = _solve_member(discs[0], f_int + g_int[0])
     policy = np.zeros(lat.n_int, dtype=int)
     history = []
     for it in range(max_iter):
@@ -321,7 +274,7 @@ def solve_bellman(problem, lattice, tol=1e-9, max_iter=80):
     else:
         raise ArithmeticError("policy iteration did not converge: "
                               "residual history %s" % history[-5:])
-    gf = _to_gridfunction(lat, discs[0], u, problem.exterior)
+    gf = _to_gridfunction(lat, u, problem.exterior)
     return gf, policy, {"history": history, "discs": discs,
                         "residual": history[-1] if history else None,
                         "iterations": len(history)}
@@ -336,7 +289,7 @@ def value_iteration(problem, lattice, tol=1e-9, max_iter=400000, omega=0.85):
     f_int = problem.f(nodes_int)
     g_int = [g(nodes_int) for _, g in problem.members]
     diag = np.max(np.stack([np.diag(d.A) for d in discs]), axis=0)
-    u = discs[0].solve(f_int + g_int[0])
+    u = _solve_member(discs[0], f_int + g_int[0])
     for it in range(max_iter):
         vals = np.stack([discs[m].apply(u) - g_int[m]
                          for m in range(len(discs))])
@@ -365,7 +318,7 @@ def solve_fully_nonlinear(problem, lattice, tol=1e-8, max_iter=120):
     f_int = problem.f(nodes_int)
     g_int = [g(nodes_int) for _, g in problem.members]
     J = len(discs)
-    u = discs[0].solve(f_int + g_int[0])
+    u = _solve_member(discs[0], f_int + g_int[0])
     history = []
     for it in range(max_iter):
         p = np.stack([discs[m].apply(u) - g_int[m] for m in range(J)], axis=1)
@@ -381,7 +334,7 @@ def solve_fully_nonlinear(problem, lattice, tol=1e-8, max_iter=120):
         u = u + du
     else:
         raise ArithmeticError("nonlinear iteration stalled: %s" % history[-5:])
-    gf = _to_gridfunction(lat, discs[0], u, problem.exterior)
+    gf = _to_gridfunction(lat, u, problem.exterior)
     return gf, {"history": history, "discs": discs, "residual": history[-1],
                 "u_int": u}
 

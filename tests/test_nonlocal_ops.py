@@ -1,7 +1,10 @@
 """Operator evaluation, the spectral oracle, and discrete assembly."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import gamma
 
 from fracbern.kernels import (fractional_kernel, anisotropic_kernel,
@@ -14,7 +17,7 @@ from fracbern.nonlocal_ops import (apply_nonlocal, apply_fractional,
                                    apply_superposition, spectral_oracle,
                                    singular_integral, singular_integral_batch,
                                    assemble_discrete, Lattice, default_plan,
-                                   QuadratureFailure)
+                                   QuadratureFailure, _far_data_integral)
 from fracbern.solvers import barrier
 
 
@@ -320,3 +323,92 @@ def test_export_coo_format(lat129):
     assert any(line.startswith("b ") for line in lines)
     row, col, val = lines[0].split()
     assert float(val) != 0.0
+
+
+# -- the stencil against the per-offset loop it replaced -------------------------
+
+def _signed_offsets(disc):
+    for off, w in zip(disc.offsets, disc.masses):
+        for sgn in (1, -1):
+            yield sgn * off, w
+
+
+def _shift(lat, o):
+    """Flat lattice index of every interior node shifted by offset o, and
+    whether it stays inside the box."""
+    i = np.stack(np.unravel_index(lat.interior, (lat.N,) * lat.n), axis=1) + o
+    ok = np.all((i >= 0) & (i < lat.N), axis=1)
+    return np.ravel_multi_index(np.clip(i, 0, lat.N - 1).T, (lat.N,) * lat.n), ok
+
+
+def _loop_reference(disc, values_full, closure):
+    """(A, b, apply_to_grid(values_full, closure)) by one Python loop over
+    the signed offsets, as the lattice scheme was first written; a
+    small-N reference for the gathered stencil.  The diagonal is the
+    exactly rounded sum of the tail mass and the weights: the loop's
+    running sum drifts by up to 2.3e-14 relative at 2d N = 25."""
+    lat, ext, K = disc.lattice, disc.exterior, disc.kernel
+    nodes_int = lat.nodes[lat.interior]
+    idx_of = np.full(lat.nodes.shape[0], -1)
+    idx_of[lat.interior] = np.arange(lat.n_int)
+    rows = np.arange(lat.n_int)
+    A = np.zeros((lat.n_int, lat.n_int))
+    b = np.zeros(lat.n_int)
+    v = values_full[lat.interior]
+    out = disc.tail_mass_far * v
+    for o, w in _signed_offsets(disc):
+        j, ok = _shift(lat, o)
+        j_int = np.where(ok, idx_of[j], -1)
+        inside = j_int >= 0
+        A[rows[inside], j_int[inside]] -= w
+        data = np.zeros(lat.n_int)
+        data[ok] = ext(lat.nodes[j[ok]])
+        neigh = np.where(ok, values_full[j], 0.0)
+        if not ok.all():
+            data[~ok] = ext(nodes_int[~ok] + o * lat.h)
+            neigh[~ok] = closure(nodes_int[~ok] + o * lat.h)
+        b[~inside] -= w * data[~inside]
+        out += w * (v - neigh)
+    A[rows, rows] = math.fsum([disc.tail_mass_far]
+                              + 2 * list(disc.masses))
+    for i, x in enumerate(nodes_int):
+        b[i] -= _far_data_integral(K, ext, x[None], disc.R_eff)[0]
+        out[i] -= _far_data_integral(K, closure, x[None], disc.R_eff)[0]
+    return A, b, out
+
+
+@pytest.mark.parametrize("K, lat, ext", [
+    (fractional_kernel(1, 0.3), Lattice(1, 2.0, 65, 1.0),
+     gaussian_bump(1, 0.1, 1.5, 0.3)),
+    (fractional_kernel(1, 0.9), Lattice(1, 2.0, 65, 1.0),
+     gaussian_bump(1, 0.1, 1.5, 0.3)),
+    (fractional_kernel(1, 0.6), Lattice(1, 2.0, 65, 1.0),
+     plane_wave(1.3, 0.2)),
+    (fractional_kernel(2, 0.5), Lattice(2, 1.5, 25, 1.0),
+     gaussian_bump(2, [0.1, 0.0], 0.8)),
+    (anisotropic_kernel(0.6, np.array([[1.4, 0.3], [0.3, 0.8]])),
+     Lattice(2, 1.5, 25, 1.0), gaussian_bump(2, [0.1, 0.0], 0.8))],
+    ids=["1d-s0.3", "1d-s0.9", "1d-wave", "2d", "2d-anisotropic"])
+def test_stencil_matches_offset_loop(K, lat, ext):
+    disc = assemble_discrete(K, lat, ext)
+    g = gaussian_bump(lat.n, [0.2] * lat.n, 0.6, -0.7) + ext
+    A, b, out = _loop_reference(disc, g(lat.nodes), g)
+    off = ~np.eye(lat.n_int, dtype=bool)
+    assert np.array_equal(disc.A[off], A[off])
+    diag = np.diag(A)
+    assert np.max(np.abs(np.diag(disc.A) - diag) / diag) <= 1e-14
+    assert np.max(np.abs(disc.b - b)) <= 1e-13 * diag.max() * ext.sup
+    assert np.max(np.abs(disc.apply_to_grid(g(lat.nodes), g) - out)) \
+        <= 1e-13 * diag.max() * np.max(np.abs(g(lat.nodes)))
+
+
+@given(st.floats(0.05, 0.95), st.sampled_from([33, 65, 129, 257]))
+@example(0.95, 257)
+@settings(max_examples=12, deadline=None)
+def test_stencil_symmetric_monotone_annihilates_constants(s, N):
+    lat = Lattice(1, 2.0, N, 1.0)
+    disc = assemble_discrete(fractional_kernel(1, s), lat, constant(1.0, 1))
+    assert np.array_equal(disc.A, disc.A.T)
+    assert np.max(disc.A - np.diag(np.diag(disc.A))) <= 0.0
+    out = disc.apply_to_grid(np.ones(lat.nodes.shape[0]), constant(1.0, 1))
+    assert np.max(np.abs(out)) < 1e-12

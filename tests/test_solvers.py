@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from fracbern.kernels import (fractional_kernel, anisotropic_kernel,
-                              MeasureOnUnit, bellman_max, log_sum_exp)
+                              MeasureOnUnit, bellman_max, log_sum_exp,
+                              linear_nonlinearity)
 from fracbern.funcspace import gaussian_bump, constant, modulated_gaussian
 from fracbern.nonlocal_ops import Lattice, apply_fractional
 from fracbern.solvers import (barrier, barrier_check, solve_linear_dirichlet,
@@ -137,6 +138,42 @@ def test_single_member_equals_linear():
     assert np.max(np.abs(gf.values - lin.values)) <= 1e-10
 
 
+def test_single_measure_member_equals_linear():
+    # a MeasureOnUnit as the first member is a sum of stencil operators
+    mu = MeasureOnUnit([(0.3, 0.5), (0.7, 0.5)])
+    f = gaussian_bump(1, 0.0, 0.5, 0.4)
+    ext = gaussian_bump(1, 0.0, 1.5, 0.3)
+    prob = BellmanProblem([(mu, constant(0.0, 1))], f, ext, 1.0)
+    gf, policy, info = solve_bellman(prob, lat())
+    lin, _ = solve_linear_dirichlet(mu, f, ext, lat())
+    assert np.max(np.abs(gf.values - lin.values)) <= 1e-10
+    u_vi, _ = value_iteration(prob, lat())
+    assert np.max(np.abs(u_vi - lin.values[lat().interior])) <= 1e-8
+    prob.nonlinearity = linear_nonlinearity([1.0])
+    gf2, _ = solve_fully_nonlinear(prob, lat())
+    assert np.max(np.abs(gf2.values - lin.values)) <= 1e-8
+
+
+@pytest.mark.parametrize("first", [0.0, 1.0,
+                                   MeasureOnUnit([(0.3, 0.5), (0.7, 0.5)])],
+                         ids=["order0", "order1", "measure"])
+def test_bellman_first_member_any_kind(first):
+    # the first member seeds policy iteration; orders 0 and 1 and
+    # measures are members like any kernel
+    lattice = lat(N=33)
+    g2 = gaussian_bump(1, -0.3, 0.4, -0.35)
+    prob = BellmanProblem([(first, constant(0.0, 1)), (K05, g2)],
+                          gaussian_bump(1, 0.2, 0.5, 0.4),
+                          gaussian_bump(1, 0.0, 1.5, 0.3), 1.0)
+    gf, policy, info = solve_bellman(prob, lattice)
+    assert info["residual"] <= 1e-9
+    u_vi, _ = value_iteration(prob, lattice, tol=1e-11)
+    assert np.max(np.abs(gf.values[lattice.interior] - u_vi)) <= 1e-7
+    prob.nonlinearity = log_sum_exp(2, 4.0)
+    _, info_nl = solve_fully_nonlinear(prob, lattice)
+    assert info_nl["residual"] <= 1e-8
+
+
 def test_policy_iteration_matches_value_iteration():
     prob = mixed_bellman(lat())
     lattice = lat()
@@ -174,7 +211,6 @@ def test_policy_optimality_at_convergence():
 # -- fully nonlinear ---------------------------------------------------------------
 
 def test_linear_nonlinearity_reduces():
-    from fracbern.kernels import linear_nonlinearity
     f = gaussian_bump(1, 0.0, 0.5, 0.4)
     ext = constant(0.0, 1)
     F = linear_nonlinearity([1.0])
