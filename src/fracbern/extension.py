@@ -21,7 +21,7 @@ from scipy.special import gamma
 
 from ._quad import geometric_edges, panel_nodes, periodic_tail_1d
 from .funcspace import directional_derivative, Tail
-from .nonlocal_ops import spectral_oracle
+from .nonlocal_ops import spectral_oracle_batch
 
 __all__ = [
     "poisson_constant", "ExtensionField", "extend",
@@ -231,10 +231,9 @@ def trace_constant(s, probes=(0.0, 0.35, -0.6), funcs=None):
     ratios = []
     for u in funcs:
         E = extend(u, s)
-        for x in probes:
-            den = spectral_oracle(s, u, x)
-            if abs(den) > 1e-3:
-                ratios.append(weighted_normal_derivative(E, x) / den)
+        dens = spectral_oracle_batch(s, u, np.asarray(probes, dtype=float))
+        ratios += [weighted_normal_derivative(E, x) / d
+                   for x, d in zip(probes, dens) if abs(d) > 1e-3]
     ratios = np.asarray(ratios)
     spread = float(ratios.max() - ratios.min()) / abs(float(np.mean(ratios)))
     if spread > 1e-3:

@@ -432,13 +432,6 @@ class SmoothFunction:
 
     __rmul__ = __mul__
 
-    def squared(self):
-        return self * self
-
-    def shifted_square(self, kappa):
-        """(u - kappa)^2 with exact tail handling of the constant shift."""
-        return (self - float(kappa)).squared()
-
 
 class _Node(SmoothFunction):
     """A function whose jet one rule computes: rule(x, k, call) returns

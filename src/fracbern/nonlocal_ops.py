@@ -27,6 +27,8 @@ int (u(x) - u(y)) K(x - y) dy, which for the standard power kernel is
 the fractional Laplacian with Fourier symbol |xi|^{2s}.
 """
 
+from functools import lru_cache
+
 import numpy as np
 
 from ._quad import (geometric_edges, panel_nodes, periodic_tail_1d,
@@ -38,6 +40,7 @@ __all__ = [
     "QuadraturePlan", "OperatorValue", "QuadratureFailure",
     "singular_integral", "singular_integral_batch", "apply_nonlocal",
     "apply_fractional", "apply_superposition", "spectral_oracle",
+    "spectral_oracle_batch",
     "assemble_discrete", "Lattice", "DiscreteOperatorDense",
 ]
 
@@ -46,6 +49,7 @@ N_ANGULAR = 48   # trapezoid directions per radius in 2d
 T_NODES = 6      # Gauss nodes of the Bochner segment integral
 CHUNK = 16384    # integrand points per call, see _chunked
 STENCIL_BYTES = 1 << 21  # bound on each gather temporary of apply_to_grid
+ORACLE_DIRS = (6, 384)   # first and last direction count of the 2d oracle
 
 
 class QuadratureFailure(Exception):
@@ -394,55 +398,100 @@ def apply_superposition(measure, u, x, plan=None):
 # -- independent spectral oracle ----------------------------------------------
 
 def spectral_oracle(s, u, x, rel_tol=1e-11):
-    """(-Delta)^s u(x) through the Fourier symbol |xi|^{2s}.
+    """(-Delta)^s u(x): spectral_oracle_batch at one point."""
+    try:
+        v = spectral_oracle_batch(s, u, as_points(x, u.n)[:1], rel_tol)
+    except QuadratureFailure as exc:
+        (v,), (e,) = exc.partial
+        raise QuadratureFailure(str(exc), OperatorValue(v, e, {})) from None
+    return float(v[0])
 
-    Exact for trigonometric catalog functions (finite harmonic data);
-    adaptive Fourier quadrature for catalog functions carrying a closed
-    transform.  Documented relative accuracy 1e-10.
+
+def spectral_oracle_batch(s, u, xs, rel_tol=1e-11):
+    """(-Delta)^s u at the probe rows of xs, shape (m, n), through the
+    Fourier symbol |xi|^{2s}; exact for trigonometric catalog functions.
+    Otherwise Gauss-Legendre panels in |xi| on [1e-12 Xi, Xi] (Xi =
+    u.fourier_radius), a fine/coarse pair and a finer rule where they
+    disagree.  In 2d each radial node doubles a nested trapezoid rule in
+    angle, 6 up to 384 directions (half of them, by conjugate symmetry),
+    until its gap times its radial weight is at most 1e-16 A, A the
+    rule's sum of |terms| on 6 directions; done nodes form a prefix in
+    radius, and an unfinished node adds its gap to the error.  The error
+    must stay below 100 rel_tol |value| (1e-8 after the finer rule) or
+    64 eps A, else QuadratureFailure with .partial = (values, errors).
+    The transform is evaluated once for all probes; each probe keeps its
+    own levels and rules, so it gets the value of a scalar call.
     """
     if not 0.0 <= s <= 1.0:
         raise ValueError("order must lie in [0, 1]")
-    x = as_points(x, u.n).reshape(-1)
+    xs = as_points(xs, u.n)
     if u.harmonics is not None:
-        tot = 0.0
-        for a, k, p in u.harmonics:
-            kn = float(np.linalg.norm(k))
-            if kn == 0.0:
-                tot += a * np.cos(p) if s == 0.0 else 0.0
-            else:
-                tot += a * kn ** (2 * s) * np.cos(float(np.dot(k, x)) + p)
-        return float(tot)
+        return sum(a * np.linalg.norm(k) ** (2 * s) * np.cos(xs @ k + p)
+                   for a, k, p in u.harmonics) + np.zeros(len(xs))
     if u.fourier is None:
         raise ValueError("function is outside the closed-Fourier catalog")
     if s == 0.0:
-        return float(u(x.reshape(1, -1))[0])
-    Xi = u.fourier_radius
+        return u(xs)
+    val, ang, A = _oracle_rule(s, u, xs, 8, 24)
+    coarse, ang_c, _ = _oracle_rule(s, u, xs, 5, 12)
+    floor = 64 * np.finfo(float).eps * A
+    err = np.abs(val - coarse) + ang + ang_c
+    ok = err <= np.maximum(100 * rel_tol * np.abs(val), floor)
+    redo = np.flatnonzero(~ok)
+    if redo.size:
+        fine2, ang2, _ = _oracle_rule(s, u, xs[redo], 12, 32)
+        err[redo] = np.abs(fine2 - val[redo]) + ang2 + ang[redo]
+        val[redo] = fine2
+        ok[redo] = err[redo] <= np.maximum(1e-8 * np.abs(fine2), floor[redo])
+    if not ok.all():
+        raise QuadratureFailure(
+            "spectral oracle did not converge at %d of %d probes"
+            % (np.count_nonzero(~ok), ok.size), (val, err))
+    return val
 
-    def eval_with(ppd, order):
-        edges = geometric_edges(Xi * 1e-12, Xi, ppd)
-        t, wt = panel_nodes(edges, order)
-        if u.n == 1:
-            xi = t.reshape(-1, 1)
-            ft = u.fourier(xi)
-            integ = np.real(ft * np.exp(1j * t * x[0])) * t ** (2 * s)
-            return float(np.dot(wt, integ)) / np.pi
-        m = 96
-        dirs = sphere_directions(2, m)
-        xi = (t[:, None, None] * dirs[None, :, :]).reshape(-1, 2)
+
+@lru_cache(maxsize=8)
+def _oracle_nodes(ppd, order):
+    """Nodes and weights of the oracle's radial rule for Xi = 1."""
+    return panel_nodes(geometric_edges(1e-12, 1.0, ppd), order)
+
+
+def _oracle_rule(s, u, xs, ppd, order):
+    """One radial rule of the oracle at the rows of xs: (values, angular
+    errors, A) per probe, A the sum of the |terms| of its first level."""
+    t, wt = (u.fourier_radius * a for a in _oracle_nodes(ppd, order))
+    m = xs.shape[0]
+
+    def level(k0, dirs):
+        """Sums over dirs of Re(u^(xi) e^{i xi.x}) and of its modulus, at
+        xi = t_k dir for the radial nodes k >= k0: shape (2, m, K - k0)."""
+        xi = (t[k0:, None, None] * dirs).reshape(-1, u.n)
         ft = u.fourier(xi)
-        ph = np.exp(1j * (xi @ x))
-        vals = np.real(ft * ph).reshape(t.size, m).sum(axis=1) * (2 * np.pi / m)
-        return float(np.dot(wt * t ** (1 + 2 * s), vals)) / (2 * np.pi) ** 2
+        out = np.empty((2, m, t.size - k0))
+        step = max(STENCIL_BYTES // (8 * xi.shape[0]), 1)
+        for a in range(0, m, step):
+            ph = sum(xs[a:a + step, i, None] * xi[:, i] for i in range(u.n))
+            g = (ft.real * np.cos(ph) - ft.imag * np.sin(ph)).reshape(
+                len(ph), -1, len(dirs))
+            out[:, a:a + step] = g.sum(axis=2), np.abs(g).sum(axis=2)
+        return out
 
-    fine = eval_with(8, 24)
-    coarse = eval_with(5, 12)
-    if abs(fine - coarse) > rel_tol * max(abs(fine), 1e-14) * 100:
-        fine2 = eval_with(12, 32)
-        if abs(fine2 - fine) > 1e-8 * max(abs(fine2), 1e-12):
-            raise QuadratureFailure("spectral oracle did not converge",
-                                    OperatorValue(fine2, abs(fine2 - fine), {}))
-        return fine2
-    return fine
+    # S sums the N / 2 directions of a half sphere and a node's term is
+    # c S / N, c = w t^{n-1+2s} 2 |S^{n-1}| / (2 pi)^n = w t^{n-1+2s} 2/(n pi)
+    c = wt * t ** (u.n - 1 + 2 * s) * 2 / (u.n * np.pi)
+    N, cap = ORACLE_DIRS if u.n == 2 else (2, 2)
+    S, absS = level(0, sphere_directions(u.n, N)[:N // 2])
+    A, mean = row_dot(absS, c) / N, S / N
+    done, gap = np.zeros((m, t.size), dtype=bool), np.zeros((m, t.size))
+    while N < cap and not done.all():
+        k0, N = int(done.sum(axis=1).min()), 2 * N
+        S[:, k0:] += level(k0, sphere_directions(2, N)[1:N // 2:2])[0]
+        live = ~done[:, k0:]
+        gap[:, k0:] = np.abs(S[:, k0:] / N - mean[:, k0:]) * c[k0:] * live
+        mean[:, k0:] = np.where(live, S[:, k0:] / N, mean[:, k0:])
+        done[:, k0:] = np.logical_and.accumulate(
+            ~live | (gap[:, k0:] <= 1e-16 * A[:, None]), axis=1)
+    return row_dot(mean, c), np.sum(gap * ~done, axis=1), A
 
 
 # -- monotone discretization --------------------------------------------------
@@ -624,9 +673,6 @@ class DiscreteOperatorDense:
     def apply(self, u_int):
         return self.A @ u_int + self.b
 
-    def residual(self, u_int, f_int):
-        return self.A @ u_int + self.b - f_int
-
     def full_values(self, u_int):
         """Lattice-wide value vector: solution inside, closure data outside."""
         lat = self.lattice
@@ -661,14 +707,3 @@ class DiscreteOperatorDense:
             out -= _far_data_integral(self.kernel, closure,
                                       lat.nodes[lat.interior], self.R_eff)
         return out
-
-    def export_coo(self):
-        """Coordinate-format text (row, col, value) plus the affine term."""
-        lines = []
-        nz = np.nonzero(self.A)
-        for i, j in zip(*nz):
-            lines.append("%d %d %.17g" % (i, j, self.A[i, j]))
-        lines.append("# affine exterior contribution per row")
-        for i, v in enumerate(self.b):
-            lines.append("b %d %.17g" % (i, v))
-        return "\n".join(lines)

@@ -14,7 +14,8 @@ from fracbern.kernels import (fractional_kernel, anisotropic_kernel,
 from fracbern.funcspace import (gaussian_bump, polynomial_gaussian,
                                 modulated_gaussian, plane_wave, tensor_product,
                                 constant, make_cutoff, harmonic_polynomial)
-from fracbern.nonlocal_ops import (apply_fractional, spectral_oracle, Lattice,
+from fracbern.nonlocal_ops import (apply_fractional, spectral_oracle,
+                                   spectral_oracle_batch, Lattice,
                                    default_plan)
 from fracbern.extension import extend, weighted_normal_derivative, \
     trace_constant
@@ -84,18 +85,16 @@ def test_criterion_01_oracle_agreement():
     for u in cat_1d:
         xs = rng.uniform(-1.5, 1.5, 20)
         for s in orders:
-            for x in xs:
+            for x, b in zip(xs, spectral_oracle_batch(s, u, xs)):
                 a = apply_fractional(s, u, x)
-                b = spectral_oracle(s, u, x)
                 worst1 = max(worst1, abs(a.value - b) / max(abs(b), 1e-9))
     worst2 = 0.0
     plan2 = default_plan(2)
     for u in cat_2d:
         xs = rng.uniform(-1.0, 1.0, size=(20, 2))
         for s in orders:
-            for x in xs:
+            for x, b in zip(xs, spectral_oracle_batch(s, u, xs)):
                 a = apply_fractional(s, u, x, plan2)
-                b = spectral_oracle(s, u, x)
                 worst2 = max(worst2, abs(a.value - b) / max(abs(b), 1e-9))
     ok = worst1 <= 1e-5 and worst2 <= 1e-3
     _line(1, "oracle-agreement", ok,

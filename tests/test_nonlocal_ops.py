@@ -8,13 +8,16 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.special import gamma
 
 from fracbern.kernels import (fractional_kernel, anisotropic_kernel,
-                              MeasureOnUnit, normalizing_constant)
+                              MeasureOnUnit, normalizing_constant,
+                              sphere_directions)
 from fracbern.funcspace import (gaussian_bump, plane_wave, modulated_gaussian,
                                 polynomial_gaussian, constant, tensor_product,
                                 affine_precompose, translate, make_cutoff,
                                 directional_derivative)
+from fracbern._quad import geometric_edges, panel_nodes
 from fracbern.nonlocal_ops import (apply_nonlocal, apply_fractional,
                                    apply_superposition, spectral_oracle,
+                                   spectral_oracle_batch,
                                    singular_integral, singular_integral_batch,
                                    assemble_discrete, Lattice, default_plan,
                                    QuadratureFailure, _far_data_integral)
@@ -130,6 +133,110 @@ def test_oracle_quadrature_agreement_catalog():
                 b = spectral_oracle(s, u, x)
                 worst = max(worst, abs(a.value - b) / max(abs(b), 1e-10))
     assert worst < 1e-7
+
+
+# -- the adaptive angular rule against the fixed rule it replaced ---------------
+
+def _fixed_rule_oracle(s, u, xs, dirs=96):
+    """The 2d oracle at the probe rows of xs with one trapezoid rule of
+    dirs directions at every radial node, complex phases and the full
+    circle: the reference for the adaptive angular rule."""
+    Xi = u.fourier_radius
+
+    def eval_with(ppd, order):
+        t, wt = panel_nodes(geometric_edges(Xi * 1e-12, Xi, ppd), order)
+        xi = (t[:, None, None] * sphere_directions(2, dirs)).reshape(-1, 2)
+        ft = u.fourier(xi)
+        out = []
+        for x in xs:
+            vals = np.real(ft * np.exp(1j * (xi @ x)))
+            vals = vals.reshape(t.size, dirs).sum(axis=1) * (2 * np.pi / dirs)
+            out.append(np.dot(wt * t ** (1 + 2 * s), vals) / (2 * np.pi) ** 2)
+        return np.array(out)
+
+    fine, coarse = eval_with(8, 24), eval_with(5, 12)
+    redo = np.abs(fine - coarse) > 1e-9 * np.maximum(np.abs(fine), 1e-14)
+    return np.where(redo, eval_with(12, 32) if redo.any() else fine, fine)
+
+
+ORACLE_2D = {
+    "bump": gaussian_bump(2, None, 1.2),
+    "bump-off": gaussian_bump(2, [0.4, -0.3], 0.8),
+    "tensor-odd": tensor_product(gaussian_bump(1, 0.0, 1.0),
+                                 polynomial_gaussian([0.0, 1.0])),
+    "tensor-mod": tensor_product(modulated_gaussian(0.1, 0.9, 2.0),
+                                 gaussian_bump(1, 0.2, 1.1)),
+    "narrow": gaussian_bump(2, [1.5, -1.0], 0.3),
+    "narrow-mod": tensor_product(modulated_gaussian(0.1, 0.6, 4.0),
+                                 gaussian_bump(1, 0.2, 0.5)),
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_2D))
+def test_oracle_matches_fixed_rule(name):
+    # the criterion-01 2d catalog and two narrow functions, whose angular
+    # bandwidth reaches the 96 directions of the fixed rule
+    u = ORACLE_2D[name]
+    xs = np.random.default_rng(11).uniform(-1.0, 1.0, size=(5, 2))
+    for s in np.round(np.arange(0.1, 0.91, 0.1), 2):
+        for x, ref in zip(xs, _fixed_rule_oracle(s, u, xs)):
+            assert abs(spectral_oracle(s, u, x) - ref) \
+                <= 1e-11 * max(abs(ref), 1e-9)
+
+
+def test_oracle_doubles_past_96_directions():
+    # 3.9 away from a width-0.3 bump the angular integrand needs more
+    # than 96 directions: the fixed rule is off there, the adaptive one
+    # matches the fixed rule at 384
+    u = ORACLE_2D["narrow"]
+    x = np.array([-1.5, 1.5])
+    for s in (0.3, 0.5, 0.8):
+        ref = _fixed_rule_oracle(s, u, [x], dirs=384)[0]
+        assert abs(_fixed_rule_oracle(s, u, [x])[0] - ref) > 1e-8 * abs(ref)
+        assert abs(spectral_oracle(s, u, x) - ref) <= 1e-11 * abs(ref)
+    # at the 384-direction cap the last doubling gap stays in the error,
+    # so the call raises rather than return a value it cannot certify
+    # (at s = 0.3 the fine and finer radial rules agree to 1e-8 relative)
+    far = gaussian_bump(2, [4.0, 0.0], 0.1)
+    for s in (0.3, 0.5):
+        with pytest.raises(QuadratureFailure) as exc:
+            spectral_oracle(s, far, [0.0, 0.0])
+        assert exc.value.partial.error > 1e-8 * abs(exc.value.partial.value)
+
+
+def test_oracle_zero_value_converges():
+    # odd in the second coordinate, so 0 on the first axis: the error
+    # floor is the round-off of the sum, not a fixed absolute number
+    u = ORACLE_2D["tensor-odd"]
+    for s in (0.3, 0.5, 0.8):
+        assert abs(spectral_oracle(s, u, [0.3, 0.0])) < 1e-15
+
+
+@pytest.mark.parametrize("u", [
+    ORACLE_2D["bump"], ORACLE_2D["narrow-mod"],
+    tensor_product(gaussian_bump(1, 1.5, 0.3), gaussian_bump(1, -1.0, 0.3)),
+    gaussian_bump(1, 0.7, 0.6), modulated_gaussian(0.3, 0.8, 3.0),
+    plane_wave(2.0, 0.7)],
+    ids=["bump", "narrow-mod", "narrow", "bump1", "modulated", "wave"])
+def test_oracle_batch_equals_scalar_loop(u):
+    # each probe keeps its own angular levels and rules inside a batch,
+    # and these transforms are elementwise (no multi-term matrix
+    # products), so the batch repeats the scalar arithmetic exactly
+    xs = np.random.default_rng(4).uniform(-1.5, 1.5, size=(12, u.n))
+    for s in (0.0, 0.3, 0.8):
+        loop = [spectral_oracle(s, u, x) for x in xs]
+        np.testing.assert_array_equal(spectral_oracle_batch(s, u, xs), loop)
+
+
+def test_oracle_fourier_points_per_call():
+    # at most a third of the 96 x (2304 + 720) points of the fixed rule
+    u = gaussian_bump(2, None, 1.2)
+    transform, count = u.fourier, []
+    u.fourier = lambda xi: count.append(len(xi)) or transform(xi)
+    for s, x in ((0.1, [0.9, 0.0]), (0.5, [-0.7, 0.6]), (0.9, [0.2, -1.0])):
+        count.clear()
+        spectral_oracle(s, u, x)
+        assert sum(count) <= 290304 // 3
 
 
 def test_linearity_within_errors():
@@ -313,16 +420,6 @@ def test_assembly_2d_small():
     center = np.argmin(np.linalg.norm(lat.nodes[lat.interior], axis=1))
     ref = apply_nonlocal(K, u, lat.nodes[lat.interior][center]).value
     assert abs(lv[center] - ref) < 0.05 * max(abs(ref), 1.0)
-
-
-def test_export_coo_format(lat129):
-    K = fractional_kernel(1, 0.5)
-    disc = assemble_discrete(K, lat129, constant(0.0, 1))
-    text = disc.export_coo()
-    lines = text.splitlines()
-    assert any(line.startswith("b ") for line in lines)
-    row, col, val = lines[0].split()
-    assert float(val) != 0.0
 
 
 # -- the stencil against the per-offset loop it replaced -------------------------
