@@ -37,8 +37,6 @@ def cmd_check_inequality(args):
     config.setdefault("scenario", "inequality-check")
     if args.seed is not None:
         config["seed"] = args.seed
-    if args.tol is not None:
-        config["tol"] = args.tol
     if args.probes is not None:
         config.setdefault("params", {})["probes"] = args.probes
     report = run_experiment(config, args.out)
@@ -107,7 +105,8 @@ def main(argv=None):
         prog="fracbern",
         description="integro-differential operator and auxiliary-function "
                     "verification toolkit")
-    ap.add_argument("--tol", type=float, default=None)
+    ap.add_argument("--tol", type=float, default=None,
+                    help="finite-difference tolerance of verify-kernels")
     ap.add_argument("--seed", type=int, default=None)
     ap.add_argument("--probes", type=int, default=None)
     ap.add_argument("--out", default="run-out")
@@ -138,12 +137,16 @@ def main(argv=None):
     p.set_defaults(fn=cmd_report)
 
     args = ap.parse_args(argv)
+    from .bernstein import SearchFailure
+    from .nonlocal_ops import QuadratureFailure
     try:
+        if args.tol is not None and args.fn is not cmd_verify_kernels:
+            raise ValueError("--tol: only verify-kernels reads it")
         return args.fn(args)
     except (ValueError, KeyError, FileNotFoundError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
-    except ArithmeticError as exc:
+    except (ArithmeticError, SearchFailure, QuadratureFailure) as exc:
         print("hypothesis error: %s" % exc, file=sys.stderr)
         return 3
 

@@ -306,9 +306,9 @@ def _config_hash(config):
 def run_experiment(config, out_dir):
     """Run a named scenario deterministically and write a report bundle.
 
-    config: dict with keys scenario (inequality-check | solve | estimate
-    | open-problem-probe | none), params, seed, tol.  Outputs: manifest
-    with config hash and version, report.json, plus CSV artifacts.
+    config: dict with keys scenario (supert-identity | inequality-check |
+    solve | obstacle-semiconcavity | open-problem-probe | none), params,
+    seed.  Outputs: manifest (config hash, version), report.json, CSVs.
     Raises ValueError with the offending field path on schema errors.
     """
     if not isinstance(config, dict):
@@ -320,7 +320,8 @@ def run_experiment(config, out_dir):
     if not isinstance(params, dict):
         raise ValueError("config.params: expected an object")
     seed = int(config.get("seed", 0))
-    tol = float(config.get("tol", 1e-6))
+    if "tol" in config:
+        raise ValueError("config.tol: no scenario reads a tolerance")
     os.makedirs(out_dir, exist_ok=True)
     manifest = {"schema": REPORT_SCHEMA, "version": __version__,
                 "config_hash": _config_hash(config), "scenario": scenario,
@@ -331,15 +332,15 @@ def run_experiment(config, out_dir):
     if scenario == "none":
         pass
     elif scenario == "supert-identity":
-        report, csvs = _run_supert(params, seed, tol)
+        report, csvs = _run_supert(params, seed)
     elif scenario == "inequality-check":
-        report, csvs = _run_first_order(params, seed, tol)
+        report, csvs = _run_first_order(params, seed)
     elif scenario == "solve":
-        report, csvs = _run_solve(params, seed, tol)
+        report, csvs = _run_solve(params, seed)
     elif scenario == "obstacle-semiconcavity":
-        report, csvs = _run_obstacle_semiconcavity(params, seed, tol)
+        report, csvs = _run_obstacle_semiconcavity(params, seed)
     elif scenario == "open-problem-probe":
-        report, csvs = _run_open_problem(params, seed, tol)
+        report, csvs = _run_open_problem(params, seed)
     else:
         raise ValueError("config.scenario: unknown scenario %r" % scenario)
 
@@ -362,7 +363,7 @@ def _probe_cloud(rng, n, count, radius):
     return pts[:count]
 
 
-def _run_supert(params, seed, tol):
+def _run_supert(params, seed):
     from .kernels import fractional_kernel
     from .funcspace import gaussian_bump, make_cutoff
     from .bernstein import check_supert_identity
@@ -389,7 +390,7 @@ def _run_supert(params, seed, tol):
             {"supert.csv": rows})
 
 
-def _run_first_order(params, seed, tol):
+def _run_first_order(params, seed):
     from .funcspace import gaussian_bump, make_cutoff
     from .bernstein import check_first_order_fraclap
     rng = np.random.default_rng(seed)
@@ -409,7 +410,7 @@ def _run_first_order(params, seed, tol):
             {"first_order.csv": rows})
 
 
-def _run_solve(params, seed, tol):
+def _run_solve(params, seed):
     from .kernels import fractional_kernel
     from .funcspace import gaussian_bump, constant
     from .nonlocal_ops import Lattice
@@ -430,7 +431,7 @@ def _run_solve(params, seed, tol):
             {"solution.csv": rows})
 
 
-def _run_obstacle_semiconcavity(params, seed, tol):
+def _run_obstacle_semiconcavity(params, seed):
     from .funcspace import gaussian_bump, constant
     from .nonlocal_ops import Lattice
     from .solvers import ObstacleProblem, solve_obstacle
@@ -454,7 +455,7 @@ def _run_obstacle_semiconcavity(params, seed, tol):
             {"stabilization.csv": rows})
 
 
-def _run_open_problem(params, seed, tol):
+def _run_open_problem(params, seed):
     from .kernels import fractional_kernel
     from .funcspace import gaussian_bump, make_cutoff
     from .bernstein import check_conto_traccia

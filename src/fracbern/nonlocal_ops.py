@@ -541,7 +541,8 @@ def assemble_discrete(kernel, lattice, exterior):
     directions in 2d) through a Taylor-consistent second-moment
     correction; the kernel mass beyond R_eff = (kmax + 1/2) h acts on
     u(x_i) alone and, through the exterior data, as a far-field
-    integral.  Constants are annihilated exactly and all off-diagonal
+    integral (_far_data_integral, cut where its certified remainder is
+    round-off).  Constants are annihilated exactly and all off-diagonal
     entries stay nonpositive.  Returns a DiscreteOperatorDense whose
     offsets and masses are the half stencil (one offset of each +-pair).
     """
@@ -590,17 +591,27 @@ def assemble_discrete(kernel, lattice, exterior):
 
 def _far_data_integral(kernel, exterior, xs, R):
     """integral of exterior(x + z) K(z) over |z| > R (paired form) at
-    every row x of xs: the tail metadata, plus a radial quadrature out
-    to 1e5 R of the residual where it is not known to vanish."""
+    every row x of xs: the tail metadata, plus the residual where it is
+    not known to vanish, on the radial rule out to 1e5 R (order 8, 3
+    panels per decade) cut at its first edge e with resid(e - max|x|)
+    tail_mass(e) <= eps min_x resid(R - |x|) tail_mass(R); resid(r)
+    bounds the residual on |y| >= r, so the cut drops only round-off."""
     val, _ = _tail(kernel, exterior, xs, np.zeros(len(xs)), R)
     if exterior.tail.period is not None:
         return val
-    resid = np.array([exterior.tail.resid(max(R - r, 0.0))
-                      for r in np.linalg.norm(xs, axis=1)])
+    xn = np.linalg.norm(xs, axis=1)
+    resid = np.array([exterior.tail.resid(max(R - r, 0.0)) for r in xn])
     rows = np.flatnonzero(resid > 0)
     if rows.size == 0:
         return val
     z, kz, w = _radial_nodes(kernel, R, R * 1e5, 8, 3)
+    edges, xmax = geometric_edges(R, R * 1e5, 3), xn[rows].max()
+    floor = np.finfo(float).eps * resid[rows].min() * kernel.tail_mass(R)[0]
+    keep = next((j for j, e in enumerate(edges[1:-1], 1)
+                 if exterior.tail.resid(max(e - xmax, 0.0))
+                 * sum(kernel.tail_mass(e)) <= floor), len(edges) - 1)
+    k = keep * len(z) // (len(edges) - 1)
+    z, kz, w = z[:k], kz[:k], w[:k]
 
     def paired(sl, zz):
         p, q = _both_signs(exterior, x[sl], zz)

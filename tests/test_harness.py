@@ -181,6 +181,9 @@ def test_run_experiment_schema_errors(tmp_path):
     with pytest.raises(ValueError, match="params"):
         run_experiment({"scenario": "solve", "params": 3},
                        str(tmp_path / "y"))
+    with pytest.raises(ValueError, match="config.tol"):
+        run_experiment({"scenario": "none", "tol": 1e-9},
+                       str(tmp_path / "z"))
 
 
 def _cli(args):
@@ -202,6 +205,21 @@ def test_cli_exit_codes(tmp_path):
     assert r.returncode == 0
     assert _cli(["report", str(out)]).returncode == 0
     assert _cli(["report", str(tmp_path / "missing")]).returncode == 3
+    # a failed threshold search is a hypothesis error
+    probe = tmp_path / "probe.json"
+    probe.write_text(json.dumps({"scenario": "open-problem-probe",
+                                 "params": {"eps": 1e-9}}))
+    r = _cli(["--out", str(tmp_path / "p"), "check-inequality", str(probe)])
+    assert r.returncode == 3
+    assert len(r.stderr.strip().splitlines()) == 1
+    # no scenario reads a tolerance, so setting one is a config error
+    tol = tmp_path / "tol.json"
+    tol.write_text(json.dumps({"scenario": "inequality-check", "tol": 1e-12}))
+    r = _cli(["--out", str(tmp_path / "t"), "check-inequality", str(tol)])
+    assert r.returncode == 3 and "config.tol" in r.stderr
+    r = _cli(["--tol", "1e-12", "--out", str(tmp_path / "t"),
+              "check-inequality", str(tol)])
+    assert r.returncode == 3 and "--tol" in r.stderr
 
 
 def test_semiconcavity_refinement_driver():

@@ -13,15 +13,16 @@ from fracbern.kernels import (fractional_kernel, anisotropic_kernel,
 from fracbern.funcspace import (gaussian_bump, plane_wave, modulated_gaussian,
                                 polynomial_gaussian, constant, tensor_product,
                                 affine_precompose, translate, make_cutoff,
-                                directional_derivative)
+                                directional_derivative, SmoothFunction, Tail)
 from fracbern._quad import geometric_edges, panel_nodes
 from fracbern.nonlocal_ops import (apply_nonlocal, apply_fractional,
                                    apply_superposition, spectral_oracle,
                                    spectral_oracle_batch,
                                    singular_integral, singular_integral_batch,
                                    assemble_discrete, Lattice, default_plan,
-                                   QuadratureFailure, _far_data_integral)
-from fracbern.solvers import barrier
+                                   QuadratureFailure, _far_data_integral,
+                                   _radial_nodes, _tail, N_ANGULAR)
+from fracbern.solvers import barrier, _quotient_closure
 
 
 def test_constant_maps_to_zero():
@@ -509,3 +510,86 @@ def test_stencil_symmetric_monotone_annihilates_constants(s, N):
     assert np.max(disc.A - np.diag(np.diag(disc.A))) <= 0.0
     out = disc.apply_to_grid(np.ones(lat.nodes.shape[0]), constant(1.0, 1))
     assert np.max(np.abs(out)) < 1e-12
+
+
+# -- the far field's radial cut against the full rule -----------------------------
+
+EPS = np.finfo(float).eps
+
+
+def _far_full(K, ext, xs, R):
+    """The far field on all 15 panels of the radial rule out to 1e5 R,
+    probe by probe: a reference for the cut rule."""
+    val, _ = _tail(K, ext, xs, np.zeros(len(xs)), R)
+    z, kz, w = _radial_nodes(K, R, 1e5 * R, 8, 3)
+    for i, x in enumerate(xs):
+        if ext.tail.resid(max(R - np.linalg.norm(x), 0.0)) > 0:
+            g = 0.5 * (ext(x + z) + ext(x - z)) - ext.tail.limit
+            val[i] += np.dot(g * kz, w)
+    return val
+
+
+@pytest.mark.parametrize("n, s, ext", [
+    (1, 0.1, gaussian_bump(1, 0.1, 1.5, 0.3)),
+    (1, 0.5, gaussian_bump(1, 0.1, 1.5, 0.3)),
+    (1, 0.9, gaussian_bump(1, 0.1, 1.5, 0.3)),
+    (2, 0.1, gaussian_bump(2, [0.1, -0.1], 1.5, 0.3)),
+    (2, 0.5, gaussian_bump(2, [0.1, -0.1], 1.5, 0.3)),
+    (2, 0.9, gaussian_bump(2, [0.1, -0.1], 1.5, 0.3)),
+    (2, 0.5, gaussian_bump(2, [0.2, 0.0], 3.0, -0.4)),
+    (1, 0.7, polynomial_gaussian([0.2, 1.0, 0.5], 0.1, 1.2)),
+    (1, 0.4, _quotient_closure(gaussian_bump(1, 0.1, 1.5), [1.0], 1 / 32, 1)),
+    (2, 0.6, barrier(1.0, 2))],
+    ids=["1d-s0.1", "1d-s0.5", "1d-s0.9", "2d-s0.1", "2d-s0.5", "2d-s0.9",
+         "2d-width3", "polynomial-gaussian", "quotient-closure", "barrier"])
+def test_far_field_cut_matches_full_rule(n, s, ext):
+    """The cut drops at most eps times the smallest certified far-field
+    bound resid(R - |x|) tail_mass(R) of the probes, plus round-off."""
+    K = fractional_kernel(n, s)
+    R = 8.0625
+    xs = np.random.default_rng(5).uniform(-0.7, 0.7, (12, n))
+    cut = _far_data_integral(K, ext, xs, R)
+    full = _far_full(K, ext, xs, R)
+    bound = min(ext.tail.resid(R - np.linalg.norm(x)) for x in xs) \
+        * K.tail_mass(R)[0]
+    assert np.all(np.abs(cut - full) <= EPS * bound + 4 * EPS * np.abs(full))
+
+
+def _counting(f, tail):
+    """A closure leaf with f's values and the given tail metadata that
+    counts the points it is evaluated at."""
+    seen = [0]
+
+    def value(x):
+        seen[0] += len(x)
+        return f(x)
+
+    return SmoothFunction(f.n, value, f.gradient, f.hessian, sup=f.sup,
+                          tail=tail), seen
+
+
+def test_far_field_cut_keeps_one_panel_for_gaussian_data():
+    """2d N = 49 with a benchmark-shaped exterior: the far field of every
+    interior node reads at most 2 of the 15 radial panels (paired +-z)."""
+    g = gaussian_bump(2, [0.1, -0.1], 1.5, 0.3)
+    ext, seen = _counting(g, g.tail)
+    K, lat = fractional_kernel(2, 0.5), Lattice(2, 2.0, 49, 1.0)
+    R = assemble_discrete(K, lat, g).R_eff
+    xs = lat.nodes[lat.interior]
+    _far_data_integral(K, ext, xs, R)
+    assert seen[0] <= 2 * (2 * 8 * N_ANGULAR) * len(xs)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_far_field_cut_keeps_slow_residual(n):
+    """A residual bound decaying like 1/(1 + r) never falls to round-off
+    before 1e5 R, so all 15 panels are evaluated."""
+    f = SmoothFunction(n, lambda x: 1.0 / (1.0 + np.sum(x * x, axis=1)),
+                       None, None, sup=1.0)
+    ext, seen = _counting(f, Tail(0.0, lambda r: 1.0 / (1.0 + r)))
+    xs = np.array([[0.0] * n, [0.5] * n, [-0.3] * n])
+    for s in (0.1, 0.9):
+        seen[0] = 0
+        _far_data_integral(fractional_kernel(n, s), ext, xs, 8.0625)
+        per_panel = 8 * (1 if n == 1 else N_ANGULAR)
+        assert seen[0] == 2 * 15 * per_panel * len(xs)
