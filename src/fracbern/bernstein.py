@@ -19,13 +19,12 @@ counterexample report instead of a silent failure.
 
 import numpy as np
 
-from .kernels import fractional_kernel, as_points, MeasureOnUnit
+from .kernels import fractional_kernel, as_points
 from .funcspace import (constant, directional_derivative,
                         positive_part, positive_part_square, incremental_quotient,
                         averaged_square, averaged_square_root, make_cutoff)
-from .nonlocal_ops import (singular_integral, singular_integral_batch,
-                           apply_fractional, apply_nonlocal, default_plan,
-                           _radial_nodes)
+from .nonlocal_ops import (singular_integral, apply_batch, apply_fractional,
+                           apply_nonlocal, default_plan, _radial_nodes)
 
 __all__ = [
     "InequalityReport", "DeltaSigmaSelection", "SearchFailure",
@@ -121,42 +120,23 @@ def _lenient(n):
     return default_plan(n).scaled(strict=False, max_refine=2)
 
 
-def _apply(op_kernel, func, x, plan):
-    """L applied to func at x: kernel, measure, or fractional order."""
-    if isinstance(op_kernel, MeasureOnUnit):
-        from .nonlocal_ops import apply_superposition
-        return apply_superposition(op_kernel, func, x, plan)
-    if np.isscalar(op_kernel):
-        return apply_fractional(float(op_kernel), func, x, plan)
-    return apply_nonlocal(op_kernel, func, x, plan)
+def _twice(op, f, coef, probes, plan):
+    """2 coef L f at the probes and its error 2 |coef| err(L f): one
+    linearised term of a majorant."""
+    v, err = apply_batch(op, f, probes, plan)
+    return 2 * coef * v, 2 * np.abs(coef) * err
+
+
+def _split(op, sq, f, coef, probes, plan):
+    """L sq - 2 coef L f at the probes and its summed error: how far L
+    of a composite square sq = c^2 f^2 (or c^2 f_+^2) exceeds its
+    linearisation, with coef = c^2 f (or c^2 f_+) at the probes."""
+    l_sq, e_sq = apply_batch(op, sq, probes, plan)
+    t, e_t = _twice(op, f, coef, probes, plan)
+    return l_sq - t, e_sq + e_t
 
 
 # -- first-order key inequality -------------------------------------------------
-
-def _first_order_pieces(op, u, eta, e, probes, plan):
-    """Per-probe split residual(sigma) = A + sigma * S for the composite
-    eta^2 (d_e u)^2 + sigma u^2 against its two-term majorant."""
-    du = directional_derivative(u, e)
-    aux1 = (eta * eta) * (du * du)
-    u2 = u * u
-    A = np.empty(len(probes))
-    S = np.empty(len(probes))
-    errA = np.empty(len(probes))
-    errS = np.empty(len(probes))
-    for i, x in enumerate(probes):
-        l_aux1 = _apply(op, aux1, x, plan)
-        l_du = _apply(op, du, x, plan)
-        l_u = _apply(op, u, x, plan)
-        l_u2 = _apply(op, u2, x, plan)
-        ev = float(eta(np.atleast_2d(x))[0]) if eta.n == u.n else 1.0
-        dv = float(du(np.atleast_2d(x))[0])
-        uv = float(u(np.atleast_2d(x))[0])
-        A[i] = l_aux1.value - 2 * ev ** 2 * dv * l_du.value
-        S[i] = l_u2.value - 2 * uv * l_u.value
-        errA[i] = l_aux1.error + 2 * ev ** 2 * abs(dv) * l_du.error
-        errS[i] = l_u2.error + 2 * abs(uv) * l_u.error
-    return A, S, errA, errS
-
 
 def check_first_order_fraclap(u, eta, e, s, probes, plan=None,
                               verify_multipliers=(1.0, 2.0, 4.0)):
@@ -164,73 +144,51 @@ def check_first_order_fraclap(u, eta, e, s, probes, plan=None,
 
     Finds the smallest sigma with
 
-      (-Delta)^s (eta^2 (d_e u)^2 + sigma u^2)
-          <= 2 eta^2 d_e u (-Delta)^s d_e u + 2 sigma u (-Delta)^s u
+      L (eta^2 (d_e u)^2 + sigma u^2)
+          <= 2 eta^2 d_e u L d_e u + 2 sigma u L u
 
-    at every probe, then re-verifies at sigma0 times the given
-    multipliers with a fresh quadrature of the full composite.
+    at every probe, from the pieces of check_first_order_batch, then
+    re-verifies at sigma0 times the given multipliers with a fresh
+    quadrature of the full composite.  L is (-Delta)^s, or any operator
+    apply_batch takes.
     """
     if plan is None:
         plan = _lenient(u.n)
     probes = as_points(probes, u.n)
-    A, S, errA, errS = _first_order_pieces(s, u, eta, e, probes, plan)
-
-    def feasible(sig):
-        return np.all(A + sig * S <= errA + sig * errS)
-
-    sigma0 = doubling_bisection(feasible)
-    reports = []
+    A, S, errA, errS = check_first_order_batch(u, eta, e, s, probes, plan)
+    sigma0 = doubling_bisection(
+        lambda sig: np.all(A + sig * S <= errA + sig * errS))
     du = directional_derivative(u, e)
-    u2 = u * u
+    t_du, e_du = _twice(s, du, eta(probes) ** 2 * du(probes), probes, plan)
+    t_u, e_u = _twice(s, u, u(probes), probes, plan)
+    reports = []
     for mult in verify_multipliers:
         sig = sigma0 * mult
-        aux = (eta * eta) * (du * du) + u2 * sig
-        lhs = np.empty(len(probes))
-        rhs = np.empty(len(probes))
-        err = np.empty(len(probes))
-        for i, x in enumerate(probes):
-            l_aux = _apply(s, aux, x, plan)
-            l_du = _apply(s, du, x, plan)
-            l_u = _apply(s, u, x, plan)
-            ev = float(eta(np.atleast_2d(x))[0])
-            dv = float(du(np.atleast_2d(x))[0])
-            uv = float(u(np.atleast_2d(x))[0])
-            lhs[i] = l_aux.value
-            rhs[i] = 2 * ev ** 2 * dv * l_du.value + 2 * sig * uv * l_u.value
-            err[i] = l_aux.error + 2 * ev ** 2 * abs(dv) * l_du.error \
-                + 2 * sig * abs(uv) * l_u.error
+        aux = (eta * eta) * (du * du) + (u * u) * sig
+        l_aux, e_aux = apply_batch(s, aux, probes, plan)
         reports.append(InequalityReport(
-            probes, lhs, rhs, err,
+            probes, l_aux, t_du + sig * t_u, e_aux + e_du + sig * e_u,
             {"check": "first-order", "variant": "directional", "s": s,
              "sigma": sig, "sigma0": sigma0}))
     return sigma0, reports
 
 
 def check_first_order_batch(u, eta, e, s, probes, plan=None):
-    """Batched variant of the sigma0 search data.
+    """The sigma0 search data of the first-order inequality.
 
     Returns per-probe (A, S, errA, errS), with A + sigma S the residual
+    L(eta^2 (d_e u)^2 + sigma u^2) - 2 eta^2 d_e u L d_e u - 2 sigma u L u
     at weight sigma; each error sums the per-probe quadrature error
-    estimates of the batched integrals it is built from.
+    estimates of the batched integrals it is built from.  s is the
+    operator: an order in [0, 1], a Kernel or a MeasureOnUnit.
     """
     if plan is None:
         plan = _lenient(u.n)
     probes = as_points(probes, u.n)
     du = directional_derivative(u, e)
-    aux1 = (eta * eta) * (du * du)
-    u2 = u * u
-    K = fractional_kernel(u.n, s)
-    v_aux1, e_aux1 = singular_integral_batch(K, aux1, probes, plan)
-    v_du, e_du = singular_integral_batch(K, du, probes, plan)
-    v_u, e_u = singular_integral_batch(K, u, probes, plan)
-    v_u2, e_u2 = singular_integral_batch(K, u2, probes, plan)
-    ev = eta(probes)
-    dv = du(probes)
-    uv = u(probes)
-    A = -v_aux1 + 2 * ev ** 2 * dv * v_du
-    S = -v_u2 + 2 * uv * v_u
-    errA = e_aux1 + 2 * ev ** 2 * np.abs(dv) * e_du
-    errS = e_u2 + 2 * np.abs(uv) * e_u
+    A, errA = _split(s, (eta * eta) * (du * du), du,
+                     eta(probes) ** 2 * du(probes), probes, plan)
+    S, errS = _split(s, u * u, u, u(probes), probes, plan)
     return A, S, errA, errS
 
 
@@ -240,35 +198,28 @@ def sigma_affinity(u, eta, e, s, x, sigmas, plan=None, op=None):
     Returns (residuals, collinearity, slope_fit, slope_direct) where
     collinearity is the relative defect of the middle residual from the
     line through the outer two, and slope_direct is the independently
-    quadratured -integral of |u(x) - u(y)|^2 K.
+    quadratured L (u - u(x))^2 at x, that is -integral of |u(x) - u(y)|^2
+    K for a kernel.  The operator is op, or (-Delta)^s when op is None.
     """
     if plan is None:
         plan = _lenient(u.n)
     if len(sigmas) != 3:
         raise ValueError("need exactly three weights")
+    op = s if op is None else op
+    x = as_points(x, u.n)[:1]
     du = directional_derivative(u, e)
-    u2 = u * u
-    res = []
-    for sig in sigmas:
-        aux = (eta * eta) * (du * du) + u2 * float(sig)
-        l_aux = _apply(s if op is None else op, aux, x, plan)
-        l_du = _apply(s if op is None else op, du, x, plan)
-        l_u = _apply(s if op is None else op, u, x, plan)
-        ev = float(eta(np.atleast_2d(x))[0])
-        dv = float(du(np.atleast_2d(x))[0])
-        uv = float(u(np.atleast_2d(x))[0])
-        res.append(l_aux.value - 2 * ev ** 2 * dv * l_du.value
-                   - 2 * sig * uv * l_u.value)
-    res = np.asarray(res)
+    t_du, _ = _twice(op, du, eta(x) ** 2 * du(x), x, plan)
+    t_u, _ = _twice(op, u, u(x), x, plan)
+    res = np.array([
+        apply_batch(op, (eta * eta) * (du * du) + (u * u) * float(sig), x,
+                    plan)[0][0] - t_du[0] - sig * t_u[0] for sig in sigmas])
     lam = (sigmas[1] - sigmas[0]) / (sigmas[2] - sigmas[0])
     mid_line = res[0] + lam * (res[2] - res[0])
     scale = max(np.max(np.abs(res)), 1e-300)
     collinearity = abs(res[1] - mid_line) / scale
     slope_fit = (res[2] - res[0]) / (sigmas[2] - sigmas[0])
-    K = fractional_kernel(u.n, s) if op is None or np.isscalar(op) else op
-    uc = float(u(np.atleast_2d(x))[0])
-    sq = (u - uc) * (u - uc)
-    slope_direct = -_si(K, sq, x, plan).value
+    uc = float(u(x)[0])
+    slope_direct = apply_batch(op, (u - uc) * (u - uc), x, plan)[0][0]
     return res, float(collinearity), float(slope_fit), float(slope_direct)
 
 
@@ -276,40 +227,6 @@ def sigma_affinity(u, eta, e, s, x, sigmas, plan=None, op=None):
 
 def _second_directional(u, e):
     return directional_derivative(directional_derivative(u, e), e)
-
-
-def _second_order_pieces(order_s, u, eta_R, etab_R, kappa, e, R, probes, plan):
-    """Residual(tau, sigma) = P0 + tau*P1 + sigma*P2 per probe."""
-    du = directional_derivative(u, e)
-    ddu = _second_directional(u, e)
-    pps = positive_part_square(ddu)
-    aux2 = (etab_R * etab_R) * pps
-    aux1 = (eta_R * eta_R) * (du * du)
-    ushift = u - float(kappa)
-    u2s = ushift * ushift
-    m = len(probes)
-    P0 = np.empty(m); P1 = np.empty(m); P2 = np.empty(m)
-    E0 = np.empty(m); E1 = np.empty(m); E2 = np.empty(m)
-    for i, x in enumerate(probes):
-        xm = np.atleast_2d(x)
-        l_aux2 = _apply(order_s, aux2, x, plan)
-        l_ddu = _apply(order_s, ddu, x, plan)
-        l_aux1 = _apply(order_s, aux1, x, plan)
-        l_du = _apply(order_s, du, x, plan)
-        l_u2s = _apply(order_s, u2s, x, plan)
-        l_us = _apply(order_s, ushift, x, plan)
-        bv = float(etab_R(xm)[0])
-        ev = float(eta_R(xm)[0])
-        ddv = max(float(ddu(xm)[0]), 0.0)
-        dv = float(du(xm)[0])
-        usv = float(ushift(xm)[0])
-        P0[i] = l_aux2.value - 2 * bv ** 2 * ddv * l_ddu.value
-        E0[i] = l_aux2.error + 2 * bv ** 2 * ddv * l_ddu.error
-        P1[i] = (l_aux1.value - 2 * ev ** 2 * dv * l_du.value) / R ** 2
-        E1[i] = (l_aux1.error + 2 * ev ** 2 * abs(dv) * l_du.error) / R ** 2
-        P2[i] = (l_u2s.value - 2 * usv * l_us.value) / R ** 4
-        E2[i] = (l_u2s.error + 2 * abs(usv) * l_us.error) / R ** 4
-    return (P0, P1, P2), (E0, E1, E2)
 
 
 def check_second_order_fraclap(u, s, R=1.0, e=None, kappa=None, probes=None,
@@ -321,8 +238,8 @@ def check_second_order_fraclap(u, s, R=1.0, e=None, kappa=None, probes=None,
             + sigma R^-4 (u - kappa)^2
 
     against its term-by-term majorant, for a single order s in [0, 1] or
-    a measure on [0, 1] (atomwise integration).  kappa defaults to the
-    sampled supremum of u over B_R.
+    a measure on [0, 1].  kappa defaults to the sampled supremum of u
+    over B_R.
     """
     if plan is None:
         plan = _lenient(u.n)
@@ -342,21 +259,18 @@ def check_second_order_fraclap(u, s, R=1.0, e=None, kappa=None, probes=None,
         probes = np.linspace(-1.4 * R, 1.4 * R, 15).reshape(-1, 1)
     probes = as_points(probes, u.n)
 
-    orders = [(float(s), 1.0)] if measure is None else list(measure)
-    acc_P = None
-    for s_i, w_i in orders:
-        (P0, P1, P2), (E0, E1, E2) = _second_order_pieces(
-            s_i, u, eta_R, etab_R, kappa, e, R, probes, plan)
-        if acc_P is None:
-            acc_P = [w_i * P0, w_i * P1, w_i * P2]
-            acc_E = [w_i * E0, w_i * E1, w_i * E2]
-        else:
-            for k, arr in enumerate((P0, P1, P2)):
-                acc_P[k] += w_i * arr
-            for k, arr in enumerate((E0, E1, E2)):
-                acc_E[k] += w_i * arr
-    P0, P1, P2 = acc_P
-    E0, E1, E2 = acc_E
+    # the pieces are linear in L, so a measure enters as one operator
+    op = measure or s
+    du = directional_derivative(u, e)
+    ddu = _second_directional(u, e)
+    ushift = u - float(kappa)
+    P0, E0 = _split(op, (etab_R * etab_R) * positive_part_square(ddu), ddu,
+                    etab_R(probes) ** 2 * np.maximum(ddu(probes), 0.0),
+                    probes, plan)
+    P1, E1 = _split(op, (eta_R * eta_R) * (du * du), du,
+                    eta_R(probes) ** 2 * du(probes), probes, plan)
+    P2, E2 = _split(op, ushift * ushift, ushift, ushift(probes), probes, plan)
+    P1, E1, P2, E2 = P1 / R ** 2, E1 / R ** 2, P2 / R ** 4, E2 / R ** 4
 
     def feasible_pair(tau, sig_ratio):
         sig = sig_ratio * tau
@@ -394,31 +308,18 @@ def check_positive_part_global(v, eta, e, s, probes, plan=None):
         plan = _lenient(v.n)
     probes = as_points(probes, v.n)
     dv = directional_derivative(v, e)
-    pps = positive_part_square(dv)
-    aux1 = (eta * eta) * pps
-    v2 = v * v
-    m = len(probes)
-    A = np.empty(m); S = np.empty(m); errA = np.empty(m); errS = np.empty(m)
-    for i, x in enumerate(probes):
-        xm = np.atleast_2d(x)
-        l_aux1 = _apply(s, aux1, x, plan)
-        l_dv = _apply(s, dv, x, plan)
-        l_v = _apply(s, v, x, plan)
-        l_v2 = _apply(s, v2, x, plan)
-        ev = float(eta(xm)[0])
-        dvp = max(float(dv(xm)[0]), 0.0)   # 0 * (unbounded) := 0 convention
-        vv = float(v(xm)[0])
-        A[i] = l_aux1.value - 2 * ev ** 2 * dvp * l_dv.value
-        S[i] = l_v2.value - 2 * vv * l_v.value
-        errA[i] = l_aux1.error + 2 * ev ** 2 * dvp * l_dv.error
-        errS[i] = l_v2.error + 2 * abs(vv) * l_v.error
+    # 0 * (unbounded) := 0 convention at the zeros of d_e v
+    A, errA = _split(s, (eta * eta) * positive_part_square(dv), dv,
+                     eta(probes) ** 2 * np.maximum(dv(probes), 0.0),
+                     probes, plan)
+    S, errS = _split(s, v * v, v, v(probes), probes, plan)
 
     def feasible(sig):
         return np.all(A + sig * S <= errA + sig * errS)
 
     sigma0 = doubling_bisection(feasible)
     rep = InequalityReport(
-        probes, A + sigma0 * S, np.zeros(m), errA + sigma0 * errS,
+        probes, A + sigma0 * S, np.zeros_like(A), errA + sigma0 * errS,
         {"check": "positive-part-global", "variant": "positive-part",
          "s": s, "sigma0": sigma0})
     return sigma0, rep

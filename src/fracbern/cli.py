@@ -31,26 +31,16 @@ def cmd_verify_kernels(args):
     return 0 if all_ok else 2
 
 
-def cmd_check_inequality(args):
+def cmd_run(args):
+    """check-inequality, solve and estimate: run the config's scenario
+    (the command's own by default) and print its report."""
     from .harness import run_experiment
     config = _load_json(args.config)
-    config.setdefault("scenario", "inequality-check")
+    config.setdefault("scenario", args.scenario)
     if args.seed is not None:
         config["seed"] = args.seed
     if args.probes is not None:
         config.setdefault("params", {})["probes"] = args.probes
-    report = run_experiment(config, args.out)
-    ok = bool(report.get("pass", all(report.get("verdicts", [False]))))
-    print(json.dumps(report, indent=1, default=float))
-    return 0 if ok else 2
-
-
-def cmd_solve(args):
-    from .harness import run_experiment
-    config = _load_json(args.config)
-    config.setdefault("scenario", "solve")
-    if args.seed is not None:
-        config["seed"] = args.seed
     report = run_experiment(config, args.out)
     print(json.dumps(report, indent=1, default=float))
     return 0 if report.get("pass") else 2
@@ -71,15 +61,6 @@ def cmd_extension(args):
     print(json.dumps(rep, indent=1, default=float))
     ok = rep["la_pass"] and rep["sup_pass"] and rep["trace_pass"]
     return 0 if ok else 2
-
-
-def cmd_estimate(args):
-    from .harness import run_experiment
-    config = _load_json(args.config)
-    config.setdefault("scenario", "obstacle-semiconcavity")
-    report = run_experiment(config, args.out)
-    print(json.dumps(report, indent=1, default=float))
-    return 0 if report.get("pass") else 2
 
 
 def cmd_report(args):
@@ -108,7 +89,8 @@ def main(argv=None):
     ap.add_argument("--tol", type=float, default=None,
                     help="finite-difference tolerance of verify-kernels")
     ap.add_argument("--seed", type=int, default=None)
-    ap.add_argument("--probes", type=int, default=None)
+    ap.add_argument("--probes", type=int, default=None,
+                    help="probe count of check-inequality")
     ap.add_argument("--out", default="run-out")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -116,21 +98,19 @@ def main(argv=None):
     p.add_argument("spec")
     p.set_defaults(fn=cmd_verify_kernels)
 
-    p = sub.add_parser("check-inequality", help="auxiliary-function checks")
-    p.add_argument("config")
-    p.set_defaults(fn=cmd_check_inequality)
-
-    p = sub.add_parser("solve", help="grid solves")
-    p.add_argument("config")
-    p.set_defaults(fn=cmd_solve)
+    for name, scenario, text in (
+            ("check-inequality", "inequality-check",
+             "auxiliary-function checks"),
+            ("solve", "solve", "grid solves"),
+            ("estimate", "obstacle-semiconcavity",
+             "derivative-bound measurements")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("config")
+        p.set_defaults(fn=cmd_run, scenario=scenario)
 
     p = sub.add_parser("extension", help="extension-field verification")
     p.add_argument("config")
     p.set_defaults(fn=cmd_extension)
-
-    p = sub.add_parser("estimate", help="derivative-bound measurements")
-    p.add_argument("config")
-    p.set_defaults(fn=cmd_estimate)
 
     p = sub.add_parser("report", help="pretty-print a run directory")
     p.add_argument("run_dir")
@@ -140,8 +120,10 @@ def main(argv=None):
     from .bernstein import SearchFailure
     from .nonlocal_ops import QuadratureFailure
     try:
-        if args.tol is not None and args.fn is not cmd_verify_kernels:
-            raise ValueError("--tol: only verify-kernels reads it")
+        for flag, reader in (("tol", "verify-kernels"),
+                             ("probes", "check-inequality")):
+            if getattr(args, flag) is not None and args.command != reader:
+                raise ValueError("--%s: only %s reads it" % (flag, reader))
         return args.fn(args)
     except (ValueError, KeyError, FileNotFoundError) as exc:
         print("error: %s" % exc, file=sys.stderr)

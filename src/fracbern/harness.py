@@ -174,9 +174,7 @@ def measure_derivative_bounds(gf, problem, R, e=None, constants=None,
         constants = problem_constants(problem, e=e, R=R)
     du = grid_gradient(gf, e)
     ddu = grid_second_difference(gf, e)
-    nodes = gf.nodes() if hasattr(gf, "nodes") else None
-    if n == 1:
-        nodes = gf.axis.reshape(-1, 1)
+    nodes = gf.nodes()
     rad = np.linalg.norm(nodes, axis=1)
     half = rad < R / 2
     quarter = rad < R / 4
@@ -232,11 +230,7 @@ def semiconcavity_refinement(solve_at, levels=3):
         gf = solve_at(lvl)
         e = np.zeros(gf.n); e[0] = 1.0
         ddu = grid_second_difference(gf, e)
-        if gf.n == 1:
-            nodes = gf.axis.reshape(-1, 1)
-        else:
-            nodes = gf.nodes()
-        rad = np.linalg.norm(nodes, axis=1)
+        rad = np.linalg.norm(gf.nodes(), axis=1)
         mask = rad < 0.5 - 2 * gf.h
         sups.append(float(np.max(ddu[mask])))
     ratios = [sups[i + 1] / sups[i] for i in range(len(sups) - 1)]

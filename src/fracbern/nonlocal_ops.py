@@ -20,7 +20,8 @@ error estimate:
 
 Probes whose error misses the tolerance are refined alone.
 singular_integral is a batch of one; singular_integral_batch returns
-the per-probe values and errors.
+the per-probe values and errors.  apply_batch applies a kernel, an order
+in [0, 1] or a measure on [0, 1] at a batch of probes through it.
 
 Sign convention: apply_nonlocal(K, u, x) is the positive-definite form
 int (u(x) - u(y)) K(x - y) dy, which for the standard power kernel is
@@ -38,9 +39,9 @@ from .kernels import (MeasureOnUnit, as_points, fractional_kernel,
 
 __all__ = [
     "QuadraturePlan", "OperatorValue", "QuadratureFailure",
-    "singular_integral", "singular_integral_batch", "apply_nonlocal",
-    "apply_fractional", "apply_superposition", "spectral_oracle",
-    "spectral_oracle_batch",
+    "singular_integral", "singular_integral_batch", "apply_batch",
+    "apply_nonlocal", "apply_fractional", "apply_superposition",
+    "spectral_oracle", "spectral_oracle_batch",
     "assemble_discrete", "Lattice", "DiscreteOperatorDense",
 ]
 
@@ -368,31 +369,66 @@ def _cached_fractional(n, s):
     return K
 
 
+def apply_batch(op, u, xs, plan=None):
+    """L u at every probe row of xs, shape (m, n): (values, errors).
+
+    op is a Kernel (apply_nonlocal's paired PV form), an order s in
+    [0, 1] ((-Delta)^s: u itself at 0 and -Laplacian u at 1, both exact
+    with error 0) or a MeasureOnUnit (the weighted sum over its atoms,
+    errors weighted the same way).  With plan.strict, a tolerance miss
+    raises QuadratureFailure whose .partial is the (values, errors) pair
+    of L u.
+    """
+    xs = as_points(xs, u.n)
+    if isinstance(op, MeasureOnUnit):
+        vals = errs = 0.0
+        miss = None
+        for s, w in op:
+            try:
+                v, e = apply_batch(s, u, xs, plan)
+            except QuadratureFailure as exc:
+                miss, (v, e) = exc, exc.partial
+            vals, errs = vals + w * v, errs + w * e
+        if miss is not None:
+            raise QuadratureFailure(str(miss), (vals, errs))
+        return vals, errs
+    if np.isscalar(op):
+        if not 0.0 <= op <= 1.0:
+            raise ValueError("order must lie in [0, 1]")
+        if op == 0.0:
+            return u(xs), np.zeros(len(xs))
+        if op == 1.0:
+            return (-np.trace(u.hessian(xs), axis1=1, axis2=2),
+                    np.zeros(len(xs)))
+        op = _cached_fractional(u.n, op)
+    try:
+        values, errors = singular_integral_batch(op, u, xs, plan)
+    except QuadratureFailure as exc:
+        values, errors = exc.partial
+        raise QuadratureFailure(str(exc), (-values, errors)) from None
+    return -values, errors
+
+
 def apply_fractional(s, u, x, plan=None):
-    """(-Delta)^s u(x) for s in [0, 1]; identity at 0, -Laplacian at 1."""
-    if not 0.0 <= s <= 1.0:
-        raise ValueError("order must lie in [0, 1]")
-    x = as_points(x, u.n)
-    if s == 0.0:
-        return OperatorValue(float(u(x)[0]), 0.0, {"mode": "identity"})
-    if s == 1.0:
-        H = u.hessian(x)[0]
-        return OperatorValue(-float(np.trace(H)), 0.0, {"mode": "laplacian"})
-    return apply_nonlocal(_cached_fractional(u.n, s), u, x, plan)
+    """(-Delta)^s u(x) for s in [0, 1]: apply_nonlocal inside (0, 1),
+    with its breakdown, and apply_batch at one point at the ends."""
+    if 0.0 < s < 1.0:
+        return apply_nonlocal(_cached_fractional(u.n, s), u, x, plan)
+    (v,), (e,) = apply_batch(s, u, as_points(x, u.n)[:1], plan)
+    return OperatorValue(v, e, {"mode": "identity" if s == 0 else "laplacian"})
 
 
 def apply_superposition(measure, u, x, plan=None):
-    """L_mu u(x) = integral of (-Delta)^s u(x) over the measure's atoms."""
+    """L_mu u(x) = integral of (-Delta)^s u(x) over the measure's atoms:
+    apply_batch at one point."""
     if not isinstance(measure, MeasureOnUnit):
         measure = MeasureOnUnit(measure)
-    val, err = 0.0, 0.0
-    parts = {}
-    for s, w in measure:
-        ov = apply_fractional(s, u, x, plan)
-        val += w * ov.value
-        err += w * ov.error
-        parts["s=%g" % s] = ov.value
-    return OperatorValue(val, err, parts)
+    try:
+        (v,), (e,) = apply_batch(measure, u, as_points(x, u.n)[:1], plan)
+    except QuadratureFailure as exc:
+        (v,), (e,) = exc.partial
+        raise QuadratureFailure(str(exc), OperatorValue(v, e)) from None
+    return OperatorValue(v, e)
 
 
 # -- independent spectral oracle ----------------------------------------------
@@ -596,9 +632,9 @@ def _far_data_integral(kernel, exterior, xs, R):
     panels per decade) cut at its first edge e with resid(e - max|x|)
     tail_mass(e) <= eps min_x resid(R - |x|) tail_mass(R); resid(r)
     bounds the residual on |y| >= r, so the cut drops only round-off."""
-    val, _ = _tail(kernel, exterior, xs, np.zeros(len(xs)), R)
     if exterior.tail.period is not None:
-        return val
+        return _tail(kernel, exterior, xs, np.zeros(len(xs)), R)[0]
+    val = np.full(len(xs), exterior.tail.limit * kernel.tail_mass(R)[0])
     xn = np.linalg.norm(xs, axis=1)
     resid = np.array([exterior.tail.resid(max(R - r, 0.0)) for r in xn])
     rows = np.flatnonzero(resid > 0)

@@ -13,9 +13,8 @@ import numpy as np
 from .kernels import MeasureOnUnit, fractional_kernel, as_points
 from .funcspace import SmoothFunction, Tail, GridFunction, constant, \
     directional_derivative, translate
-from .nonlocal_ops import (Lattice, assemble_discrete, apply_nonlocal,
-                           apply_superposition, DiscreteOperatorDense,
-                           default_plan)
+from .nonlocal_ops import (Lattice, assemble_discrete, apply_batch,
+                           DiscreteOperatorDense, default_plan)
 
 __all__ = [
     "barrier", "barrier_check", "BellmanProblem", "ObstacleProblem",
@@ -75,27 +74,15 @@ def barrier_check(op, R=1.0, n=1, probes=None, plan=None,
                                      np.hstack([np.zeros_like(pr), pr])])
         else:
             pr = as_points(probes, n) * Rv
-        vals = []
-        for x in pr:
-            if isinstance(op, MeasureOnUnit):
-                ov = apply_superposition(op, beta_R, x, plan)
-            else:
-                ov = apply_nonlocal(op, beta_R, x, plan)
-            vals.append(ov.value)
-        return -float(np.max(vals))
+        return -float(np.max(apply_batch(op, beta_R, pr, plan)[0]))
 
     c1 = margin_at(R)
     if c1 <= 0:
         raise ArithmeticError("barrier margin nonpositive: kernel-class "
                               "violation indicator")
-    normalized = []
-    for Rv in sweep:
-        c = margin_at(Rv)
-        if isinstance(op, MeasureOnUnit):
-            normalized.append(c * (1.0 + Rv ** 2))
-        else:
-            normalized.append(c * Rv ** (2 * op.s))
-    normalized = np.asarray(normalized)
+    normalized = np.array([
+        margin_at(Rv) * (Rv ** (2 * op.s) if hasattr(op, "s") else 1 + Rv ** 2)
+        for Rv in sweep])
     # "within +-50%": every value inside [0.5, 1.5] times the center of
     # the sweep range
     center = 0.5 * (normalized.max() + normalized.min())
@@ -389,33 +376,17 @@ class LinearizedOperator:
 def grid_gradient(gf, e):
     """Centered difference d_e of a grid function on the full lattice,
     falling back to the exterior closure beyond the box edge."""
-    n, h = gf.n, gf.h
-    prom = gf.promote()
+    prom, h, nodes = gf.promote(), gf.h, gf.nodes()
     e = np.atleast_1d(np.asarray(e, dtype=float))
-    if n == 1:
-        nodes = gf.axis.reshape(-1, 1)
-    else:
-        X, Y = np.meshgrid(gf.axis, gf.axis, indexing="ij")
-        nodes = np.stack([X.ravel(), Y.ravel()], axis=1)
-    up = prom(nodes + h * e)
-    um = prom(nodes - h * e)
-    out = (up - um) / (2 * h)
-    return out
+    return (prom(nodes + h * e) - prom(nodes - h * e)) / (2 * h)
 
 
 def grid_second_difference(gf, e):
-    lat_vals = gf.values.ravel()
-    n, h = gf.n, gf.h
-    prom = gf.promote()
+    """Centered second difference along e, as grid_gradient."""
+    prom, h, nodes = gf.promote(), gf.h, gf.nodes()
     e = np.atleast_1d(np.asarray(e, dtype=float))
-    if n == 1:
-        nodes = gf.axis.reshape(-1, 1)
-    else:
-        X, Y = np.meshgrid(gf.axis, gf.axis, indexing="ij")
-        nodes = np.stack([X.ravel(), Y.ravel()], axis=1)
-    up = prom(nodes + h * e)
-    um = prom(nodes - h * e)
-    return (up + um - 2 * lat_vals) / h ** 2
+    return (prom(nodes + h * e) + prom(nodes - h * e)
+            - 2 * gf.values.ravel()) / h ** 2
 
 
 def linearize(problem, gf, info, e=None, band=2, tol_factor=10.0):
@@ -454,7 +425,7 @@ def linearize(problem, gf, info, e=None, band=2, tol_factor=10.0):
     # of one-sided checks is the faithful h-level form of |L d_e u| <= g1
     du_plus = _quotient_full(gf, e, +1)
     du_minus = _quotient_full(gf, e, -1)
-    ddu_full = _fd_full(gf, e, 2)
+    ddu_full = grid_second_difference(gf, e)
     Ldu_plus = L.apply_grid(du_plus, _quotient_closure(ext, e, lat.h, +1))
     Ldu_minus = L.apply_grid(du_minus, _quotient_closure(ext, e, lat.h, -1))
     Lddu = L.apply_grid(ddu_full, _fd_closure(ext, e, lat.h, 2))
@@ -485,15 +456,10 @@ def linearize(problem, gf, info, e=None, band=2, tol_factor=10.0):
 def _quotient_full(gf, e, sign):
     """One-sided quotient (u(x + sign*h*e) - u(x)) / (sign*h) on the
     lattice, promoted interpolation supplying off-node shifts."""
-    prom = gf.promote()
-    if gf.n == 1:
-        nodes = gf.axis.reshape(-1, 1)
-    else:
-        X, Y = np.meshgrid(gf.axis, gf.axis, indexing="ij")
-        nodes = np.stack([X.ravel(), Y.ravel()], axis=1)
     h = gf.h
     e = np.atleast_1d(np.asarray(e, dtype=float))
-    return (prom(nodes + sign * h * e) - gf.values.ravel()) / (sign * h)
+    return (gf.promote()(gf.nodes() + sign * h * e) - gf.values.ravel()) \
+        / (sign * h)
 
 
 def _quotient_closure(ext, e, h, sign):
@@ -506,22 +472,6 @@ def _quotient_closure(ext, e, h, sign):
                   ext.tail.period, ext.grad_sup if ext.tail.period else 0.0)
     q.sup, q.grad_sup, q.hess_sup = ext.grad_sup, ext.hess_sup, np.inf
     return q
-
-
-def _fd_full(gf, e, order):
-    prom = gf.promote()
-    if gf.n == 1:
-        nodes = gf.axis.reshape(-1, 1)
-    else:
-        X, Y = np.meshgrid(gf.axis, gf.axis, indexing="ij")
-        nodes = np.stack([X.ravel(), Y.ravel()], axis=1)
-    h = gf.h
-    e = np.atleast_1d(np.asarray(e, dtype=float))
-    up, um = prom(nodes + h * e), prom(nodes - h * e)
-    if order == 1:
-        return (up - um) / (2 * h)
-    mid = gf.values.ravel()
-    return (up + um - 2 * mid) / h ** 2
 
 
 def _fd_closure(ext, e, h, order):
@@ -584,16 +534,8 @@ def max_principle_estimate(ops, phi, R, gamma0=None, n=1, plan=None,
     if n == 2:
         pr = np.concatenate([np.hstack([pr, np.zeros_like(pr)]),
                              np.hstack([np.zeros_like(pr), pr])])
-    vals = []
-    for x in pr:
-        per_op = []
-        for op in ops:
-            if isinstance(op, MeasureOnUnit):
-                per_op.append(apply_superposition(op, phi, x, plan).value)
-            else:
-                per_op.append(apply_nonlocal(op, phi, x, plan).value)
-        vals.append(min(per_op))
-    inf_vals = np.asarray(vals)
+    inf_vals = np.min([apply_batch(op, phi, pr, plan)[0] for op in ops],
+                      axis=0)
     g0 = max(float(np.max(inf_vals)), 0.0) if gamma0 is None else gamma0
 
     rng = np.random.default_rng(3)
@@ -611,7 +553,7 @@ def max_principle_estimate(ops, phi, R, gamma0=None, n=1, plan=None,
     fitted = max(gap, 0.0) / g0
     s_ref = None
     for op in ops:
-        if not isinstance(op, MeasureOnUnit):
+        if hasattr(op, "s"):
             s_ref = op.s
     if s_ref is not None:
         normalized = fitted / R ** (2 * s_ref)
@@ -648,8 +590,8 @@ def unified_derivative_bound(problem, gf, info, R, e=None, sigma=4.0,
     shift_full = gf.values.ravel() - sup_u_R
     shift_ext = problem.exterior - sup_u_R
     Lshift = L.apply_grid(shift_full, shift_ext)
-    du_full = _fd_full(gf, e, 1)
-    ddu_full = _fd_full(gf, e, 2)
+    du_full = grid_gradient(gf, e)
+    ddu_full = grid_second_difference(gf, e)
     Ldu = L.apply_grid(du_full, _fd_closure(problem.exterior, e, lat.h, 1))
     Lddu = L.apply_grid(ddu_full, _fd_closure(problem.exterior, e, lat.h, 2))
     band = rad < R - 2 * lat.h

@@ -8,7 +8,7 @@ from fracbern.kernels import (fractional_kernel, anisotropic_kernel,
                               MeasureOnUnit)
 from fracbern.funcspace import (gaussian_bump, plane_wave, constant,
                                 make_cutoff, harmonic_polynomial,
-                                modulated_gaussian)
+                                modulated_gaussian, directional_derivative)
 from fracbern.bernstein import (check_supert_identity, check_first_order_fraclap,
                                 check_second_order_fraclap,
                                 check_positive_part_global, sigma_affinity,
@@ -17,7 +17,7 @@ from fracbern.bernstein import (check_supert_identity, check_first_order_fraclap
                                 check_kernel_radial_identity,
                                 check_downstairs_sharmonic,
                                 check_incremental_classical, SearchFailure,
-                                doubling_bisection)
+                                doubling_bisection, check_first_order_batch)
 from fracbern.nonlocal_ops import Lattice, default_plan
 from fracbern.solvers import solve_linear_dirichlet
 
@@ -165,6 +165,61 @@ def test_affine_sigma_law_and_slope():
     assert coll <= 1e-8
     assert slope_fit == pytest.approx(slope_direct, rel=1e-4)
     assert slope_direct <= 0.0
+
+
+@pytest.mark.parametrize("op", [0.7, MeasureOnUnit([(0.3, 0.5), (0.7, 0.5)])],
+                         ids=["order", "measure"])
+def test_affine_sigma_law_and_slope_other_operator(op):
+    # the slope oracle integrates against op, not against (-Delta)^s
+    u = _mix()
+    eta = make_cutoff(0.25, 0.5, n=1)
+    res, coll, slope_fit, slope_direct = sigma_affinity(
+        u, eta, E1, 0.5, 0.3, (2.0, 4.0, 8.0), op=op)
+    assert coll <= 1e-8
+    assert slope_fit == pytest.approx(slope_direct, rel=1e-4)
+
+
+def test_first_order_fraclap_is_bisection_over_batch():
+    u = _mix()
+    eta = make_cutoff(0.25, 0.5, n=1)
+    probes = np.linspace(-0.8, 0.8, 7)
+    sig0, _ = check_first_order_fraclap(u, eta, E1, 0.5, probes,
+                                        verify_multipliers=(1.0,))
+    A, S, errA, errS = check_first_order_batch(u, eta, E1, 0.5, probes)
+    assert sig0 == doubling_bisection(
+        lambda sg: np.all(A + sg * S <= errA + sg * errS))
+
+
+def test_first_order_batch_classical_endpoint():
+    # s = 1: L(f^2) - 2 f L f = -2 |f'|^2 exactly, with no quadrature error
+    u = _mix()
+    eta = make_cutoff(0.25, 0.5, n=1)
+    xs = np.linspace(-0.8, 0.8, 7).reshape(-1, 1)
+    A, S, errA, errS = check_first_order_batch(u, eta, E1, 1.0, xs)
+    assert S == pytest.approx(-2 * u.gradient(xs)[:, 0] ** 2, rel=1e-12,
+                              abs=1e-14)
+    du = directional_derivative(u, E1)
+    aux1 = (eta * eta) * (du * du)
+    want = -aux1.hessian(xs)[:, 0, 0] \
+        + 2 * eta(xs) ** 2 * du(xs) * du.hessian(xs)[:, 0, 0]
+    assert A == pytest.approx(want, rel=1e-12, abs=1e-14)
+    assert not errA.any() and not errS.any()
+
+
+def test_first_order_batch_measure_is_atom_sum():
+    # the pieces are linear in L: a measure gives the weighted atom sum
+    u = _mix()
+    eta = make_cutoff(0.25, 0.5, n=1)
+    xs = np.linspace(-0.8, 0.8, 7).reshape(-1, 1)
+    mu = MeasureOnUnit([(0.0, 0.2), (0.5, 0.5), (1.0, 0.3)])
+    got = check_first_order_batch(u, eta, E1, mu, xs)
+    atoms = [(w, check_first_order_batch(u, eta, E1, s, xs)) for s, w in mu]
+    for k in range(2):
+        want = sum(w * p[k] for w, p in atoms)
+        err = sum(w * p[k + 2] for w, p in atoms)
+        assert np.all(np.abs(got[k] - want) <= got[k + 2] + err)
+    sig0, reports = check_first_order_fraclap(u, eta, E1, mu, xs)
+    assert all(r.verdict for r in reports)
 
 
 # -- second-order inequality -----------------------------------------------------

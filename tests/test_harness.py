@@ -220,6 +220,16 @@ def test_cli_exit_codes(tmp_path):
     r = _cli(["--tol", "1e-12", "--out", str(tmp_path / "t"),
               "check-inequality", str(tol)])
     assert r.returncode == 3 and "--tol" in r.stderr
+    # only check-inequality reads a probe count
+    r = _cli(["--probes", "8", "--out", str(tmp_path / "q"), "solve",
+              str(cfg)])
+    assert r.returncode == 3 and "--probes" in r.stderr
+    # every scenario command records the seed it was given
+    none = tmp_path / "none.json"
+    none.write_text(json.dumps({"scenario": "none"}))
+    _cli(["--seed", "5", "--out", str(tmp_path / "e"), "estimate", str(none)])
+    manifest = json.loads((tmp_path / "e" / "manifest.json").read_text())
+    assert manifest["seed"] == 5
 
 
 def test_semiconcavity_refinement_driver():

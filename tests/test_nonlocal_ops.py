@@ -16,8 +16,8 @@ from fracbern.funcspace import (gaussian_bump, plane_wave, modulated_gaussian,
                                 directional_derivative, SmoothFunction, Tail)
 from fracbern._quad import geometric_edges, panel_nodes
 from fracbern.nonlocal_ops import (apply_nonlocal, apply_fractional,
-                                   apply_superposition, spectral_oracle,
-                                   spectral_oracle_batch,
+                                   apply_batch, apply_superposition,
+                                   spectral_oracle, spectral_oracle_batch,
                                    singular_integral, singular_integral_batch,
                                    assemble_discrete, Lattice, default_plan,
                                    QuadratureFailure, _far_data_integral,
@@ -350,6 +350,63 @@ def test_strict_batch_failure_carries_partial():
     vals, errs = exc.value.partial
     assert vals.shape == errs.shape == (5,)
     assert np.all(np.isfinite(vals)) and np.all(np.isfinite(errs))
+
+
+def _scalar_reference(op, u, x):
+    """L u(x) and its error from the scalar entry points alone."""
+    if isinstance(op, MeasureOnUnit):
+        parts = [(w, _scalar_reference(s, u, x)) for s, w in op]
+        return (sum(w * v for w, (v, _) in parts),
+                sum(w * e for w, (_, e) in parts))
+    if np.isscalar(op):
+        if op == 0.0:
+            return float(u(x.reshape(1, -1))[0]), 0.0
+        if op == 1.0:
+            return -float(np.trace(u.hessian(x.reshape(1, -1))[0])), 0.0
+        ov = apply_fractional(op, u, x)
+    else:
+        ov = apply_nonlocal(op, u, x)
+    return ov.value, ov.error
+
+
+@pytest.mark.parametrize("op", [
+    fractional_kernel(1, 0.35), anisotropic_kernel(0.6, np.array([[1.4]])),
+    0.0, 0.45, 1.0, MeasureOnUnit([(0.0, 0.2), (0.5, 0.5), (1.0, 0.3)])],
+    ids=["fractional", "anisotropic", "s=0", "s=0.45", "s=1", "measure"])
+@pytest.mark.parametrize("u", [gaussian_bump(1, 0.3, 0.8),
+                               modulated_gaussian(0.2, 1.1, 2.0),
+                               plane_wave(1.5, 0.4)],
+                         ids=["bump", "modulated", "wave"])
+def test_apply_batch_matches_scalar_entry_points(op, u):
+    xs = np.linspace(-1.5, 1.5, 7).reshape(-1, 1)
+    vals, errs = apply_batch(op, u, xs)
+    assert vals.shape == errs.shape == (7,)
+    for v, e, x in zip(vals, errs, xs):
+        ref, ref_err = _scalar_reference(op, u, x)
+        assert abs(v - ref) <= e + ref_err
+
+
+def test_apply_batch_strict_failure_is_the_operator_value():
+    # the partial is L u = -(the singular integral), atoms weighted
+    u = gaussian_bump(1, 0.0, 1.0)
+    plan = default_plan(1).scaled(rel_tol=1e-30, max_refine=0,
+                                  order=4, panels_per_decade=1)
+    xs = np.linspace(-1.0, 1.0, 5).reshape(-1, 1)
+    with pytest.raises(QuadratureFailure) as si:
+        singular_integral_batch(fractional_kernel(1, 0.5), u, xs, plan)
+    with pytest.raises(QuadratureFailure) as ab:
+        apply_batch(0.5, u, xs, plan)
+    assert np.array_equal(ab.value.partial[0], -si.value.partial[0])
+    assert np.array_equal(ab.value.partial[1], si.value.partial[1])
+    mu = MeasureOnUnit([(0.0, 0.5), (0.5, 0.5)])
+    with pytest.raises(QuadratureFailure) as am:
+        apply_batch(mu, u, xs, plan)
+    vals, errs = am.value.partial
+    assert np.allclose(vals, 0.5 * u(xs) - 0.5 * si.value.partial[0],
+                       rtol=1e-15, atol=0.0)
+    assert np.allclose(errs, 0.5 * si.value.partial[1], rtol=1e-15, atol=0.0)
+    with pytest.raises(ValueError):
+        apply_batch(1.5, u, xs)
 
 
 # -- discrete assembly ----------------------------------------------------------
