@@ -8,8 +8,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 
 def _load_json(path):
     with open(path) as fh:

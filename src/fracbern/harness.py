@@ -13,10 +13,8 @@ import os
 import numpy as np
 
 from . import __version__
-from .kernels import MeasureOnUnit, bellman_max
-from .funcspace import GridFunction
-from .solvers import (grid_gradient, grid_second_difference,
-                      data_derivative_constants)
+from .kernels import MeasureOnUnit, bellman_max, operator_order
+from .solvers import grid_gradient, grid_second_difference
 
 __all__ = [
     "ProblemConstants", "problem_constants", "EstimateReport",
@@ -188,10 +186,8 @@ def measure_derivative_bounds(gf, problem, R, e=None, constants=None,
 
     c = constants
     if theorem == "definite-order":
-        s = None
-        for op, _ in problem.members:
-            if hasattr(op, "s"):
-                s = op.s
+        orders = [operator_order(op) for op, _ in problem.members]
+        s = next((s for s in reversed(orders) if s is not None), None)
         rhs1 = (u_sup_all + R ** s * np.sqrt(c.G0 * u_sup_R)
                 + R ** (1 + 2 * s) * c.G1) / R
         rhs2 = (u_sup_all + R ** s * np.sqrt(c.G0 * u_sup_R)

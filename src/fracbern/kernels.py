@@ -13,14 +13,14 @@ import json
 import numpy as np
 from scipy.special import gamma
 
-from ._quad import geometric_edges, gl_rule, panel_nodes
+from ._quad import geometric_edges, panel_nodes
 
 __all__ = [
     "normalizing_constant", "Kernel", "EllipticMatrix", "MeasureOnUnit",
     "ConvexNonlinearity", "fractional_kernel", "anisotropic_kernel",
     "stable_kernel", "custom_kernel", "make_kernel", "kernel_from_json",
     "kernel_to_json", "validate_kernel_class", "rescale_kernel",
-    "bellman_max", "log_sum_exp", "linear_nonlinearity",
+    "operator_order", "bellman_max", "log_sum_exp", "linear_nonlinearity",
 ]
 
 
@@ -536,6 +536,15 @@ class MeasureOnUnit:
     @staticmethod
     def dirac(s):
         return MeasureOnUnit([(s, 1.0)])
+
+
+def operator_order(op):
+    """The order s of an operator: op.s for a Kernel, the number itself
+    for an order in [0, 1], and None for a MeasureOnUnit (indefinite
+    order)."""
+    if isinstance(op, MeasureOnUnit):
+        return None
+    return float(op) if np.isscalar(op) else op.s
 
 
 # -- convex nonlinearities ----------------------------------------------------

@@ -552,9 +552,6 @@ class Lattice:
         self.interior = np.where(rad < R_dom - 1e-12)[0]
         self.n_int = self.interior.size
 
-    def shape(self):
-        return (self.N,) if self.n == 1 else (self.N, self.N)
-
 
 def _cell_masses_1d(kernel, h, kmax):
     """Integrals of K over the dual cells [(k-1/2)h, (k+1/2)h], k=1..kmax."""
@@ -566,23 +563,27 @@ def _cell_masses_1d(kernel, h, kmax):
     return 0.5 * h * vals @ w
 
 
-def assemble_discrete(kernel, lattice, exterior):
-    """Monotone difference-form discretization of L_K on the lattice
-    (the finite difference-quadrature scheme of Huang & Oberman).
-
-    The weight of lattice offset k is the kernel mass of its dual cell,
-    for every offset out to R_far = max(4 L, 8), so the stencil covers
-    the difference of any two interior nodes.  The singular cell is
-    folded into the nearest-neighbor weights (on axis and diagonal
-    directions in 2d) through a Taylor-consistent second-moment
-    correction; the kernel mass beyond R_eff = (kmax + 1/2) h acts on
-    u(x_i) alone and, through the exterior data, as a far-field
-    integral (_far_data_integral, cut where its certified remainder is
-    round-off).  Constants are annihilated exactly and all off-diagonal
-    entries stay nonpositive.  Returns a DiscreteOperatorDense whose
-    offsets and masses are the half stencil (one offset of each +-pair).
-    """
+def _stencil(op, lattice):
+    """(W, t, far, offsets, masses) of a Kernel or an order in [0, 1]:
+    the full weight array, the mass acting on u(x_i) alone, the far
+    field as (weight, kernel) pairs, and the half stencil of a kernel
+    (None for the local stencils of orders 0 and 1)."""
     h, n = lattice.h, lattice.n
+    if np.isscalar(op):
+        if not 0.0 <= op <= 1.0:
+            raise ValueError("order must lie in [0, 1]")
+        if op == 0.0:
+            # L u = u: an empty stencil whose whole mass acts on u(x_i)
+            return np.zeros((1,) * n), 1.0, [], None, None
+        if op == 1.0:
+            # L u = -Lap u: weight 1/h^2 at the 2n axis neighbours
+            W = np.zeros((3,) * n)
+            for axis in range(n):
+                at = [1] * n
+                at[axis] = slice(None, None, 2)
+                W[tuple(at)] = 1.0 / h ** 2
+            return W, 0.0, [], None, None
+    kernel = _cached_fractional(n, op) if np.isscalar(op) else op
     kmax = int(np.ceil(max(4 * lattice.L, 8.0) / h))
     M2, _ = kernel.second_moment_matrix(h / 2)
     if n == 1:
@@ -619,10 +620,42 @@ def assemble_discrete(kernel, lattice, exterior):
     W = np.zeros((2 * kmax + 1,) * n)
     W[tuple((kmax + offsets).T)] = masses
     W += np.flip(W)
-    R_eff = (kmax + 0.5) * h
-    return DiscreteOperatorDense(lattice, W, exterior,
-                                 kernel.tail_mass(R_eff)[0], kernel, R_eff,
-                                 offsets, masses)
+    return (W, kernel.tail_mass((kmax + 0.5) * h)[0], [(1.0, kernel)],
+            offsets, masses)
+
+
+def assemble_discrete(op, lattice, exterior):
+    """Monotone difference-form discretization of L on the lattice (the
+    finite difference-quadrature scheme of Huang & Oberman), for op a
+    Kernel, an order s in [0, 1] or a MeasureOnUnit, as for apply_batch.
+
+    For a kernel, the weight of lattice offset k is the kernel mass of
+    its dual cell, for every offset out to R_far = max(4 L, 8), so the
+    stencil covers the difference of any two interior nodes.  The
+    singular cell is folded into the nearest-neighbor weights (on axis
+    and diagonal directions in 2d) through a Taylor-consistent
+    second-moment correction; the kernel mass beyond R_eff = (kmax +
+    1/2) h acts on u(x_i) alone and, through the exterior data, as a
+    far-field integral (_far_data_integral, cut where its certified
+    remainder is round-off).  An order in (0, 1) is its fractional
+    kernel; order 0 is the identity and order 1 the 3/5-point
+    Laplacian.  A measure is the sum of its atoms' stencils times their
+    weights: kmax depends only on the lattice, so its kernel atoms share
+    R_eff.  Constants are annihilated exactly and all off-diagonal
+    entries stay nonpositive.  Returns a DiscreteOperatorDense; for a
+    kernel, its offsets and masses are the half stencil (one offset of
+    each +-pair).
+    """
+    if not isinstance(op, MeasureOnUnit):
+        W, t, far, offsets, masses = _stencil(op, lattice)
+        return DiscreteOperatorDense(lattice, W, exterior, t, far, offsets,
+                                     masses)
+    parts = [(w, _stencil(s, lattice)) for s, w in op]
+    k = max(st[0].shape[0] for _, st in parts) // 2
+    W = sum(w * np.pad(st[0], k - st[0].shape[0] // 2) for w, st in parts)
+    t = sum(w * st[1] for w, st in parts)
+    far = [(w * wk, K) for w, st in parts for wk, K in st[2]]
+    return DiscreteOperatorDense(lattice, W, exterior, t, far)
 
 
 def _far_data_integral(kernel, exterior, xs, R):
@@ -669,23 +702,25 @@ class DiscreteOperatorDense:
         (L u)(x_i) ~ (A u_int + b)_i
                    = t u_i + sum_k W_k (u_i - u_{i+k}) - far_i,
 
-    W the full symmetric weight array of side 2 kmax + 1 (zero at its
+    W the full symmetric weight array of side 2 k + 1 (zero at its
     center), t = tail_mass_far the mass acting on u_i alone, and far_i
-    the far-field integral of the exterior data past R_eff (only when a
-    kernel is given).  A[i, j] = -W[j - i] off the diagonal and t +
-    sum W on it, so A is symmetric and monotone (off-diagonals <= 0);
-    b is apply_to_grid of the exterior data with the interior zeroed.
-    offsets and masses keep the half stencil the weights came from.
+    = sum of c_K times the far-field integral of the exterior data with
+    kernel K past R_eff = (k + 1/2) h, over the (c_K, K) pairs of far
+    (empty for a local stencil).  A[i, j] = -W[j - i] off the diagonal
+    and t + sum W on it, so A is symmetric and monotone (off-diagonals
+    <= 0); b is apply_to_grid of the exterior data with the interior
+    zeroed.  offsets and masses keep the half stencil a kernel's
+    weights came from.
     """
 
-    def __init__(self, lattice, W, exterior, tail_mass_far=0.0, kernel=None,
-                 R_eff=None, offsets=None, masses=None):
+    def __init__(self, lattice, W, exterior, tail_mass_far=0.0, far=(),
+                 offsets=None, masses=None):
         lat = lattice
-        self.lattice, self.W, self.exterior = lat, W, exterior
-        self.tail_mass_far = tail_mass_far
-        self.kernel, self.R_eff = kernel, R_eff
-        self.offsets, self.masses = offsets, masses
         n, k = lat.n, W.shape[0] // 2
+        self.lattice, self.W, self.exterior = lat, W, exterior
+        self.tail_mass_far, self.far = tail_mass_far, list(far)
+        self.R_eff = (k + 0.5) * lat.h if self.far else None
+        self.offsets, self.masses = offsets, masses
         idx = np.stack(np.unravel_index(lat.interior, (lat.N,) * n), axis=1)
         # the band of lattice indices the stencil reaches from the
         # interior: the neighbours of interior node i are the window of
@@ -750,7 +785,7 @@ class DiscreteOperatorDense:
             d = windows[tuple(self._starts[a:a + step].T)].reshape(-1, w.size)
             np.subtract(v[a:a + step, None], d, out=d)
             out[a:a + step] += d @ w
-        if self.kernel is not None:
-            out -= _far_data_integral(self.kernel, closure,
-                                      lat.nodes[lat.interior], self.R_eff)
+        for c, K in self.far:
+            out -= c * _far_data_integral(K, closure, lat.nodes[lat.interior],
+                                          self.R_eff)
         return out

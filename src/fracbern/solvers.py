@@ -2,26 +2,29 @@
 convex, and obstacle problems, plus barriers, the linearized operator,
 and the maximum principle with estimate.
 
-Discretizations come from nonlocal_ops.assemble_discrete (monotone by
-construction); Bellman-type equations are solved by policy iteration
-(argmax selection then a frozen linear solve), with a damped value
-iteration available as an independent fixed-point oracle.
+Every member, whatever its kind, is one stencil from
+nonlocal_ops.assemble_discrete (monotone by construction).  Every
+Bellman-type equation is solved by one frozen-coefficient (semismooth)
+Newton loop, F(L_1 u - g_1, ...) = f: the subgradient of F freezes a
+linear operator, which is solved for the step.  Policy iteration is its
+max case (the first-argmax subgradient picks one member per node), and
+the obstacle problem is that max over two members.  A damped value
+iteration stays as an independent fixed-point oracle.
 """
 
 import numpy as np
 
-from .kernels import MeasureOnUnit, fractional_kernel, as_points
+from .kernels import as_points, bellman_max, operator_order
 from .funcspace import SmoothFunction, Tail, GridFunction, constant, \
-    directional_derivative, translate
-from .nonlocal_ops import (Lattice, assemble_discrete, apply_batch,
-                           DiscreteOperatorDense, default_plan)
+    translate
+from .nonlocal_ops import assemble_discrete, apply_batch, default_plan
 
 __all__ = [
     "barrier", "barrier_check", "BellmanProblem", "ObstacleProblem",
     "solve_linear_dirichlet", "solve_bellman", "value_iteration",
     "solve_fully_nonlinear", "solve_obstacle", "linearize",
     "LinearizedOperator", "max_principle_estimate",
-    "unified_derivative_bound", "assemble_member", "grid_gradient",
+    "unified_derivative_bound", "grid_gradient",
     "grid_second_difference",
 ]
 
@@ -58,7 +61,7 @@ def barrier_check(op, R=1.0, n=1, probes=None, plan=None,
                   sweep=(0.5, 1.0, 2.0, 4.0)):
     """Margin c with L beta_R <= -c on B_R, plus the R-scaling study.
 
-    op: Kernel (margin should scale like R^{-2s}) or MeasureOnUnit
+    op: Kernel or order s (margin should scale like R^{-2s}) or MeasureOnUnit
     (margin should scale like (1 + R^2)^{-1}).  The normalized margins
     over the dyadic sweep must agree within +-50%.
     """
@@ -80,8 +83,9 @@ def barrier_check(op, R=1.0, n=1, probes=None, plan=None,
     if c1 <= 0:
         raise ArithmeticError("barrier margin nonpositive: kernel-class "
                               "violation indicator")
+    s = operator_order(op)
     normalized = np.array([
-        margin_at(Rv) * (Rv ** (2 * op.s) if hasattr(op, "s") else 1 + Rv ** 2)
+        margin_at(Rv) * (Rv ** (2 * s) if s is not None else 1 + Rv ** 2)
         for Rv in sweep])
     # "within +-50%": every value inside [0.5, 1.5] times the center of
     # the sweep range
@@ -134,59 +138,6 @@ class ObstacleProblem:
             self.f, self.exterior, self.R_dom)
 
 
-def _identity_op(lattice, exterior):
-    """Discrete member for the order-0 atom, L u = u: an empty stencil
-    whose whole mass acts on u(x_i)."""
-    return DiscreteOperatorDense(lattice, np.zeros((1,) * lattice.n),
-                                 exterior, 1.0)
-
-
-def _laplacian_op(lattice, exterior):
-    """Monotone 3/5-point stencil for the order-1 atom, L u = -Lap u:
-    weight 1/h^2 at the 2n axis neighbours, no far field."""
-    W = np.zeros((3,) * lattice.n)
-    for axis in range(lattice.n):
-        at = [1] * lattice.n
-        at[axis] = slice(None, None, 2)
-        W[tuple(at)] = 1.0 / lattice.h ** 2
-    return DiscreteOperatorDense(lattice, W, exterior)
-
-
-class _SuperpositionOp:
-    """Weighted sum of atom discretizations for a measure on [0, 1]."""
-
-    def __init__(self, parts):
-        self.parts = parts  # [(weight, op)]
-        self.lattice = parts[0][1].lattice
-        self.A = sum(w * p.A for w, p in parts)
-        self.b = sum(w * p.b for w, p in parts)
-
-    def apply(self, u_int):
-        return self.A @ u_int + self.b
-
-    def apply_to_grid(self, values_full, closure):
-        return sum(w * p.apply_to_grid(values_full, closure)
-                   for w, p in self.parts)
-
-
-def assemble_member(op, lattice, exterior):
-    """Discrete operator for a kernel, an order in [0,1], or a measure."""
-    if isinstance(op, MeasureOnUnit):
-        parts = []
-        for s_i, w_i in op:
-            parts.append((w_i, assemble_member(s_i, lattice, exterior)))
-        return _SuperpositionOp(parts)
-    if np.isscalar(op):
-        s = float(op)
-        if s == 0.0:
-            return _identity_op(lattice, exterior)
-        if s == 1.0:
-            return _laplacian_op(lattice, exterior)
-        return assemble_discrete(fractional_kernel(lattice.n, s), lattice,
-                                 exterior)
-    return assemble_discrete(op, lattice, exterior)
-
-
 # -- solvers ---------------------------------------------------------------------
 
 def solve_linear_dirichlet(op, f, exterior, lattice, tol=1e-10):
@@ -196,7 +147,7 @@ def solve_linear_dirichlet(op, f, exterior, lattice, tol=1e-10):
     against tol; monotone assembly makes the system an M-matrix, so a
     singular solve here is an assembly bug, not a data condition.
     """
-    disc = assemble_member(op, lattice, exterior)
+    disc = assemble_discrete(op, lattice, exterior)
     f_int = f(lattice.nodes[lattice.interior])
     u_int = _solve_member(disc, f_int)
     res = float(np.max(np.abs(disc.A @ u_int + disc.b - f_int)))
@@ -219,67 +170,66 @@ def _to_gridfunction(lattice, u_int, exterior):
     return GridFunction(lattice.n, lattice.L, vals, exterior)
 
 
-def solve_bellman(problem, lattice, tol=1e-9, max_iter=80):
-    """Policy iteration for the maximal equation.
-
-    Alternates the per-node argmax selection with a frozen linear solve
-    until the sup-norm Bellman residual is below tol.  Returns
-    (GridFunction, policy array, info dict with residual history).
-    """
-    lat = lattice
-    discs = [assemble_member(op, lat, problem.exterior)
+def _members(problem, lattice):
+    """The discrete members, f and the g_m at the interior nodes, and the
+    first iterate: member 0 solved alone."""
+    discs = [assemble_discrete(op, lattice, problem.exterior)
              for op, _ in problem.members]
-    nodes_int = lat.nodes[lat.interior]
+    nodes_int = lattice.nodes[lattice.interior]
     f_int = problem.f(nodes_int)
     g_int = [g(nodes_int) for _, g in problem.members]
-    J = len(discs)
+    return discs, f_int, g_int, _solve_member(discs[0], f_int + g_int[0])
 
-    def member_values(u_int):
-        return np.stack([discs[m].apply(u_int) - g_int[m]
-                         for m in range(J)], axis=0)
 
-    u = _solve_member(discs[0], f_int + g_int[0])
-    policy = np.zeros(lat.n_int, dtype=int)
+def _newton(problem, lattice, F, tol, max_iter):
+    """Frozen-coefficient (semismooth Newton) iteration for
+    F(L_1 u - g_1, ...) = f: the subgradient selector of F gives the
+    weights of the frozen linear operator solved for each step.
+
+    Returns (GridFunction, member values p at the last iterate, info).
+    """
+    discs, f_int, g_int, u = _members(problem, lattice)
     history = []
-    for it in range(max_iter):
-        vals = member_values(u)
-        residual = float(np.max(np.abs(vals.max(axis=0) - f_int)))
-        history.append(residual)
-        new_policy = np.argmax(vals, axis=0)
-        if residual <= tol:
-            policy = new_policy
+    for _ in range(max_iter):
+        p = np.stack([d.apply(u) - g for d, g in zip(discs, g_int)], axis=1)
+        resid = F(p) - f_int
+        history.append(float(np.max(np.abs(resid))))
+        if history[-1] <= tol:
             break
-        policy = new_policy
-        A = np.empty((lat.n_int, lat.n_int))
-        rhs = np.empty(lat.n_int)
-        for m in range(J):
-            rows = policy == m
-            if rows.any():
-                A[rows] = discs[m].A[rows]
-                rhs[rows] = f_int[rows] + g_int[m][rows] - discs[m].b[rows]
-        u = np.linalg.solve(A, rhs)
+        alpha = F.subgradient(p)
+        Aw = np.zeros((lattice.n_int, lattice.n_int))
+        for m, d in enumerate(discs):
+            Aw += alpha[:, m:m + 1] * d.A
+        u = u + np.linalg.solve(Aw, -resid)
     else:
-        raise ArithmeticError("policy iteration did not converge: "
-                              "residual history %s" % history[-5:])
-    gf = _to_gridfunction(lat, u, problem.exterior)
-    return gf, policy, {"history": history, "discs": discs,
-                        "residual": history[-1] if history else None,
-                        "iterations": len(history)}
+        raise ArithmeticError("Newton iteration did not converge: residual "
+                              "history %s" % history[-5:])
+    gf = _to_gridfunction(lattice, u, problem.exterior)
+    return gf, p, {"history": history, "discs": discs,
+                   "residual": history[-1], "iterations": len(history),
+                   "u_int": u}
+
+
+def solve_bellman(problem, lattice, tol=1e-9, max_iter=80):
+    """Policy iteration for the maximal equation: the Newton loop of
+    solve_fully_nonlinear with F = max, whose first-argmax subgradient
+    freezes one member per node.
+
+    Iterates until the sup-norm Bellman residual is below tol.  Returns
+    (GridFunction, policy array, info dict with residual history); the
+    policy is the first argmax of the member values at the last iterate.
+    """
+    gf, p, info = _newton(problem, lattice, bellman_max(problem.J), tol,
+                          max_iter)
+    return gf, np.argmax(p, axis=1), info
 
 
 def value_iteration(problem, lattice, tol=1e-9, max_iter=400000, omega=0.85):
     """Damped fixed-point oracle for the same maximal equation."""
-    lat = lattice
-    discs = [assemble_member(op, lat, problem.exterior)
-             for op, _ in problem.members]
-    nodes_int = lat.nodes[lat.interior]
-    f_int = problem.f(nodes_int)
-    g_int = [g(nodes_int) for _, g in problem.members]
+    discs, f_int, g_int, u = _members(problem, lattice)
     diag = np.max(np.stack([np.diag(d.A) for d in discs]), axis=0)
-    u = _solve_member(discs[0], f_int + g_int[0])
     for it in range(max_iter):
-        vals = np.stack([discs[m].apply(u) - g_int[m]
-                         for m in range(len(discs))])
+        vals = np.stack([d.apply(u) - g for d, g in zip(discs, g_int)])
         r = vals.max(axis=0) - f_int
         if np.max(np.abs(r)) <= tol:
             return u, it
@@ -288,42 +238,15 @@ def value_iteration(problem, lattice, tol=1e-9, max_iter=400000, omega=0.85):
 
 
 def solve_fully_nonlinear(problem, lattice, tol=1e-8, max_iter=120):
-    """Frozen-coefficient (semismooth) iteration for F(L_1 u - g_1, ...) = f.
+    """Frozen-coefficient (semismooth Newton) iteration for
+    F(L_1 u - g_1, ...) = f, with F the problem's nonlinearity (the max
+    when omitted, where the iteration is policy iteration).
 
-    The subgradient selector of the nonlinearity provides the
-    linearization weights; for the pure max nonlinearity this reduces
-    exactly to policy iteration.
+    Returns (GridFunction, info).
     """
-    F = problem.nonlinearity
-    if F is None or F.family == "bellman-max":
-        gf, policy, info = solve_bellman(problem, lattice, tol=min(tol, 1e-9))
-        return gf, info
-    lat = lattice
-    discs = [assemble_member(op, lat, problem.exterior)
-             for op, _ in problem.members]
-    nodes_int = lat.nodes[lat.interior]
-    f_int = problem.f(nodes_int)
-    g_int = [g(nodes_int) for _, g in problem.members]
-    J = len(discs)
-    u = _solve_member(discs[0], f_int + g_int[0])
-    history = []
-    for it in range(max_iter):
-        p = np.stack([discs[m].apply(u) - g_int[m] for m in range(J)], axis=1)
-        resid = F(p) - f_int
-        history.append(float(np.max(np.abs(resid))))
-        if history[-1] <= tol:
-            break
-        alpha = F.subgradient(p)
-        Aw = np.zeros((lat.n_int, lat.n_int))
-        for m in range(J):
-            Aw += alpha[:, m:m + 1] * discs[m].A
-        du = np.linalg.solve(Aw, -resid)
-        u = u + du
-    else:
-        raise ArithmeticError("nonlinear iteration stalled: %s" % history[-5:])
-    gf = _to_gridfunction(lat, u, problem.exterior)
-    return gf, {"history": history, "discs": discs, "residual": history[-1],
-                "u_int": u}
+    F = problem.nonlinearity or bellman_max(problem.J)
+    gf, _, info = _newton(problem, lattice, F, tol, max_iter)
+    return gf, info
 
 
 def solve_obstacle(problem, lattice, tol=1e-9):
@@ -407,7 +330,6 @@ def linearize(problem, gf, info, e=None, band=2, tol_factor=10.0):
     p = np.stack([discs[m].apply(u_int) - g_int[m]
                   for m in range(len(discs))], axis=1)
     if F is None:
-        from .kernels import bellman_max
         F = bellman_max(len(discs))
     alpha = F.subgradient(p)
     L = LinearizedOperator(discs, alpha, F.theta0, lat)
@@ -544,17 +466,14 @@ def max_principle_estimate(ops, phi, R, gamma0=None, n=1, plan=None,
     sup_in = float(np.max(phi(inner)))
     outer = rng.uniform(-6 * R, 6 * R, size=(3 * ext_samples, n))
     outer = outer[np.linalg.norm(outer, axis=1) >= R]
-    sup_out = max(float(np.max(phi(outer))),
-                  phi.tail.limit + phi.tail.amp * 0.0)
+    sup_out = max(float(np.max(phi(outer))), phi.tail.limit)
     gap = sup_in - sup_out
     if g0 <= 0.0:
         return {"pass": bool(gap <= tol), "gamma0": 0.0,
                 "sup_in": sup_in, "sup_out": sup_out, "fitted_C": 0.0}
     fitted = max(gap, 0.0) / g0
-    s_ref = None
-    for op in ops:
-        if hasattr(op, "s"):
-            s_ref = op.s
+    orders = [operator_order(op) for op in ops]
+    s_ref = next((s for s in reversed(orders) if s is not None), None)
     if s_ref is not None:
         normalized = fitted / R ** (2 * s_ref)
         form = "R^2s"
@@ -599,10 +518,8 @@ def unified_derivative_bound(problem, gf, info, R, e=None, sigma=4.0,
     a1 = float(np.max(np.abs(Ldu[band])))
     a2 = float(np.max(np.maximum(Lddu[band], 0.0)))
 
-    s_ref = None
-    for op, _ in problem.members:
-        if hasattr(op, "s"):
-            s_ref = op.s
+    orders = [operator_order(op) for op, _ in problem.members]
+    s_ref = next((s for s in reversed(orders) if s is not None), None)
     if cr_form is None:
         cr_form = "R^2s" if s_ref is not None else "1+R^2"
     C_R = R ** (2 * s_ref) if cr_form == "R^2s" else 1.0 + R ** 2

@@ -92,19 +92,22 @@ def test_constants_semiconcavity_guard():
         problem_constants(prob)
 
 
-def _solved_instance(N=129):
+def _solved_instance(N=129, ops=(K05, fractional_kernel(1, 0.7))):
     lattice = Lattice(1, 2.0, N, 1.0)
     f = gaussian_bump(1, 0.0, 0.6, 0.4)
     g2 = gaussian_bump(1, -0.3, 0.5, -0.3)
     ext = gaussian_bump(1, 0.0, 1.4, 0.3)
-    prob = BellmanProblem([(K05, constant(0.0, 1)),
-                           (fractional_kernel(1, 0.7), g2)], f, ext, 1.0)
+    prob = BellmanProblem([(ops[0], constant(0.0, 1)), (ops[1], g2)],
+                          f, ext, 1.0)
     gf, policy, info = solve_bellman(prob, lattice)
     return prob, gf, info
 
 
-def test_estimate_report_fields():
-    prob, gf, info = _solved_instance()
+@pytest.mark.parametrize("ops", [(K05, fractional_kernel(1, 0.7)),
+                                 (0.5, 0.7)], ids=["kernel", "order"])
+def test_estimate_report_fields(ops):
+    # an order is a member of definite order, as its kernel is
+    prob, gf, info = _solved_instance(ops=ops)
     rep = measure_derivative_bounds(gf, prob, 1.0, theorem="definite-order")
     assert rep.fitted_C_first > 0 and np.isfinite(rep.fitted_C_first)
     assert rep.rhs_first > 0

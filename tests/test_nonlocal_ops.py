@@ -502,7 +502,7 @@ def _loop_reference(disc, values_full, closure):
     small-N reference for the gathered stencil.  The diagonal is the
     exactly rounded sum of the tail mass and the weights: the loop's
     running sum drifts by up to 2.3e-14 relative at 2d N = 25."""
-    lat, ext, K = disc.lattice, disc.exterior, disc.kernel
+    lat, ext = disc.lattice, disc.exterior
     nodes_int = lat.nodes[lat.interior]
     idx_of = np.full(lat.nodes.shape[0], -1)
     idx_of[lat.interior] = np.arange(lat.n_int)
@@ -527,8 +527,10 @@ def _loop_reference(disc, values_full, closure):
     A[rows, rows] = math.fsum([disc.tail_mass_far]
                               + 2 * list(disc.masses))
     for i, x in enumerate(nodes_int):
-        b[i] -= _far_data_integral(K, ext, x[None], disc.R_eff)[0]
-        out[i] -= _far_data_integral(K, closure, x[None], disc.R_eff)[0]
+        for c, K in disc.far:
+            b[i] -= c * _far_data_integral(K, ext, x[None], disc.R_eff)[0]
+            out[i] -= c * _far_data_integral(K, closure, x[None],
+                                             disc.R_eff)[0]
     return A, b, out
 
 
@@ -555,6 +557,36 @@ def test_stencil_matches_offset_loop(K, lat, ext):
     assert np.max(np.abs(disc.b - b)) <= 1e-13 * diag.max() * ext.sup
     assert np.max(np.abs(disc.apply_to_grid(g(lat.nodes), g) - out)) \
         <= 1e-13 * diag.max() * np.max(np.abs(g(lat.nodes)))
+
+
+MEASURES = [MeasureOnUnit([(0.0, 0.2), (0.5, 0.5), (1.0, 0.3)]),
+            MeasureOnUnit([(0.3, 0.5), (0.7, 0.5)]),
+            MeasureOnUnit([(0.0, 0.4), (1.0, 0.6)])]
+
+
+@pytest.mark.parametrize("mu", MEASURES, ids=["0-0.5-1", "0.3-0.7", "0-1"])
+@pytest.mark.parametrize("lat, ext", [
+    (Lattice(1, 2.0, 65, 1.0), gaussian_bump(1, 0.1, 1.5, 0.3)),
+    (Lattice(2, 1.5, 25, 1.0), gaussian_bump(2, [0.1, 0.0], 0.8))],
+    ids=["1d", "2d"])
+def test_measure_stencil_matches_atom_sum(mu, lat, ext):
+    """A measure is one stencil: its A, b and grid action equal the
+    weighted sum of its atoms' discretizations up to round-off, and it
+    stays monotone and maps constants to its order-0 mass alone."""
+    disc = assemble_discrete(mu, lat, ext)
+    g = gaussian_bump(lat.n, [0.2] * lat.n, 0.6, -0.7) + ext
+    atoms = [(w, assemble_discrete(s, lat, ext)) for s, w in mu]
+    ref = [sum(w * d.A for w, d in atoms), sum(w * d.b for w, d in atoms),
+           sum(w * d.apply_to_grid(g(lat.nodes), g) for w, d in atoms)]
+    got = [disc.A, disc.b, disc.apply_to_grid(g(lat.nodes), g)]
+    tol = 1e-14 * np.max(np.diag(ref[0]))
+    for a, b in zip(got, ref):
+        assert np.max(np.abs(a - b)) <= tol
+    assert np.max(disc.A - np.diag(np.diag(disc.A))) <= 0.0
+    one = constant(1.0, lat.n)
+    out = disc.apply_to_grid(np.ones(lat.nodes.shape[0]), one)
+    mass0 = sum(w for s, w in mu if s == 0.0)
+    assert np.max(np.abs(out - mass0)) < 1e-12
 
 
 @given(st.floats(0.05, 0.95), st.sampled_from([33, 65, 129, 257]))

@@ -61,8 +61,9 @@ def test_barrier_identity_atom():
     assert rep["margin"] >= 1.0
 
 
-def test_barrier_fractional_margin_scaling():
-    rep = barrier_check(K05, R=1.0)
+@pytest.mark.parametrize("op", [K05, 0.5], ids=["kernel", "order"])
+def test_barrier_fractional_margin_scaling(op):
+    rep = barrier_check(op, R=1.0)
     assert rep["margin"] > 0
     # pure power kernels are exactly scale invariant
     vals = np.asarray(rep["normalized_sweep"])
