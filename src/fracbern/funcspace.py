@@ -27,7 +27,11 @@ SmoothFunction(n, value, gradient, hessian, d3=None), supply derivatives
 up to the Hessian, or up to d3 when given; their higher orders come from
 central differences of their own highest derivative.  These closure
 leaves (grid-function promotions, harmonic polynomials, barriers and
-test functions) are the only place finite differences enter.
+test functions) are the only place finite differences enter.  The flag
+exact_jets, fixed at construction, says that the jets are exact to
+order 4: it holds for catalog nodes and their composites, and not for
+closure leaves, positive_part, positive_part_square or any node above
+one of these.
 
 Arithmetic propagates the metadata as well, so auxiliary functions like
 eta^2 (d_e u)^2 + sigma u^2 remain first-class citizens that the
@@ -40,7 +44,6 @@ from functools import lru_cache
 from math import comb, factorial
 
 import numpy as np
-from scipy.interpolate import CubicSpline, RectBivariateSpline
 from numpy.polynomial import hermite_e
 
 from ._quad import gl_rule
@@ -267,6 +270,7 @@ class SmoothFunction:
     """
 
     _children = ()  # (function, extra order) for each one a rule evaluates
+    exact_jets = False  # jets exact to order 4 (module docstring)
 
     def __init__(self, n, value, gradient, hessian, d3=None,
                  sup=np.inf, grad_sup=np.inf, hess_sup=np.inf,
@@ -348,19 +352,36 @@ class SmoothFunction:
             self._plans[k] = plan
         return plan
 
-    def third_bound(self, x, r):
-        """Crude certified-ish bound on sup of |D^3| over B_r(x), one per
-        point of x."""
+    def derivative_bounds(self, x, r):
+        """(sup |D^3|, sup |D^4|) over B_r(x), one pair per point of x,
+        |D^j| the sum of the absolute entries.
+
+        Sampled, not certified: 1.5 times the largest value at x, x +-
+        r/2 e_i and x +- r e_i (and on both diagonals in 2d), plus
+        1e-12, from one jet call; a derivative that peaks between the
+        samples is missed.  sup |D^4| is inf unless exact_jets, since
+        difference quotients and kinks give no fourth-order bound, and
+        where D^4 is not finite; a D^3 that is not finite raises
+        ArithmeticError.
+        """
         x = as_points(x, self.n)
-        offsets = np.concatenate([np.zeros((1, self.n)), r * np.eye(self.n),
-                                  -r * np.eye(self.n)])
+        dirs = np.eye(self.n)
+        if self.n == 2:
+            dirs = np.concatenate([dirs, [[1.0, 1.0], [1.0, -1.0]]
+                                   / np.sqrt(2.0)])
+        offsets = np.concatenate([np.zeros((1, self.n))] + [
+            c * r * dirs for c in (0.5, -0.5, 1.0, -1.0)])
         pts = (x[:, None, :] + offsets[None]).reshape(-1, self.n)
-        t = np.sum(np.abs(self.d3(pts)), axis=(1, 2, 3))
-        if not np.all(np.isfinite(t)):
+        J = self.jet(pts, 4 if self.exact_jets else 3)
+        sups = [1.5 * np.abs(D).reshape(x.shape[0], -1, D[0].size).sum(
+            axis=2).max(axis=1) + 1e-12 for D in J[3:]]
+        if not np.all(np.isfinite(sups[0])):
             raise ArithmeticError(
                 "third derivative is not finite within %g of x = %s"
                 % (r, np.array2string(x.ravel())))
-        return 1.5 * t.reshape(x.shape[0], -1).max(axis=1) + 1e-12
+        if not self.exact_jets:
+            return sups[0], np.full(x.shape[0], np.inf)
+        return sups[0], np.nan_to_num(sups[1], nan=np.inf)
 
     # algebra ----------------------------------------------------------------
 
@@ -435,11 +456,15 @@ class SmoothFunction:
 
 class _Node(SmoothFunction):
     """A function whose jet one rule computes: rule(x, k, call) returns
-    [D^0, ..., D^k] at x, evaluating each child through call.jet."""
+    [D^0, ..., D^k] at x, evaluating each child through call.jet.
+    exact=False marks a rule whose jets are not exact to order 4; a node
+    is exact_jets only if its rule and all its children are."""
 
-    def __init__(self, n, rule, children=(), **meta):
+    def __init__(self, n, rule, children=(), exact=True, **meta):
         self._rule = rule
         self._children = tuple(children)
+        self.exact_jets = exact and all(f.exact_jets
+                                        for f, _ in self._children)
         self._set_meta(n, **meta)
 
     def _eval(self, x, k, call):
@@ -693,7 +718,8 @@ def tensor_product(f1, f2):
     r1, r2 = f1.tail.resid, f2.tail.resid
     tail = Tail(0.0, lambda r: (r1(r / np.sqrt(2)) * f2.sup
                                 + r2(r / np.sqrt(2)) * f1.sup))
-    return _Node(2, jet, sup=f1.sup * f2.sup,
+    return _Node(2, jet, exact=f1.exact_jets and f2.exact_jets,
+                 sup=f1.sup * f2.sup,
                  grad_sup=f1.grad_sup * f2.sup + f2.grad_sup * f1.sup,
                  hess_sup=(f1.hess_sup * f2.sup + f2.hess_sup * f1.sup
                            + 2 * f1.grad_sup * f2.grad_sup),
@@ -820,7 +846,7 @@ def positive_part(f):
     t = f.tail
     return _compose(
         f, lambda v, k: [np.maximum(v, 0.0), (v > 0).astype(float)] + [None] * k,
-        sup=f.sup, grad_sup=f.grad_sup, hess_sup=f.hess_sup,
+        exact=False, sup=f.sup, grad_sup=f.grad_sup, hess_sup=f.hess_sup,
         tail=Tail(max(t.limit, 0.0), t.resid, t.period, t.amp))
 
 
@@ -836,7 +862,7 @@ def positive_part_square(f):
     bound = abs(f.tail.limit) + amp
     tail = Tail(lim, lambda r: rs(r) * 2 * (bound + rs(r)) + 2 * amp * bound + amp ** 2
                 if f.tail.period else rs(r) * (2 * bound + rs(r)))
-    return _compose(f, dphi, sup=f.sup ** 2,
+    return _compose(f, dphi, exact=False, sup=f.sup ** 2,
                     grad_sup=2 * f.sup * f.grad_sup,
                     hess_sup=2 * f.sup * f.hess_sup + 2 * f.grad_sup ** 2,
                     tail=tail)
@@ -1025,6 +1051,7 @@ class GridFunction:
         """Cubic-spline SmoothFunction: spline inside, closure outside."""
         ext = self.exterior
         if self.n == 1:
+            from scipy.interpolate import CubicSpline
             sp = CubicSpline(self.axis, self.values, bc_type="clamped")
             d1, d2 = sp.derivative(1), sp.derivative(2)
 
@@ -1054,6 +1081,7 @@ class GridFunction:
                     h2[~inside] = ext.hessian(x[~inside])
                 return h2
         else:
+            from scipy.interpolate import RectBivariateSpline
             sp = RectBivariateSpline(self.axis, self.axis, self.values,
                                      kx=3, ky=3)
 

@@ -13,7 +13,7 @@ import os
 import numpy as np
 
 from . import __version__
-from .kernels import MeasureOnUnit, bellman_max, operator_order
+from .kernels import MeasureOnUnit, bellman_max, positive_orders
 from .solvers import grid_gradient, grid_second_difference
 
 __all__ = [
@@ -163,7 +163,10 @@ def measure_derivative_bounds(gf, problem, R, e=None, constants=None,
     theorem: "definite-order" (single-order kernel family: the bracket
     carries R^s and R^{1+2s} weights), "indefinite-order" (measure
     superpositions: omega_0 and the 1+R^2 weights), or "obstacle"
-    (unit-ball obstacle normalization).
+    (unit-ball obstacle normalization).  "definite-order" takes s from
+    the members' positive orders (kernels.positive_orders; order-0
+    members and measures add none), the largest bracket over them when
+    there are several, and raises ValueError when there is none.
     """
     n = gf.n
     if e is None:
@@ -186,13 +189,16 @@ def measure_derivative_bounds(gf, problem, R, e=None, constants=None,
 
     c = constants
     if theorem == "definite-order":
-        orders = [operator_order(op) for op, _ in problem.members]
-        s = next((s for s in reversed(orders) if s is not None), None)
-        rhs1 = (u_sup_all + R ** s * np.sqrt(c.G0 * u_sup_R)
-                + R ** (1 + 2 * s) * c.G1) / R
-        rhs2 = (u_sup_all + R ** s * np.sqrt(c.G0 * u_sup_R)
-                + R ** (1 + 2 * s) * c.Ge1
-                + R ** (2 + 2 * s) * (c.Ge2 or 0.0)) / R ** 2
+        orders = positive_orders(op for op, _ in problem.members)
+        if not orders:
+            raise ValueError("theorem 'definite-order' (R^s weights) needs "
+                             "a member of positive definite order")
+        rhs1 = max((u_sup_all + R ** s * np.sqrt(c.G0 * u_sup_R)
+                    + R ** (1 + 2 * s) * c.G1) / R for s in orders)
+        rhs2 = max((u_sup_all + R ** s * np.sqrt(c.G0 * u_sup_R)
+                    + R ** (1 + 2 * s) * c.Ge1
+                    + R ** (2 + 2 * s) * (c.Ge2 or 0.0)) / R ** 2
+                   for s in orders)
     elif theorem == "obstacle":
         rhs1 = u_sup_all + c.G1
         rhs2 = u_sup_all + c.Ge1 + (c.Ge2 or 0.0)

@@ -20,7 +20,8 @@ __all__ = [
     "ConvexNonlinearity", "fractional_kernel", "anisotropic_kernel",
     "stable_kernel", "custom_kernel", "make_kernel", "kernel_from_json",
     "kernel_to_json", "validate_kernel_class", "rescale_kernel",
-    "operator_order", "bellman_max", "log_sum_exp", "linear_nonlinearity",
+    "operator_order", "positive_orders", "bellman_max", "log_sum_exp",
+    "linear_nonlinearity",
 ]
 
 
@@ -263,9 +264,17 @@ class Kernel:
 
     def third_abs_moment(self, r):
         """Upper bound on integral over B_r of |z|^3 K(z) dz."""
+        return self._abs_moment(3, r)
+
+    def fourth_abs_moment(self, r):
+        """Upper bound on integral over B_r of |z|^4 K(z) dz."""
+        return self._abs_moment(4, r)
+
+    def _abs_moment(self, p, r):
+        # K(z) <= C2 s (1 - s) |z|^{-n-2s}, integrated against |z|^p
         surf = 2.0 if self.n == 1 else 2 * np.pi
         return self.C2 * self.s * (1 - self.s) * surf \
-            * r ** (3 - 2 * self.s) / (3 - 2 * self.s)
+            * r ** (p - 2 * self.s) / (p - 2 * self.s)
 
     def __repr__(self):
         return "Kernel(%s, n=%d, s=%.3g)" % (self.family, self.n, self.s)
@@ -545,6 +554,15 @@ def operator_order(op):
     if isinstance(op, MeasureOnUnit):
         return None
     return float(op) if np.isscalar(op) else op.s
+
+
+def positive_orders(ops):
+    """The distinct positive orders of a family of operators, sorted.
+
+    Members of order 0 (the identity, as an obstacle's constraint
+    member) and measures (no definite order) add none.  The family has
+    a definite order only when exactly one is returned."""
+    return sorted({s for s in map(operator_order, ops) if s})
 
 
 # -- convex nonlinearities ----------------------------------------------------

@@ -9,16 +9,24 @@ error estimate:
 
 - inner ball |z| < r0: the quadratic Taylor part against the exact
   kernel second moment;
-- correction zone eps < |z| < r0: a cancellation-free Bochner segment
-  form of the cubic remainder, with a fine/coarse panel pair;
-- below eps: a bound from the third derivative;
+- correction zone r_zone < |z| < r0: a cancellation-free Bochner
+  segment form of the cubic remainder, with a fine/coarse panel pair;
+- below r_zone: the paired remainder is even in z, so at most sup |D^4
+  G| |z|^4 / 24 (the sup sampled by G.derivative_bounds).  r_zone is
+  the largest power of ten up to r0 where that bound, against the
+  kernel's fourth moment, is small next to the tolerance and the other
+  errors (_zone_cuts); a probe with r_zone = r0 skips the zone.
+  Without exact jets to order 4 (closure leaves, positive parts), or
+  once a refinement reruns the zone, r_zone = eps = 1e-10 and a bound
+  from the third derivative covers |z| < eps;
 - annulus r0 < |z| < R: log-radial Gauss-Legendre panels (times a
   trapezoid angular rule in 2d), with a fine/coarse Richardson pair;
 - far field |z| > R: the integrand's tail metadata, exact for compact
   supports, certified bounds for decaying tails, and an Euler-Maclaurin
   periodic summation for trigonometric tails in 1d.
 
-Probes whose error misses the tolerance are refined alone.
+Every error also carries a round-off floor.  Probes whose error misses
+the tolerance are refined alone.
 singular_integral is a batch of one; singular_integral_batch returns
 the per-probe values and errors.  apply_batch applies a kernel, an order
 in [0, 1] or a measure on [0, 1] at a batch of probes through it.
@@ -51,6 +59,7 @@ T_NODES = 6      # Gauss nodes of the Bochner segment integral
 CHUNK = 16384    # integrand points per call, see _chunked
 STENCIL_BYTES = 1 << 21  # bound on each gather temporary of apply_to_grid
 ORACLE_DIRS = (6, 384)   # first and last direction count of the 2d oracle
+EPS = np.finfo(float).eps
 
 
 class QuadratureFailure(Exception):
@@ -122,6 +131,7 @@ def _pick_outer(kernel, G, xnorm, rel_tol):
     return R
 
 
+@lru_cache(maxsize=64)
 def _radial_nodes(kernel, r_lo, r_hi, order, ppd, n_ang=N_ANGULAR):
     """Nodes z, kernel values K(z) and weights w with
 
@@ -129,7 +139,9 @@ def _radial_nodes(kernel, r_lo, r_hi, order, ppd, n_ang=N_ANGULAR):
 
     for an even F: Gauss-Legendre panels on a geometric radial grid, on
     the positive half-line in 1d (weights doubled) and times a trapezoid
-    rule over n_ang directions in 2d.
+    rule over n_ang directions in 2d.  Cached, since the zone edges,
+    outer radii and rules recur from call to call; the arrays are
+    read-only.
     """
     t, wt = panel_nodes(geometric_edges(r_lo, r_hi, ppd), order)
     if kernel.n == 1:
@@ -139,7 +151,10 @@ def _radial_nodes(kernel, r_lo, r_hi, order, ppd, n_ang=N_ANGULAR):
         dirs = sphere_directions(2, n_ang)
         z = (t[:, None, None] * dirs[None]).reshape(-1, 2)
         w = np.repeat(wt * t * (2 * np.pi / n_ang), n_ang)
-    return z, kernel(z), w
+    out = z, kernel(z), w
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def _chunked(F, m, z):
@@ -203,13 +218,15 @@ def _integrate(kernel, G, xs, plan):
     row x of xs, shape (m, n).
 
     Returns a dict of per-probe arrays: value, error, the pieces inner,
-    zone, annulus and tail, the outer radius r_outer, the tolerance
-    scale and a converged flag.  Probes that miss plan.rel_tol are
-    refined alone: the annulus and the tail at a higher order with more
-    panels per decade (and a 4x outer radius where the tail holds over
-    half the error), the correction zone only where its own error holds
-    over half the tolerance.  After the last refinement a probe within
-    30x the tolerance still counts as converged.
+    zone, annulus and tail, the outer radius r_outer, the zone's lower
+    edge r_zone, the tolerance scale and a converged flag.  The first
+    pass starts each probe's zone at its quartic cut (_zone_cuts).
+    Probes that miss plan.rel_tol are refined alone: the annulus and the
+    tail at a higher order with more panels per decade (and a 4x outer
+    radius where the tail holds over half the error), the correction
+    zone, from eps and uncut, only where its own error holds over half
+    the tolerance.  After the last refinement a probe within 30x the
+    tolerance still counts as converged.
     """
     m = xs.shape[0]
     gx, _, H = G.jet(xs, 2)
@@ -219,25 +236,22 @@ def _integrate(kernel, G, xs, plan):
     inner_err = 0.5 * np.abs(H).sum(axis=(1, 2)) * m2err
     # below eps the remainder is O(|z|^3), bounded through D^3 G
     eps = 1e-8 * R_INNER
-    below_err = (G.third_bound(xs, 1e-3) * kernel.third_abs_moment(eps)
-                 / 3.0)
+    d3, d4 = G.derivative_bounds(xs, R_INNER)
+    below_err = d3 * kernel.third_abs_moment(eps) / 3.0
+    # round-off: besides 64 eps times the pieces summed (as in the
+    # oracle), the annulus subtracts G(x) against the kernel mass past
+    # R_INNER, an ulp of G(x) per unit of mass
+    roundoff = EPS * np.abs(gx) * kernel.tail_mass(R_INNER)[0]
 
-    out = {"inner": inner, "zone": np.empty(m)}
+    out = {"inner": inner, "zone": np.zeros(m), "r_zone": np.full(m, eps)}
     for key in ("value", "error", "annulus", "tail", "r_outer", "scale"):
         out[key] = np.empty(m)
-    zone_err = np.empty(m)
-    todo = stale = np.arange(m)
+    zone_err = np.zeros(m)
+    todo, stale = np.arange(m), None
     order, ppd = plan.order, plan.panels_per_decade
     R = _pick_outer(kernel, G, float(np.linalg.norm(xs, axis=1).max()),
                     plan.rel_tol)
     for _ in range(plan.max_refine + 1):
-        if stale.size:
-            zx, zh = xs[stale], H[stale]
-            zo, zp = max(order - 8, 8), max(ppd - 2, 3)
-            out["zone"][stale], zone_err[stale] = _richardson(
-                kernel, lambda rows, z: _bochner(G, zx[rows], zh[rows], z),
-                stale.size, eps, R_INNER, (zo, zp),
-                (max(zo - 4, 4), max(zp - 1, 2)), N_ANGULAR // 3)
         x, gxt = xs[todo], gx[todo]
 
         def paired(rows, z):
@@ -248,16 +262,34 @@ def _integrate(kernel, G, xs, plan):
                                    (order, ppd),
                                    (max(order // 2, 4), max(ppd - 2, 2)))
         tail, tail_err = _tail(kernel, G, x, gxt, R)
+        zo, zp = max(order - 8, 8), max(ppd - 2, 3)
+        if stale is None:
+            # first pass: cut each probe's zone where the quartic bound
+            # is small against the tolerance and the other errors
+            scale = _scale(inner + ann + tail,
+                           np.abs(inner) + np.abs(ann) + np.abs(tail), G.sup)
+            out["r_zone"], low_err = _zone_cuts(
+                kernel, d4, np.minimum(
+                    1e-3 * plan.rel_tol * scale,
+                    0.1 * (inner_err + ann_err + tail_err + below_err)),
+                eps, below_err)
+            stale = np.arange(m)
+        for r_lo in np.unique(out["r_zone"][stale]):
+            if r_lo >= R_INNER:
+                continue
+            rows = stale[out["r_zone"][stale] == r_lo]
+            zx, zh = xs[rows], H[rows]
+            out["zone"][rows], zone_err[rows] = _richardson(
+                kernel, lambda sl, z: _bochner(G, zx[sl], zh[sl], z),
+                rows.size, r_lo, R_INNER, (zo, zp),
+                (max(zo - 4, 4), max(zp - 1, 2)), N_ANGULAR // 3)
         zone = out["zone"][todo]
         value = inner[todo] + zone + ann + tail
-        error = inner_err[todo] + zone_err[todo] + below_err[todo] \
-            + ann_err + tail_err
-        # near-cancellation leaves a tiny value; size the tolerance by
-        # the pieces actually integrated, not only by the result
         piece = np.abs(inner[todo]) + np.abs(zone) + np.abs(ann) \
             + np.abs(tail)
-        scale = np.maximum(np.maximum(np.abs(value), 0.1 * piece),
-                           max(G.sup * 1e-6, 1e-30))
+        error = inner_err[todo] + zone_err[todo] + low_err[todo] \
+            + ann_err + tail_err + 64 * EPS * piece + roundoff[todo]
+        scale = _scale(value, piece, G.sup)
         for key, v in (("value", value), ("error", error), ("annulus", ann),
                        ("tail", tail), ("r_outer", R), ("scale", scale)):
             out[key][todo] = v
@@ -266,9 +298,10 @@ def _integrate(kernel, G, xs, plan):
         todo = todo[miss]
         if todo.size == 0:
             break
-        # the zone runs again only where it holds over half the
+        # the zone runs again, uncut, only where it holds over half the
         # tolerance; R grows where the tail holds over half the error
         stale = todo[zone_err[todo] > 0.5 * tol[miss]]
+        out["r_zone"][stale], low_err[stale] = eps, below_err[stale]
         if np.any(tail_err[miss] > 0.5 * error[miss]):
             R *= 4
         order, ppd = order + 8, ppd + 3
@@ -278,14 +311,43 @@ def _integrate(kernel, G, xs, plan):
     return out
 
 
+def _scale(value, piece, sup):
+    """Tolerance scale of a value: near-cancellation leaves a tiny value,
+    so the pieces integrated (the sum of their moduli) size it too."""
+    return np.maximum(np.maximum(np.abs(value), 0.1 * piece),
+                      max(sup * 1e-6, 1e-30))
+
+
+def _zone_cuts(kernel, d4, budget, eps, below_err):
+    """Lower edge of each probe's correction zone and the bound on the
+    part below it.
+
+    The paired remainder is even in z, so on B_r it is at most d4
+    M_4(r) / 24, M_4 the kernel's fourth absolute moment on B_r and d4
+    the sampled sup |D^4 G| on B_{R_INNER}.  The edge is the largest
+    power of ten from R_INNER down to 10 eps where that bound is within
+    the probe's budget, which it then replaces.  Elsewhere (always
+    where d4 is inf) the zone starts at eps, with the cubic bound
+    below_err below it.
+    """
+    edges = np.array([10.0 ** k for k in range(round(np.log10(R_INNER)),
+                                              round(np.log10(eps)), -1)])
+    quartic = d4[:, None] * kernel.fourth_abs_moment(edges) / 24.0
+    ok = quartic <= budget[:, None]
+    k, rows = np.argmax(ok, axis=1), np.arange(len(budget))
+    cut = ok[rows, k]
+    return (np.where(cut, edges[k], eps),
+            np.where(cut, quartic[rows, k], below_err))
+
+
 def singular_integral(kernel, G, x, plan=None):
     """Paired PV integral of (G(y) - G(x)) K(x - y) dy at one point x.
 
     A batch of one through the shared pipeline (module docstring).
     Returns an OperatorValue with the breakdown inner / zone / annulus /
-    tail / r_inner / r_outer and the tolerance scale in .scale; raises
-    QuadratureFailure carrying that value as .partial if refinement
-    cannot reach plan.rel_tol and plan.strict is set.
+    tail / r_inner / r_outer / r_zone and the tolerance scale in .scale;
+    raises QuadratureFailure carrying that value as .partial if
+    refinement cannot reach plan.rel_tol and plan.strict is set.
     """
     if plan is None:
         plan = default_plan(kernel.n)
@@ -294,7 +356,8 @@ def singular_integral(kernel, G, x, plan=None):
     out = OperatorValue(r["value"], r["error"], {
         "inner": float(r["inner"]), "zone": float(r["zone"]),
         "annulus": float(r["annulus"]), "tail": float(r["tail"]),
-        "r_inner": R_INNER, "r_outer": float(r["r_outer"])})
+        "r_inner": R_INNER, "r_outer": float(r["r_outer"]),
+        "r_zone": float(r["r_zone"])})
     out.scale = float(r["scale"])
     if r["converged"] or not plan.strict:
         return out
@@ -470,7 +533,7 @@ def spectral_oracle_batch(s, u, xs, rel_tol=1e-11):
         return u(xs)
     val, ang, A = _oracle_rule(s, u, xs, 8, 24)
     coarse, ang_c, _ = _oracle_rule(s, u, xs, 5, 12)
-    floor = 64 * np.finfo(float).eps * A
+    floor = 64 * EPS * A
     err = np.abs(val - coarse) + ang + ang_c
     ok = err <= np.maximum(100 * rel_tol * np.abs(val), floor)
     redo = np.flatnonzero(~ok)

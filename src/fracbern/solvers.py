@@ -14,7 +14,7 @@ iteration stays as an independent fixed-point oracle.
 
 import numpy as np
 
-from .kernels import as_points, bellman_max, operator_order
+from .kernels import as_points, bellman_max, operator_order, positive_orders
 from .funcspace import SmoothFunction, Tail, GridFunction, constant, \
     translate
 from .nonlocal_ops import assemble_discrete, apply_batch, default_plan
@@ -448,7 +448,9 @@ def max_principle_estimate(ops, phi, R, gamma0=None, n=1, plan=None,
     operator is the member infimum (arbitrary per-point selection).
     gamma0 defaults to the certified max over probe nodes of that
     infimum (clipped at 0).  Returns the fitted constant (minimal C
-    making the bound hold) and the scaling-normalized constant.
+    making the bound hold) and the scaling-normalized constant: by
+    R^{2s} when the family has a definite order s (one positive order,
+    kernels.positive_orders), else by 1 + R^2.
     """
     if plan is None:
         plan = default_plan(n).scaled(rel_tol=1e-5)
@@ -472,10 +474,9 @@ def max_principle_estimate(ops, phi, R, gamma0=None, n=1, plan=None,
         return {"pass": bool(gap <= tol), "gamma0": 0.0,
                 "sup_in": sup_in, "sup_out": sup_out, "fitted_C": 0.0}
     fitted = max(gap, 0.0) / g0
-    orders = [operator_order(op) for op in ops]
-    s_ref = next((s for s in reversed(orders) if s is not None), None)
-    if s_ref is not None:
-        normalized = fitted / R ** (2 * s_ref)
+    orders = positive_orders(ops)
+    if len(orders) == 1:
+        normalized = fitted / R ** (2 * orders[0])
         form = "R^2s"
     else:
         normalized = fitted / (1.0 + R ** 2)
@@ -496,6 +497,12 @@ def unified_derivative_bound(problem, gf, info, R, e=None, sigma=4.0,
     domain nodes), assembles the first and one-sided second bound
     brackets with the declared C_R power, and returns the fitted
     constants relating measured suprema to the brackets.
+
+    cr_form "R^2s" (C_R = R^{2s}) needs a family of definite order s:
+    exactly one positive order among the members (order-0 members such
+    as an obstacle's constraint, and measures, add none; see
+    kernels.positive_orders), else ValueError.  The default is "R^2s"
+    for such a family and "1+R^2" (C_R = 1 + R^2) otherwise.
     """
     lat = info["discs"][0].lattice
     if e is None:
@@ -518,11 +525,13 @@ def unified_derivative_bound(problem, gf, info, R, e=None, sigma=4.0,
     a1 = float(np.max(np.abs(Ldu[band])))
     a2 = float(np.max(np.maximum(Lddu[band], 0.0)))
 
-    orders = [operator_order(op) for op, _ in problem.members]
-    s_ref = next((s for s in reversed(orders) if s is not None), None)
+    orders = positive_orders(op for op, _ in problem.members)
     if cr_form is None:
-        cr_form = "R^2s" if s_ref is not None else "1+R^2"
-    C_R = R ** (2 * s_ref) if cr_form == "R^2s" else 1.0 + R ** 2
+        cr_form = "R^2s" if len(orders) == 1 else "1+R^2"
+    if cr_form == "R^2s" and len(orders) != 1:
+        raise ValueError("cr_form 'R^2s' needs a family of definite order; "
+                         "its positive orders are %s" % orders)
+    C_R = R ** (2 * orders[0]) if cr_form == "R^2s" else 1.0 + R ** 2
 
     u_sup_R = float(np.max(np.abs(u_int[rad < R])))
     u_sup_all = max(float(np.max(np.abs(gf.values))), problem.exterior.sup)

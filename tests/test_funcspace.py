@@ -8,7 +8,8 @@ from fracbern.funcspace import (SmoothFunction, Tail, gaussian_bump,
                                 polynomial_gaussian, modulated_gaussian,
                                 plane_wave, tensor_product, make_cutoff,
                                 translate, affine_precompose,
-                                directional_derivative, positive_part_square,
+                                directional_derivative, positive_part,
+                                positive_part_square,
                                 incremental_quotient, averaged_square,
                                 averaged_square_root, GridFunction, Direction,
                                 constant, harmonic_polynomial)
@@ -76,14 +77,83 @@ def test_catalog_d3_match_fd_of_hessian(monkeypatch):
             assert np.max(np.abs(T[..., i] - fd)) <= 1e-5 * scale
 
 
-def test_third_bound_rejects_non_finite_d3():
+def _criterion_04_composites():
+    """eta^2 (d_e u)^2, u^2, d_e u and u for the criterion-04 pairs: the
+    integrands of check_first_order_batch."""
+    pairs = [(gaussian_bump(1, 0.0, 1.0), make_cutoff(0.25, 0.5, n=1)),
+             (gaussian_bump(1, 0.3, 0.8) + gaussian_bump(1, -0.5, 1.1, -0.6),
+              make_cutoff(0.25, 0.5, n=1)),
+             (modulated_gaussian(0.0, 1.2, 1.5), make_cutoff(0.2, 0.45, n=1)),
+             (polynomial_gaussian([1.0, 0.5, -0.3]),
+              make_cutoff(0.3, 0.6, n=1)),
+             (plane_wave(1.0), make_cutoff(0.25, 0.5, n=1))]
+    out = []
+    for u, eta in pairs:
+        du = directional_derivative(u, E1)
+        out += [(eta * eta) * (du * du), u * u, du, u]
+    return out
+
+
+def _criterion_04_probes(count):
+    probes = np.sort(np.random.default_rng(11).uniform(-1.2, 1.2, 1000))
+    pick = np.random.default_rng(0).choice(1000, count, replace=False)
+    return probes[np.sort(pick)].reshape(-1, 1)
+
+
+def test_d4_match_fd_of_d3(monkeypatch):
+    # exact fourth derivatives of catalog leaves and of the composites
+    # the quartic zone cut bounds, without the finite-difference fallback
+    def no_fd(self, x, j):
+        raise AssertionError("finite-difference fallback reached")
+
+    monkeypatch.setattr(SmoothFunction, "_derivative", no_fd)
+    rng = np.random.default_rng(5)
+    h = 1e-5
+    for u in _catalog_leaves() + _criterion_04_composites():
+        assert u.exact_jets
+        pts = rng.uniform(-1.2, 1.2, size=(40, u.n))
+        T = u.jet(pts, 4)[4]
+        for i in range(u.n):
+            dx = np.zeros((1, u.n)); dx[0, i] = h
+            fd = (u.d3(pts + dx) - u.d3(pts - dx)) / (2 * h)
+            scale = max(np.max(np.abs(T)), 1.0)
+            assert np.max(np.abs(T[..., i] - fd)) <= 1e-5 * scale
+
+
+def test_exact_jets_flag():
+    u = gaussian_bump(1, 0.0, 1.0)
+    closure = harmonic_polynomial(1, "x1")
+    assert u.exact_jets and (u * u + constant(1.0, 1)).exact_jets
+    assert not closure.exact_jets and not (u * closure).exact_jets
+    assert not positive_part_square(u - 0.5).exact_jets
+    assert not (positive_part(u - 0.5) * u).exact_jets
+    assert not tensor_product(u, closure).exact_jets
+    grid = GridFunction(1, 2.0, np.zeros(9), constant(0.0, 1)).promote()
+    assert not grid.exact_jets
+
+
+def test_sampled_d4_bound_covers_dense_max():
+    # the sampled sup |D^4| over B_r(x), r = 1e-2 (the zone's outer
+    # radius), is at least the max over 201 points of the segment
+    r = 1e-2
+    xs = _criterion_04_probes(24)
+    dense = (xs[:, None, :] + np.linspace(-r, r, 201)[None, :, None])
+    for G in _criterion_04_composites():
+        d3, d4 = G.derivative_bounds(xs, r)
+        J = G.jet(dense.reshape(-1, 1), 4)
+        for bound, D in [(d3, J[3]), (d4, J[4])]:
+            sup = np.abs(D).reshape(len(xs), -1).max(axis=1)
+            assert np.all(bound >= sup)
+
+
+def test_derivative_bounds_rejects_non_finite_d3():
     bad = SmoothFunction(
         1, lambda x: x[:, 0], lambda x: np.ones((len(x), 1)),
         lambda x: np.zeros((len(x), 1, 1)),
         d3=lambda x: np.full((len(x), 1, 1, 1), np.nan),
         sup=10.0, grad_sup=1.0, hess_sup=0.0, tail=Tail.bounded(10.0))
     with pytest.raises(ArithmeticError, match="not finite"):
-        bad.third_bound(np.array([0.3]), 1e-3)
+        bad.derivative_bounds(np.array([0.3]), 1e-3)
 
 
 def test_sup_metadata_upper_bounds():

@@ -250,3 +250,14 @@ def test_semiconcavity_refinement_driver():
     res = semiconcavity_refinement(solve_at, levels=3)
     assert len(res["sups"]) == 3
     assert res["stable"], res
+
+
+def test_definite_order_theorem_needs_an_order():
+    # a measure alone has no positive definite order: the R^s weights
+    # of the definite-order bracket are refused, not raised on as None
+    prob, gf, info = _solved_instance(
+        N=65, ops=(MeasureOnUnit([(0.3, 0.5), (0.7, 0.5)]), 0.0))
+    with pytest.raises(ValueError, match="definite-order"):
+        measure_derivative_bounds(gf, prob, 1.0, theorem="definite-order")
+    rep = measure_derivative_bounds(gf, prob, 1.0)
+    assert np.isfinite(rep.fitted_C_first)

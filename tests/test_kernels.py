@@ -133,6 +133,29 @@ def test_validate_log_modulated_ratio_three():
     assert rep["pass"]
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_abs_moment_bounds_cover_quadrature(n):
+    # the C2 bounds of third_abs_moment and fourth_abs_moment are at
+    # least the ball integrals of |z|^p K, here on geometric panels over
+    # 14 decades below r (and 256 directions in 2d)
+    from fracbern._quad import geometric_edges, panel_nodes
+    from fracbern.kernels import sphere_directions
+    A = np.array([[1.3]]) if n == 1 else np.array([[1.3, 0.2], [0.2, 0.8]])
+    kernels = [fractional_kernel(n, 0.3), fractional_kernel(n, 0.9),
+               anisotropic_kernel(0.6, A), _log_modulated(n, 0.5)]
+    dirs = sphere_directions(n, 2 if n == 1 else 256)
+    dw = 1.0 if n == 1 else 2 * np.pi / len(dirs)
+    for K in kernels:
+        for r in [1e-9, 1e-5, 1e-2, 1.0, 3.0]:
+            t, wt = panel_nodes(geometric_edges(r * 1e-14, r, 4), 16)
+            kz = K((t[:, None, None] * dirs[None]).reshape(-1, n))
+            radial = dw * kz.reshape(len(t), -1).sum(axis=1) * t ** (n - 1)
+            for p, bound in [(3, K.third_abs_moment(r)),
+                             (4, K.fourth_abs_moment(r))]:
+                quad = np.dot(wt, radial * t ** p)
+                assert quad <= bound * (1 + 1e-12), (K, r, p)
+
+
 def test_rescale_power_kernels_pointwise_invariant():
     K = fractional_kernel(1, 0.5)
     assert rescale_kernel(K, 3.7) is K

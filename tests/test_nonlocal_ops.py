@@ -13,7 +13,8 @@ from fracbern.kernels import (fractional_kernel, anisotropic_kernel,
 from fracbern.funcspace import (gaussian_bump, plane_wave, modulated_gaussian,
                                 polynomial_gaussian, constant, tensor_product,
                                 affine_precompose, translate, make_cutoff,
-                                directional_derivative, SmoothFunction, Tail)
+                                directional_derivative, positive_part_square,
+                                SmoothFunction, Tail)
 from fracbern._quad import geometric_edges, panel_nodes
 from fracbern.nonlocal_ops import (apply_nonlocal, apply_fractional,
                                    apply_batch, apply_superposition,
@@ -682,3 +683,85 @@ def test_far_field_cut_keeps_slow_residual(n):
         _far_data_integral(fractional_kernel(n, s), ext, xs, 8.0625)
         per_panel = 8 * (1 if n == 1 else N_ANGULAR)
         assert seen[0] == 2 * 15 * per_panel * len(xs)
+
+
+# -- the quartic cut of the correction zone -----------------------------------
+
+def _full_zone(monkeypatch):
+    # an infinite quartic bound leaves every probe its full zone
+    monkeypatch.setattr(type(fractional_kernel(1, 0.5)), "fourth_abs_moment",
+                        lambda self, r: np.full(np.shape(r), np.inf))
+
+
+def _criterion_03_integrands():
+    """The operator-route integrands of check_supert_identity for the
+    criterion-03 u and eta, weight 1.5: aux and zeroth per variant."""
+    from fracbern.funcspace import (averaged_square, averaged_square_root,
+                                    incremental_quotient)
+    u = gaussian_bump(1, 0.0, 1.0) + gaussian_bump(1, 0.8, 0.6, -0.5)
+    eta = make_cutoff(0.25, 0.5, n=1)
+    du = directional_derivative(u, np.array([1.0]))
+    q = incremental_quotient(u, 0.1, np.array([1.0]))
+    return [(eta * eta) * (du * du) + (u * u) * 1.5, u, du,
+            (eta * eta) * (q * q) + averaged_square(u, 0.1, np.array([1.0]))
+            * 1.5, q, averaged_square_root(u, 0.1, np.array([1.0]))]
+
+
+def test_zone_cut_matches_full_zone(monkeypatch):
+    # the cut zone agrees with the full one within the summed errors on
+    # the criterion-04 integrands and orders (24 of its probes) and the
+    # criterion-03 integrands, kernels and probes
+    from test_kernels import _log_modulated
+    from test_funcspace import _criterion_04_composites, _criterion_04_probes
+    from fracbern.nonlocal_ops import _integrate
+    plan = default_plan(1).scaled(strict=False, max_refine=2)
+    xs4 = _criterion_04_probes(24)
+    xs3 = np.random.default_rng(7).uniform(-1.2, 1.2, 20).reshape(-1, 1)
+    cases = [(fractional_kernel(1, s), G, xs4) for s in (0.25, 0.5, 0.75, 0.95)
+             for G in _criterion_04_composites()]
+    cases += [(K, G, xs3) for K in (fractional_kernel(1, 0.5),
+                                    anisotropic_kernel(0.5, np.array([[1.3]])),
+                                    _log_modulated(1, 0.5))
+              for G in _criterion_03_integrands()]
+    cut = [_integrate(K, G, xs, plan) for K, G, xs in cases]
+    _full_zone(monkeypatch)
+    full = [_integrate(K, G, xs, plan) for K, G, xs in cases]
+    for a, b in zip(cut, full):
+        assert np.all(b["r_zone"] == 1e-10)
+        assert np.all(np.abs(a["value"] - b["value"])
+                      <= a["error"] + b["error"])
+    # nearly every probe is cut, and the quartic bound costs the
+    # certificate little: it is within 0.1 of the other errors
+    r_zone = np.concatenate([a["r_zone"] for a in cut])
+    assert np.mean(r_zone > 1e-10) >= 0.9
+    ratio = np.concatenate([a["error"] / b["error"] for a, b in zip(cut, full)])
+    assert np.quantile(ratio, 0.9) <= 1.1
+
+
+def test_zone_uncut_without_exact_jets():
+    K = fractional_kernel(1, 0.5)
+    du = directional_derivative(gaussian_bump(1, 0.0, 1.0), np.array([1.0]))
+    for G in (positive_part_square(du), barrier(1.0, 1)):
+        assert singular_integral(K, G, 0.3).breakdown["r_zone"] == 1e-10
+    assert singular_integral(K, du, 0.3).breakdown["r_zone"] > 1e-10
+
+
+def test_roundoff_floor_covers_oracle_gap():
+    # near s = 1 the sum of the pieces rounds above the Richardson and
+    # moment errors
+    u = gaussian_bump(1)
+    v = apply_fractional(0.9, u, 0.0)
+    assert abs(v.value - spectral_oracle(0.9, u, 0.0)) <= v.error
+
+
+def test_batch_errors_cover_gaussian_closed_form():
+    # (-Delta)^s exp(-x^2/2) = 2^s Gamma(1/2 + s) / Gamma(1/2)
+    # 1F1(1/2 + s; 1/2; -x^2/2), with no slack beyond the reported error
+    from scipy.special import hyp1f1
+    u = gaussian_bump(1)
+    xs = np.linspace(-2.0, 2.0, 41).reshape(-1, 1)
+    for s in (0.1, 0.3, 0.5, 0.7, 0.8, 0.9, 0.95, 0.99):
+        vals, errs = apply_batch(s, u, xs)
+        ref = (2 ** s * gamma(0.5 + s) / gamma(0.5)
+               * hyp1f1(0.5 + s, 0.5, -xs[:, 0] ** 2 / 2))
+        assert np.all(np.abs(vals - ref) <= errs), s

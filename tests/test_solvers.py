@@ -429,3 +429,31 @@ def test_unified_bound_bellman_instance():
     assert out["fitted_C_first"] > 0
     assert np.isfinite(out["fitted_C_sharp"])
     assert out["linearize_report"]["subsolution_ok"]
+
+
+def test_unified_bound_obstacle_takes_operator_order():
+    # the constraint member of order 0 does not set the family's order,
+    # so the order-0.5 obstacle gets C_R = R^{2 s} = R
+    prob = binding_obstacle()
+    gf, contact, info = solve_obstacle(prob, lat(65))
+    out = unified_derivative_bound(prob.as_bellman(), gf, info, 0.8)
+    assert out["form"] == "R^2s"
+    assert out["C_R"] == pytest.approx(0.8, rel=1e-15)
+
+
+def test_unified_bound_without_definite_order():
+    # a measure has no definite order, nor has a family of two positive
+    # orders: the default form is 1 + R^2 and R^2s is refused
+    lattice = lat(65)
+    f, ext = gaussian_bump(1, 0.0, 0.5, 0.3), constant(0.0, 1)
+    for members in ([(MeasureOnUnit([(0.3, 0.5), (0.7, 0.5)]),
+                      constant(0.0, 1))],
+                    [(K05, constant(0.0, 1)),
+                     (fractional_kernel(1, 0.7), constant(0.0, 1))]):
+        prob = BellmanProblem(members, f, ext, 1.0)
+        gf, policy, info = solve_bellman(prob, lattice)
+        out = unified_derivative_bound(prob, gf, info, 0.8)
+        assert out["form"] == "1+R^2"
+        assert out["C_R"] == pytest.approx(1.64, rel=1e-15)
+        with pytest.raises(ValueError, match="R\\^2s"):
+            unified_derivative_bound(prob, gf, info, 0.8, cr_form="R^2s")
