@@ -109,32 +109,41 @@ def _split(op, sq, f, coef, probes, plan):
     return l_sq - t, e_sq + e_t
 
 
-def _bilinear(op, eta, pieces, u, x, plan):
-    """The bilinear route at one probe x, shape (1, n), with c = eta(x):
-    the cross term, the sum over the (g, g(x)) pieces of
+def _integral(op, G, x, plan):
+    """int (G(y) - G(x)) K(x - y) dy at one probe x, shape (1, n), as
+    [value, error] on a lenient plan: a tolerance miss keeps its partial
+    value and its error.  The integrands of the bilinear route depend on
+    x through constants, so each is its own batch of one."""
+    v, err = apply_batch(op, G, x, plan.scaled(strict=False))
+    return np.array([-v[0], err[0]])
+
+
+def _cross(op, eta, pieces, x, plan):
+    """The bilinear route's cross term at one probe x with c = eta(x):
+    the sum over the (g, g(x)) pieces of
 
         2 c g(x) int (c - eta(y)) g(y) K(x - y) dy,
 
-    the squared differences, the sum of int |c g(x) - eta(y) g(y)|^2 K,
-    and int |u(x) - u(y)|^2 K.  Each comes as a [value, summed error]
-    pair; a tolerance miss keeps its partial value and its error.  The
-    integrands depend on x through constants, so each is its own batch
-    of one."""
-    plan = plan.scaled(strict=False)
-    n, c = u.n, float(eta(x)[0])
-
-    def integral(G):
-        v, err = apply_batch(op, G, x, plan)
-        return np.array([-v[0], err[0]])
-
-    cross, sq = np.zeros(2), np.zeros(2)
+    as [value, summed error]."""
+    c, out = float(eta(x)[0]), np.zeros(2)
     for g, gv in pieces:
         if abs(2.0 * c * gv) * g.sup > 1e-300:
-            cross += integral((constant(c, n) - eta) * g * (2.0 * c * gv))
-        d = constant(c * gv, n) - eta * g
-        sq += integral(d * d)
-    d = constant(float(u(x)[0]), n) - u
-    return cross, sq, integral(d * d)
+            out += _integral(op, (constant(c, g.n) - eta) * g * (2.0 * c * gv),
+                             x, plan)
+    return out
+
+
+def _squares(op, eta, pieces, u, x, plan):
+    """The bilinear route's squared differences at one probe x with c =
+    eta(x): the sum over the (g, g(x)) pieces of int |c g(x) - eta(y)
+    g(y)|^2 K(x - y) dy, and int |u(x) - u(y)|^2 K(x - y) dy, each as
+    [value, summed error]."""
+    c, sq = float(eta(x)[0]), np.zeros(2)
+    for g, gv in pieces:
+        d = constant(c * gv, g.n) - eta * g
+        sq += _integral(op, d * d, x, plan)
+    d = constant(float(u(x)[0]), u.n) - u
+    return sq, _integral(op, d * d, x, plan)
 
 
 # -- first-order key inequality -------------------------------------------------
@@ -334,10 +343,10 @@ def check_supert_identity(kernel, base, eta, weight, variant, x, e=None,
 
     D1 is the operator route: L(aux) minus twice the composite pieces
     times L of each piece (a piece vanishing at x adds nothing and is
-    skipped).  D2 is the bilinear route (_bilinear): the cross term with
-    the cutoff increment, minus the two squared-difference integrals.
-    The two agree exactly; the returned residual must sit inside the
-    summed quadrature error budget.
+    skipped).  D2 is the bilinear route (_cross, _squares): the cross
+    term with the cutoff increment, minus the two squared-difference
+    integrals.  The two agree exactly; the returned residual must sit
+    inside the summed quadrature error budget.
 
     variant: directional | positive-part | gradient | incremental.
     """
@@ -381,7 +390,8 @@ def check_supert_identity(kernel, base, eta, weight, variant, x, e=None,
             D1 -= 2 * ev ** 2 * gv * l_g
             errors += 2 * ev ** 2 * abs(gv) * e_g
 
-    cross, sq, zsq = _bilinear(kernel, eta, pieces, zeroth, xm, plan)
+    cross = _cross(kernel, eta, pieces, xm, plan)
+    sq, zsq = _squares(kernel, eta, pieces, zeroth, xm, plan)
     D2 = cross[0] - sq[0] - weight * zsq[0]
     errors += cross[1] + sq[1] + weight * zsq[1]
     return {
@@ -513,8 +523,10 @@ def check_conto_traccia(kernel, u, eta, eps, e=None, probes=None, plan=None):
     du_sup3 = float(np.max(np.abs(du(pts3))))
     E_allow = eps ** 2 * du_sup3 ** 2
 
-    terms = np.array([_bilinear(kernel, eta, [(du, float(du(x)[0]))], u, x,
-                                plan) for x in probes[:, None]])
+    pieces = [[(du, float(du(x)[0]))] for x in probes[:, None]]
+    terms = np.array([[_cross(kernel, eta, p, x, plan),
+                       *_squares(kernel, eta, p, u, x, plan)]
+                      for p, x in zip(pieces, probes[:, None])])
     lhs, r1, r2 = terms[..., 0].T
     err = terms[..., 1].sum(axis=1)
 
@@ -602,7 +614,7 @@ def compute_J_terms(kernel, u, eta, delta, e=None, plan=None, r_max=None):
 
     I1 = _plain_kernel_integral(kernel, WI1, 1e-9, r_hi, plan)
 
-    _, (R1, _), (R2, _) = _bilinear(kernel, eta, [(du, du0)], u, xm, plan)
+    (R1, _), (R2, _) = _squares(kernel, eta, [(du, du0)], u, xm, plan)
     fitted_C = max((abs(J1) + abs(J2) - R1 / 8.0) / max(R2, 1e-300), 0.0)
     phi0 = float(phi(xm)[0])
     dphi0 = float(dphi_e(xm)[0])
@@ -686,8 +698,9 @@ def check_downstairs_sharmonic(u_sh, s, eta=None, x=None, hyp_tol=None,
             "(tolerance %.3g)" % (star, hyp_tol))
     pieces = [(g, float(g(xm)[0])) for g in
               (directional_derivative(u_sh, row) for row in np.eye(n))]
-    (lhs, e_c), (r1, e_1), (r2, e_2) = _bilinear(
-        fractional_kernel(n, s), eta, pieces, u_sh, xm, plan)
+    K = fractional_kernel(n, s)
+    lhs, e_c = _cross(K, eta, pieces, xm, plan)
+    (r1, e_1), (r2, e_2) = _squares(K, eta, pieces, u_sh, xm, plan)
     errs = e_c + e_1 + e_2
 
     def feasible(sig):

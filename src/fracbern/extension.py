@@ -108,7 +108,7 @@ class ExtensionField:
         # higher base derivatives: same period, conservative residual
         if base.period is not None:
             return Tail(0.0, lambda r: 0.0, base.period, np.inf)
-        return Tail(0.0, lambda r: 50.0 * base.resid(max(r - 1.0, 0.0)))
+        return Tail(0.0, lambda r: 50.0 * base.resid(np.maximum(r - 1.0, 0.0)))
 
     def field(self, kx=0, ky=0):
         uf = self._ux[kx]

@@ -29,7 +29,7 @@ central differences of their own highest derivative.  These closure
 leaves (grid-function promotions, harmonic polynomials, barriers and
 test functions) are the only place finite differences enter.  The flag
 exact_jets, fixed at construction, says that the jets are exact to
-order 4: it holds for catalog nodes and their composites, and not for
+order 6: it holds for catalog nodes and their composites, and not for
 closure leaves, positive_part, positive_part_square or any node above
 one of these.
 
@@ -75,9 +75,10 @@ def _combine_periods(p1, p2):
 class Tail:
     """Asymptotic structure: u = limit + (periodic part) + residual.
 
-    resid(r) bounds sup_{|x| >= r} of the residual; amp bounds the
-    periodic part (zero when period is None).  resid must be exact zero
-    beyond the support radius for compactly supported residuals.
+    resid(r) bounds sup_{|x| >= r} of the residual, elementwise for an
+    array of radii r; amp bounds the periodic part (zero when period is
+    None).  resid must be exact zero beyond the support radius for
+    compactly supported residuals.
     """
 
     def __init__(self, limit=0.0, resid=None, period=None, amp=0.0):
@@ -88,7 +89,7 @@ class Tail:
 
     @staticmethod
     def compact(radius, bound):
-        return Tail(0.0, lambda r: bound if r < radius else 0.0)
+        return Tail(0.0, lambda r: np.where(r < radius, bound, 0.0))
 
     @staticmethod
     def bounded(bound):
@@ -115,7 +116,11 @@ class Tail:
         lf, lg = self.limit, other.limit
         af, ag = self.amp, other.amp
         rf, rg = self.resid, other.resid
-        resid = lambda r: rf(r) * (abs(lg) + ag + rg(r)) + rg(r) * (abs(lf) + af)
+
+        def resid(r):
+            a, b = rf(r), rg(r)
+            return a * (abs(lg) + ag + b) + b * (abs(lf) + af)
+
         if period == -1.0:
             bump = af * ag + abs(lf) * ag + abs(lg) * af
             return Tail(lf * lg, lambda r: resid(r) + bump)
@@ -270,7 +275,7 @@ class SmoothFunction:
     """
 
     _children = ()  # (function, extra order) for each one a rule evaluates
-    exact_jets = False  # jets exact to order 4 (module docstring)
+    exact_jets = False  # jets exact to order 6 (module docstring)
 
     def __init__(self, n, value, gradient, hessian, d3=None,
                  sup=np.inf, grad_sup=np.inf, hess_sup=np.inf,
@@ -353,18 +358,21 @@ class SmoothFunction:
         return plan
 
     def derivative_bounds(self, x, r):
-        """(sup |D^3|, sup |D^4|) over B_r(x), one pair per point of x,
-        |D^j| the sum of the absolute entries.
+        """The jet at x and sampled sups over B_r(x) of its top orders,
+        from one jet call: (J, sups), J = (D^0, ..., D^k) at the points
+        of x and sups[j - 3] the sup of |D^j| over B_r(x) for j = 3..k,
+        one per point, |D^j| the sum of the absolute entries.  k is 3,
+        or with exact_jets 6 in 1d and 4 in 2d.
 
         Sampled, not certified: 1.5 times the largest value at x, x +-
         r/2 e_i and x +- r e_i (and on both diagonals in 2d), plus
-        1e-12, from one jet call; a derivative that peaks between the
-        samples is missed.  sup |D^4| is inf unless exact_jets, since
-        difference quotients and kinks give no fourth-order bound, and
-        where D^4 is not finite; a D^3 that is not finite raises
-        ArithmeticError.
+        1e-12; a derivative that peaks between the samples is missed.
+        A sup above the third that is not finite is inf; a D^3 that is
+        not finite raises ArithmeticError.
         """
         x = as_points(x, self.n)
+        m, k = x.shape[0], (3 if not self.exact_jets else
+                            6 if self.n == 1 else 4)
         dirs = np.eye(self.n)
         if self.n == 2:
             dirs = np.concatenate([dirs, [[1.0, 1.0], [1.0, -1.0]]
@@ -372,16 +380,16 @@ class SmoothFunction:
         offsets = np.concatenate([np.zeros((1, self.n))] + [
             c * r * dirs for c in (0.5, -0.5, 1.0, -1.0)])
         pts = (x[:, None, :] + offsets[None]).reshape(-1, self.n)
-        J = self.jet(pts, 4 if self.exact_jets else 3)
-        sups = [1.5 * np.abs(D).reshape(x.shape[0], -1, D[0].size).sum(
+        J = [D.reshape((m, len(offsets)) + D.shape[1:])
+             for D in self.jet(pts, k)]
+        sups = [1.5 * np.abs(D).reshape(m, len(offsets), -1).sum(
             axis=2).max(axis=1) + 1e-12 for D in J[3:]]
         if not np.all(np.isfinite(sups[0])):
             raise ArithmeticError(
                 "third derivative is not finite within %g of x = %s"
                 % (r, np.array2string(x.ravel())))
-        if not self.exact_jets:
-            return sups[0], np.full(x.shape[0], np.inf)
-        return sups[0], np.nan_to_num(sups[1], nan=np.inf)
+        return ([D[:, 0] for D in J],
+                sups[:1] + [np.nan_to_num(d, nan=np.inf) for d in sups[1:]])
 
     # algebra ----------------------------------------------------------------
 
@@ -457,7 +465,7 @@ class SmoothFunction:
 class _Node(SmoothFunction):
     """A function whose jet one rule computes: rule(x, k, call) returns
     [D^0, ..., D^k] at x, evaluating each child through call.jet.
-    exact=False marks a rule whose jets are not exact to order 4; a node
+    exact=False marks a rule whose jets are not exact to order 6; a node
     is exact_jets only if its rule and all its children are."""
 
     def __init__(self, n, rule, children=(), exact=True, **meta):
@@ -575,7 +583,8 @@ def gaussian_bump(n, center=None, width=1.0, height=1.0):
         return _chain([v] * (k + 1), q, k, n)
 
     rc = np.linalg.norm(c)
-    resid = lambda r: abs(h) * np.exp(-max(r - rc, 0.0) ** 2 / (2 * w * w))
+    resid = lambda r: abs(h) * np.exp(-np.maximum(r - rc, 0.0) ** 2
+                                      / (2 * w * w))
     fac = abs(h) / (w * w)
 
     def fourier(xi):
@@ -631,8 +640,9 @@ def polynomial_gaussian(coeffs, center=0.0, width=1.0):
     genv = np.exp(-grid * grid / 2)
     pv = np.abs(P.polyval(grid, polys[0]) * genv)
     sup = float(pv.max()) * pad
-    resid = lambda r: (sup if r < abs(c) + 12 * w else
-                       float(np.max(pv) * np.exp(-(max((r - abs(c)) / w, 12.0) ** 2 - 144) / 2)))
+    resid = lambda r: np.where(
+        r < abs(c) + 12 * w, sup, np.max(pv) * np.exp(
+            -(np.maximum((r - abs(c)) / w, 12.0) ** 2 - 144) / 2))
     gs = float(np.max(np.abs(P.polyval(grid, poly(1))) * genv)) / w * pad
     hs = float(np.max(np.abs(P.polyval(grid, poly(2))) * genv)) / w ** 2 * pad
     return _Node(1, jet, sup=sup, grad_sup=gs, hess_sup=hs,
@@ -766,7 +776,7 @@ def translate(f, a):
     a = np.atleast_1d(np.asarray(a, dtype=float))
     shift = np.linalg.norm(a)
     rs = f.tail.resid
-    tail = Tail(f.tail.limit, lambda r: rs(max(r - shift, 0.0)),
+    tail = Tail(f.tail.limit, lambda r: rs(np.maximum(r - shift, 0.0)),
                 f.tail.period, f.tail.amp)
     harm = None
     if f.harmonics is not None:
@@ -819,7 +829,8 @@ def directional_derivative(f, e):
     rs = f.tail.resid
     # derivative of the residual is not controlled by resid alone; fall
     # back to the gradient bound outside the catalog-certified region
-    tail = Tail(0.0, lambda r: min(f.grad_sup, 50.0 * rs(max(r - 1.0, 0.0))),
+    tail = Tail(0.0, lambda r: np.minimum(
+        f.grad_sup, 50.0 * rs(np.maximum(r - 1.0, 0.0))),
                 f.tail.period, f.grad_sup if f.tail.period else 0.0)
     if f.harmonics is not None and f.tail.period is not None:
         amp = sum(abs(a * np.dot(k, e)) for a, k, p in f.harmonics)
@@ -860,12 +871,17 @@ def positive_part_square(f):
     lim = max(f.tail.limit, 0.0) ** 2
     rs, amp = f.tail.resid, f.tail.amp
     bound = abs(f.tail.limit) + amp
-    tail = Tail(lim, lambda r: rs(r) * 2 * (bound + rs(r)) + 2 * amp * bound + amp ** 2
-                if f.tail.period else rs(r) * (2 * bound + rs(r)))
+
+    def resid(r):
+        a = rs(r)
+        if f.tail.period:
+            return a * 2 * (bound + a) + 2 * amp * bound + amp ** 2
+        return a * (2 * bound + a)
+
     return _compose(f, dphi, exact=False, sup=f.sup ** 2,
                     grad_sup=2 * f.sup * f.grad_sup,
                     hess_sup=2 * f.sup * f.hess_sup + 2 * f.grad_sup ** 2,
-                    tail=tail)
+                    tail=Tail(lim, resid))
 
 
 # -- cutoffs ------------------------------------------------------------------
@@ -1002,7 +1018,7 @@ def averaged_square(u, h, e, order=16):
                 for D in J[:k + 1]]
 
     rs = u2.tail.resid
-    tail = Tail(u2.tail.limit, lambda r: rs(max(r - abs(h), 0.0)),
+    tail = Tail(u2.tail.limit, lambda r: rs(np.maximum(r - abs(h), 0.0)),
                 u2.tail.period, u2.tail.amp)
     return _Node(u.n, jet, ((u2, 0),), sup=u.sup ** 2,
                  grad_sup=u2.grad_sup, hess_sup=u2.hess_sup, tail=tail)
@@ -1119,8 +1135,8 @@ class GridFunction:
         sup = max(float(np.max(np.abs(self.values))), ext.sup)
         rs = ext.tail.resid
         tail = Tail(ext.tail.limit,
-                    lambda r: (rs(r) if r > self.L * np.sqrt(self.n)
-                               else rs(r) + sup + abs(ext.tail.limit)),
+                    lambda r: np.where(r > self.L * np.sqrt(self.n), rs(r),
+                                       rs(r) + sup + abs(ext.tail.limit)),
                     ext.tail.period, ext.tail.amp)
         return SmoothFunction(self.n, val, grad, hess, sup=sup,
                               grad_sup=np.inf, hess_sup=np.inf, tail=tail)

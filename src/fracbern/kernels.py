@@ -157,15 +157,16 @@ class Kernel:
     def is_power_law(self):
         return self._angular is not None
 
+    def _cached(self, key, compute):
+        hit = self._angular_cache.get(key)
+        if hit is None:
+            hit = self._angular_cache[key] = compute()
+        return hit
+
     def tail_mass(self, R):
         """(value, error_bound) for the kernel mass outside B_R."""
-        key = ("tm", float(R))
-        hit = self._angular_cache.get(key)
-        if hit is not None:
-            return hit
-        out = self._tail_mass_uncached(R)
-        self._angular_cache[key] = out
-        return out
+        return self._cached(("tm", float(R)),
+                            lambda: self._tail_mass_uncached(R))
 
     def _tail_mass_uncached(self, R):
         p = self.n + 2 * self.s
@@ -210,20 +211,24 @@ class Kernel:
 
     def second_moment_matrix(self, r):
         """(M, error) with M = integral over B_r of z z^T K(z) dz."""
-        key = ("m2", float(r))
-        hit = self._angular_cache.get(key)
-        if hit is not None:
-            return hit
-        out = self._second_moment_uncached(r)
-        self._angular_cache[key] = out
-        return out
+        return self._cached(("m2", float(r)),
+                            lambda: self._moment_uncached(2, r))
 
-    def _second_moment_uncached(self, r):
+    def fourth_moment(self, r):
+        """(m, error) with m = integral over |z| < r of z^4 K(z) dz, 1d."""
+        if self.n != 1:
+            raise NotImplementedError("the fourth moment is 1d only")
+        m, err = self._cached(("m4", float(r)),
+                              lambda: self._moment_uncached(4, r))
+        return float(m[0, 0]), err
+
+    def _moment_uncached(self, p, r):
+        # integral over B_r of |z|^{p-2} z z^T K(z) dz: exact for power
+        # laws, else panels over nine decades below r plus the C2 bound
         if self.is_power_law():
-            M = self._angular_integral(1) * r ** (2 - 2 * self.s) / (2 - 2 * self.s)
+            M = self._angular_integral(1) * r ** (p - 2 * self.s) / (p - 2 * self.s)
             return np.atleast_2d(M), 0.0
-        surf = 2.0 if self.n == 1 else 2 * np.pi
-        if self._radial_moment2 is not None and self.n == 1:
+        if p == 2 and self._radial_moment2 is not None and self.n == 1:
             v = self._radial_moment2(r)
             return np.array([[2 * v]]), 1e-13 * abs(v)
         lo = r * 1e-9
@@ -234,21 +239,12 @@ class Kernel:
         M = np.zeros((self.n, self.n))
         for d in dirs:
             kd = self(t[:, None] * d[None, :])
-            M += dw * np.outer(d, d) * np.dot(wt, kd * t ** (self.n + 1))
-        rem = self.C2 * self.s * (1 - self.s) * surf \
-            * lo ** (2 - 2 * self.s) / (2 - 2 * self.s)
-        return M, rem
+            M += dw * np.outer(d, d) * np.dot(wt, kd * t ** (self.n - 1 + p))
+        return M, self.abs_moment(p, lo)
 
-    def third_abs_moment(self, r):
-        """Upper bound on integral over B_r of |z|^3 K(z) dz."""
-        return self._abs_moment(3, r)
-
-    def fourth_abs_moment(self, r):
-        """Upper bound on integral over B_r of |z|^4 K(z) dz."""
-        return self._abs_moment(4, r)
-
-    def _abs_moment(self, p, r):
-        # K(z) <= C2 s (1 - s) |z|^{-n-2s}, integrated against |z|^p
+    def abs_moment(self, p, r):
+        """Upper bound on integral over B_r of |z|^p K(z) dz (p > 2s), from
+        K(z) <= C2 s (1 - s) |z|^{-n-2s}; r may be an array."""
         surf = 2.0 if self.n == 1 else 2 * np.pi
         return self.C2 * self.s * (1 - self.s) * surf \
             * r ** (p - 2 * self.s) / (p - 2 * self.s)

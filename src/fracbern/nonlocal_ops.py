@@ -11,16 +11,19 @@ error estimate:
   kernel second moment;
 - correction zone r_zone < |z| < r0: a cancellation-free Bochner
   segment form of the cubic remainder, with a fine/coarse panel pair;
-- below r_zone: the paired remainder is even in z, so at most sup |D^4
-  G| |z|^4 / 24 (the sup sampled by G.derivative_bounds).  r_zone is
-  the largest power of ten up to r0 where that bound, against the
-  kernel's fourth moment, is small next to the tolerance and the other
-  errors (_zone_cuts); a probe with r_zone = r0 skips the zone.  Every
-  refinement pass cuts again against its own errors: a probe whose
-  edge falls reruns its zone from there.  Without exact jets to order
-  4 (closure leaves, positive parts), or once the zone's own error
-  holds over half the tolerance, r_zone = eps = 1e-10 and a bound from
-  the third derivative covers |z| < eps;
+- below r_zone: the paired remainder is even in z.  In 1d its quartic
+  Taylor term D^4 G(x) z^4 / 24 is integrated exactly against the
+  kernel's fourth moment, and the rest is at most sup |D^6 G| |z|^6 /
+  720; in 2d the whole is at most sup |D^4 G| |z|^4 / 24 (the sups
+  sampled by G.derivative_bounds, whose one jet call also gives the jet
+  at x).  r_zone is the largest power of ten up to r0 where that bound,
+  against the kernel's absolute moment, is small next to the tolerance
+  and the other errors (_zone_cuts); a probe with r_zone = r0 skips the
+  zone.  Every refinement pass cuts again against its own errors: a
+  probe whose edge falls reruns its zone from there.  Without exact
+  jets (closure leaves, positive parts), or once the zone's own error
+  holds over half the tolerance, r_zone = eps = 1e-10, with no quartic
+  term, and a bound from the third derivative covers |z| < eps;
 - annulus r0 < |z| < R: log-radial Gauss-Legendre panels (times a
   trapezoid angular rule in 2d), with a fine/coarse Richardson pair;
 - far field |z| > R: the integrand's tail metadata, exact for compact
@@ -39,6 +42,7 @@ the fractional Laplacian with Fourier symbol |xi|^{2s}.
 """
 
 from functools import lru_cache
+from math import factorial
 
 import numpy as np
 
@@ -220,34 +224,41 @@ def _integrate(kernel, G, xs, plan):
     row x of xs, shape (m, n).
 
     Returns a dict of per-probe arrays: value, error, the pieces inner,
-    zone, annulus and tail, the outer radius r_outer, the zone's lower
-    edge r_zone, the tolerance scale and a converged flag.  Every pass
-    starts each of its probes' zones at the quartic cut against that
-    pass's errors (_zone_cuts), and reruns a zone whose edge falls.
-    Probes that miss plan.rel_tol are refined alone: the annulus and the
-    tail at a higher order with more panels per decade (and a 4x outer
-    radius where the tail holds over half the error), the correction
-    zone, from eps and uncut, where its own error holds over half the
-    tolerance.  After the last refinement a probe within 30x the
-    tolerance still counts as converged.
+    quartic (the Taylor term below r_zone, 1d only), zone, annulus and
+    tail, the outer radius r_outer, the zone's lower edge r_zone, the
+    tolerance scale and a converged flag.  Every pass starts each of its
+    probes' zones at the cut against that pass's errors (_zone_cuts:
+    sextic in 1d, quartic in 2d), and reruns a zone, with its quartic
+    term, whose edge falls.  Probes that miss plan.rel_tol are refined
+    alone: the annulus and the tail at a higher order with more panels
+    per decade (and a 4x outer radius where the tail holds over half the
+    error), the correction zone, from eps, uncut and without a quartic
+    term, where its own error holds over half the tolerance.  After the
+    last refinement a probe within 30x the tolerance still counts as
+    converged.
     """
     m = xs.shape[0]
-    gx, _, H = G.jet(xs, 2)
+    J, sups = G.derivative_bounds(xs, R_INNER)
+    gx, H = J[0], J[2]
     # quadratic part against the exact second moment of the kernel
     M2, m2err = kernel.second_moment_matrix(R_INNER)
     inner = 0.5 * np.sum(H * M2, axis=(1, 2))
     inner_err = 0.5 * np.abs(H).sum(axis=(1, 2)) * m2err
     # below eps the remainder is O(|z|^3), bounded through D^3 G
     eps = 1e-8 * R_INNER
-    d3, d4 = G.derivative_bounds(xs, R_INNER)
-    below_err = d3 * kernel.third_abs_moment(eps) / 3.0
+    below_err = sups[0] * kernel.abs_moment(3, eps) / 3.0
+    # the sup the zone cut bounds with: D^6 G in 1d, where the cut adds
+    # the quartic Taylor term D^4 G(x) exactly, and D^4 G in 2d
+    top = sups[-1] if G.exact_jets else np.full(m, np.inf)
+    d4x = J[4].reshape(m) if G.exact_jets and kernel.n == 1 else None
     # round-off: besides 64 eps times the pieces summed (as in the
     # oracle), the annulus subtracts G(x) against the kernel mass past
     # R_INNER, an ulp of G(x) per unit of mass
     roundoff = EPS * np.abs(gx) * kernel.tail_mass(R_INNER)[0]
 
     # r_zone starts above every edge, so the first cut reruns every zone
-    out = {"inner": inner, "zone": np.zeros(m), "r_zone": np.full(m, np.inf)}
+    out = {"inner": inner, "quartic": np.zeros(m), "zone": np.zeros(m),
+           "r_zone": np.full(m, np.inf)}
     for key in ("value", "error", "annulus", "tail", "r_outer", "scale"):
         out[key] = np.empty(m)
     zone_err, low_err = np.zeros(m), np.zeros(m)
@@ -255,7 +266,7 @@ def _integrate(kernel, G, xs, plan):
     order, ppd = plan.order, plan.panels_per_decade
     R = _pick_outer(kernel, G, float(np.linalg.norm(xs, axis=1).max()),
                     plan.rel_tol)
-    for _ in range(plan.max_refine + 1):
+    for it in range(plan.max_refine + 1):
         x, gxt = xs[todo], gx[todo]
 
         def paired(rows, z):
@@ -273,15 +284,16 @@ def _integrate(kernel, G, xs, plan):
         inn = inner[todo]
         scale = _scale(inn + ann + tail,
                        np.abs(inn) + np.abs(ann) + np.abs(tail), G.sup)
-        r_cut, r_err = _zone_cuts(
-            kernel, d4[todo], np.minimum(
-                1e-3 * plan.rel_tol * scale,
-                0.1 * (inner_err[todo] + ann_err + tail_err
-                       + below_err[todo])),
+        r_cut, r_err, r_quartic = _zone_cuts(
+            kernel, top[todo], None if d4x is None else d4x[todo],
+            np.minimum(1e-3 * plan.rel_tol * scale,
+                       0.1 * (inner_err[todo] + ann_err + tail_err
+                              + below_err[todo])),
             eps, below_err[todo])
         falls = r_cut < out["r_zone"][todo]
         rerun = todo[falls]
         out["r_zone"][rerun], low_err[rerun] = r_cut[falls], r_err[falls]
+        out["quartic"][rerun] = r_quartic[falls]
         rerun = np.union1d(rerun, uncut)
         for r_lo in np.unique(out["r_zone"][rerun]):
             if r_lo >= R_INNER:
@@ -292,9 +304,10 @@ def _integrate(kernel, G, xs, plan):
                 kernel, lambda sl, z: _bochner(G, zx[sl], zh[sl], z),
                 rows.size, r_lo, R_INNER, (zo, zp),
                 (max(zo - 4, 4), max(zp - 1, 2)), N_ANGULAR // 3)
-        zone = out["zone"][todo]
-        value = inn + zone + ann + tail
-        piece = np.abs(inn) + np.abs(zone) + np.abs(ann) + np.abs(tail)
+        zone, quartic = out["zone"][todo], out["quartic"][todo]
+        value = inn + quartic + zone + ann + tail
+        piece = np.abs(inn) + np.abs(quartic) + np.abs(zone) + np.abs(ann) \
+            + np.abs(tail)
         error = inner_err[todo] + zone_err[todo] + low_err[todo] \
             + ann_err + tail_err + 64 * EPS * piece + roundoff[todo]
         scale = _scale(value, piece, G.sup)
@@ -304,12 +317,13 @@ def _integrate(kernel, G, xs, plan):
         tol = plan.rel_tol * scale
         miss = ~((error <= tol) | (error < 1e-18 * max(1.0, G.sup)))
         todo = todo[miss]
-        if todo.size == 0:
+        if todo.size == 0 or it == plan.max_refine:
             break
         # the zone runs again, uncut, where it holds over half the
         # tolerance; R grows where the tail holds over half the error
         uncut = todo[zone_err[todo] > 0.5 * tol[miss]]
         out["r_zone"][uncut], low_err[uncut] = eps, below_err[uncut]
+        out["quartic"][uncut] = 0.0
         if np.any(tail_err[miss] > 0.5 * error[miss]):
             R *= 4
         order, ppd = order + 8, ppd + 3
@@ -326,43 +340,54 @@ def _scale(value, piece, sup):
                       max(sup * 1e-6, 1e-30))
 
 
-def _zone_cuts(kernel, d4, budget, eps, below_err):
-    """Lower edge of each probe's correction zone and the bound on the
-    part below it.
+def _zone_cuts(kernel, top, d4x, budget, eps, below_err):
+    """Lower edge of each probe's correction zone, the bound on the part
+    below it and the quartic term added for that part.
 
-    The paired remainder is even in z, so on B_r it is at most d4
-    M_4(r) / 24, M_4 the kernel's fourth absolute moment on B_r and d4
-    the sampled sup |D^4 G| on B_{R_INNER}.  The edge is the largest
-    power of ten from R_INNER down to 10 eps where that bound is within
-    the probe's budget, which it then replaces.  Elsewhere (always
-    where d4 is inf) the zone starts at eps, with the cubic bound
-    below_err below it.
+    The paired remainder (G(x+z) + G(x-z))/2 - G(x) - z^T H z / 2 is even
+    in z.  With d4x = D^4 G(x) (1d), its quartic term against the
+    kernel's fourth moment on B_r, D^4 G(x) m_4(r) / 24, is added exactly
+    and the rest is at most top M_6(r) / 720; without it, the whole is at
+    most top M_4(r) / 24.  M_p is the kernel's p-th absolute moment on
+    B_r and top the sampled sup of |D^6 G| (resp. |D^4 G|) on B_{R_INNER}.
+    The edge is the largest power of ten from R_INNER down to 10 eps
+    where that bound is within the probe's budget; the bound, plus the
+    error of m_4, then replaces below_err.  Elsewhere (always where top
+    is inf) the zone starts at eps, with no quartic term and the cubic
+    bound below_err below it.
     """
     edges = np.array([10.0 ** k for k in range(round(np.log10(R_INNER)),
                                               round(np.log10(eps)), -1)])
-    quartic = d4[:, None] * kernel.fourth_abs_moment(edges) / 24.0
-    ok = quartic <= budget[:, None]
+    p = 4 if d4x is None else 6
+    bound = top[:, None] * kernel.abs_moment(p, edges) / factorial(p)
+    ok = bound <= budget[:, None]
     k, rows = np.argmax(ok, axis=1), np.arange(len(budget))
     cut = ok[rows, k]
-    return (np.where(cut, edges[k], eps),
-            np.where(cut, quartic[rows, k], below_err))
+    r_zone = np.where(cut, edges[k], eps)
+    err = np.where(cut, bound[rows, k], below_err)
+    if d4x is None:
+        return r_zone, err, np.zeros(len(budget))
+    m4, m4_err = np.array([kernel.fourth_moment(e) for e in edges]).T
+    return (r_zone, err + np.where(cut, np.abs(d4x) * m4_err[k] / 24.0, 0.0),
+            np.where(cut, d4x * m4[k] / 24.0, 0.0))
 
 
 def singular_integral(kernel, G, x, plan=None):
     """Paired PV integral of (G(y) - G(x)) K(x - y) dy at one point x.
 
     A batch of one through the shared pipeline (module docstring).
-    Returns an OperatorValue with the breakdown inner / zone / annulus /
-    tail / r_inner / r_outer / r_zone and the tolerance scale in .scale;
-    raises QuadratureFailure carrying that value as .partial if
-    refinement cannot reach plan.rel_tol and plan.strict is set.
+    Returns an OperatorValue with the breakdown inner / quartic / zone /
+    annulus / tail / r_inner / r_outer / r_zone and the tolerance scale
+    in .scale; raises QuadratureFailure carrying that value as .partial
+    if refinement cannot reach plan.rel_tol and plan.strict is set.
     """
     if plan is None:
         plan = default_plan(kernel.n)
     res = _integrate(kernel, G, as_points(x, kernel.n).reshape(1, -1), plan)
     r = {key: v[0] for key, v in res.items()}
     out = OperatorValue(r["value"], r["error"], {
-        "inner": float(r["inner"]), "zone": float(r["zone"]),
+        "inner": float(r["inner"]), "quartic": float(r["quartic"]),
+        "zone": float(r["zone"]),
         "annulus": float(r["annulus"]), "tail": float(r["tail"]),
         "r_inner": R_INNER, "r_outer": float(r["r_outer"]),
         "r_zone": float(r["r_zone"])})
@@ -394,15 +419,22 @@ def singular_integral_batch(kernel, G, xs, plan=None):
     return values, errors
 
 
+def _resid(tail, r):
+    """tail.resid at the radii max(r, 0) of the array r, in one call."""
+    r = np.maximum(r, 0.0)
+    return np.broadcast_to(tail.resid(r), r.shape)
+
+
 def _tail(kernel, G, xs, gx, R):
     """Far-field contribution past |z| = R at every probe row of xs,
     from G's tail metadata; returns (values, errors)."""
     tm, tm_err = kernel.tail_mass(R)
     lim = G.tail.limit
+    # resid(0) and resid(R - |x|) per probe in one call
+    resid = _resid(G.tail, np.append(0.0, R - np.linalg.norm(xs, axis=1)))
     value = (lim - gx) * tm
-    error = tm_err * (np.abs(lim - gx) + G.tail.resid(0.0) + G.tail.amp)
-    resid = np.array([G.tail.resid(max(R - r, 0.0))
-                      for r in np.linalg.norm(xs, axis=1)])
+    error = tm_err * (np.abs(lim - gx) + resid[0] + G.tail.amp)
+    resid = resid[1:]
     if G.tail.period is not None and kernel.n == 1:
         def gtilde(t):
             p, q = _both_signs(G, xs, t[:, None])
@@ -740,16 +772,16 @@ def _far_data_integral(kernel, exterior, xs, R):
         return _tail(kernel, exterior, xs, np.zeros(len(xs)), R)[0]
     val = np.full(len(xs), exterior.tail.limit * kernel.tail_mass(R)[0])
     xn = np.linalg.norm(xs, axis=1)
-    resid = np.array([exterior.tail.resid(max(R - r, 0.0)) for r in xn])
+    resid = _resid(exterior.tail, R - xn)
     rows = np.flatnonzero(resid > 0)
     if rows.size == 0:
         return val
     z, kz, w = _radial_nodes(kernel, R, R * 1e5, 8, 3)
     edges, xmax = geometric_edges(R, R * 1e5, 3), xn[rows].max()
     floor = np.finfo(float).eps * resid[rows].min() * kernel.tail_mass(R)[0]
-    keep = next((j for j, e in enumerate(edges[1:-1], 1)
-                 if exterior.tail.resid(max(e - xmax, 0.0))
-                 * sum(kernel.tail_mass(e)) <= floor), len(edges) - 1)
+    bounds = _resid(exterior.tail, edges[1:-1] - xmax)
+    keep = next((j for j, (e, b) in enumerate(zip(edges[1:-1], bounds), 1)
+                 if b * sum(kernel.tail_mass(e)) <= floor), len(edges) - 1)
     k = keep * len(z) // (len(edges) - 1)
     z, kz, w = z[:k], kz[:k], w[:k]
 

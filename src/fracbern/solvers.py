@@ -54,7 +54,7 @@ def barrier(R=1.0, n=1):
 
     return SmoothFunction(n, val, grad, hess, sup=100.0,
                           grad_sup=20.0 / R, hess_sup=2.0 / R ** 2,
-                          tail=Tail(98.0, lambda r: 100.0 if r < 10 * R else 0.0))
+                          tail=Tail(98.0, lambda r: np.where(r < 10 * R, 100.0, 0.0)))
 
 
 def barrier_check(op, R=1.0, n=1, probes=None, plan=None,
@@ -399,8 +399,8 @@ def _quotient_closure(ext, e, h, sign):
     e = np.atleast_1d(np.asarray(e, dtype=float))
     q = (translate(ext, sign * h * e) - ext) * (1.0 / (sign * h))
     rs = ext.tail.resid
-    q.tail = Tail(0.0, lambda r: min(ext.grad_sup,
-                                     2.0 * rs(max(r - 1.0, 0.0)) / h),
+    q.tail = Tail(0.0, lambda r: np.minimum(
+        ext.grad_sup, 2.0 * rs(np.maximum(r - 1.0, 0.0)) / h),
                   ext.tail.period, ext.grad_sup if ext.tail.period else 0.0)
     q.sup, q.grad_sup, q.hess_sup = ext.grad_sup, ext.hess_sup, np.inf
     return q
@@ -416,7 +416,8 @@ def _fd_closure(ext, e, h, order):
         d = (up + down - ext * 2.0) * (1.0 / h ** 2)
     scale = ext.grad_sup if order == 1 else ext.hess_sup
     rs = ext.tail.resid
-    d.tail = Tail(0.0, lambda r: min(scale, 4.0 * rs(max(r - 1.0, 0.0)) / h ** order),
+    d.tail = Tail(0.0, lambda r: np.minimum(
+        scale, 4.0 * rs(np.maximum(r - 1.0, 0.0)) / h ** order),
                   ext.tail.period, scale if ext.tail.period else 0.0)
     d.sup, d.grad_sup, d.hess_sup = scale, np.inf, np.inf
     return d

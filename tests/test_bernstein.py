@@ -357,6 +357,23 @@ def test_j_terms_two_route_consistency():
     assert r["bound_holds"]
 
 
+def test_j_terms_skip_the_cross_term(monkeypatch):
+    # R1 and R2 are the two squared differences; the cross term, which
+    # compute_J_terms does not report, is not integrated
+    import fracbern.bernstein as bern
+    calls, apply_batch = [], bern.apply_batch
+
+    def counting(*args, **kw):
+        calls.append(args[1])
+        return apply_batch(*args, **kw)
+
+    monkeypatch.setattr(bern, "apply_batch", counting)
+    u, eta = _mix(), make_cutoff(0.5, 1.0, n=1)
+    assert abs(directional_derivative(u, E1)(np.zeros((1, 1)))[0]) > 0.1
+    r = compute_J_terms(fractional_kernel(1, 0.5), u, eta, 0.25)
+    assert len(calls) == 2 and r["R1"] > 0 and r["R2"] > 0
+
+
 # -- radial identity --------------------------------------------------------------
 
 def test_radial_identity_closed_form_point():

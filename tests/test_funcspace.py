@@ -120,6 +120,26 @@ def test_d4_match_fd_of_d3(monkeypatch):
             assert np.max(np.abs(T[..., i] - fd)) <= 1e-5 * scale
 
 
+def test_d6_match_fd_of_d5(monkeypatch):
+    # exact sixth derivatives, which the sextic zone cut bounds in 1d,
+    # without the finite-difference fallback
+    def no_fd(self, x, j):
+        raise AssertionError("finite-difference fallback reached")
+
+    monkeypatch.setattr(SmoothFunction, "_derivative", no_fd)
+    rng = np.random.default_rng(6)
+    h = 1e-5
+    for u in _catalog_leaves() + _criterion_04_composites():
+        assert u.exact_jets
+        pts = rng.uniform(-1.2, 1.2, size=(40, u.n))
+        T = u.jet(pts, 6)[6]
+        for i in range(u.n):
+            dx = np.zeros((1, u.n)); dx[0, i] = h
+            fd = (u.jet(pts + dx, 5)[5] - u.jet(pts - dx, 5)[5]) / (2 * h)
+            scale = max(np.max(np.abs(T)), 1.0)
+            assert np.max(np.abs(T[..., i] - fd)) <= 1e-5 * scale
+
+
 def test_exact_jets_flag():
     u = gaussian_bump(1, 0.0, 1.0)
     closure = harmonic_polynomial(1, "x1")
@@ -133,15 +153,19 @@ def test_exact_jets_flag():
 
 
 def test_sampled_d4_bound_covers_dense_max():
-    # the sampled sup |D^4| over B_r(x), r = 1e-2 (the zone's outer
-    # radius), is at least the max over 201 points of the segment
+    # the sampled sups of |D^3| to |D^6| over B_r(x), r = 1e-2 (the
+    # zone's outer radius), are at least the max over 201 points of the
+    # segment, and the jet at x comes from the same call
     r = 1e-2
     xs = _criterion_04_probes(24)
     dense = (xs[:, None, :] + np.linspace(-r, r, 201)[None, :, None])
     for G in _criterion_04_composites():
-        d3, d4 = G.derivative_bounds(xs, r)
-        J = G.jet(dense.reshape(-1, 1), 4)
-        for bound, D in [(d3, J[3]), (d4, J[4])]:
+        Jx, sups = G.derivative_bounds(xs, r)
+        assert len(sups) == 4
+        for a, b in zip(Jx, G.jet(xs, 6)):
+            assert np.array_equal(a, b)
+        J = G.jet(dense.reshape(-1, 1), 6)
+        for bound, D in zip(sups, J[3:]):
             sup = np.abs(D).reshape(len(xs), -1).max(axis=1)
             assert np.all(bound >= sup)
 
@@ -154,6 +178,27 @@ def test_derivative_bounds_rejects_non_finite_d3():
         sup=10.0, grad_sup=1.0, hess_sup=0.0, tail=Tail.bounded(10.0))
     with pytest.raises(ArithmeticError, match="not finite"):
         bad.derivative_bounds(np.array([0.3]), 1e-3)
+
+
+def test_tail_resid_takes_radius_arrays():
+    # a resid closure maps an array of radii to the values of one call
+    # per radius, bit for bit
+    from fracbern.solvers import _fd_closure, _quotient_closure, barrier
+    u = gaussian_bump(1, 0.2, 0.8) + polynomial_gaussian([1.0, 0.5], 0.1, 1.2)
+    du = directional_derivative(u, E1)
+    eta = make_cutoff(0.25, 0.5, n=1)
+    fs = [u, du, eta * eta * du * du + u * u * 1.5, translate(u, 0.7),
+          affine_precompose(u, [[1.3]]), positive_part_square(du - 0.1),
+          averaged_square_root(u, 0.1, E1), incremental_quotient(u, 0.1, E1),
+          plane_wave(1.2) * u + constant(0.3, 1), barrier(1.0, 1),
+          _quotient_closure(u, E1, 1 / 32, 1), _fd_closure(u, E1, 1 / 32, 2),
+          GridFunction(1, 2.0, np.linspace(0.0, 1.0, 9), u).promote(),
+          tensor_product(u, gaussian_bump(1, 0.0, 1.0))]
+    rs = np.array([0.0, 0.3, 0.5, 1.0, 2.0, 2.9, 3.0, 7.5, 10.0, 12.0, 40.0])
+    for f in fs:
+        one = np.array([f.tail.resid(r) for r in rs], dtype=float)
+        assert np.array_equal(np.broadcast_to(f.tail.resid(rs), rs.shape),
+                              one)
 
 
 def test_sup_metadata_upper_bounds():

@@ -135,9 +135,9 @@ def test_validate_log_modulated_ratio_three():
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_abs_moment_bounds_cover_quadrature(n):
-    # the C2 bounds of third_abs_moment and fourth_abs_moment are at
-    # least the ball integrals of |z|^p K, here on geometric panels over
-    # 14 decades below r (and 256 directions in 2d)
+    # the C2 bounds abs_moment(p, r), p = 3, 4 and 6, are at least the
+    # ball integrals of |z|^p K, here on geometric panels over 14
+    # decades below r (and 256 directions in 2d)
     from fracbern._quad import geometric_edges, panel_nodes
     from fracbern.kernels import sphere_directions
     A = np.array([[1.3]]) if n == 1 else np.array([[1.3, 0.2], [0.2, 0.8]])
@@ -150,10 +150,28 @@ def test_abs_moment_bounds_cover_quadrature(n):
             t, wt = panel_nodes(geometric_edges(r * 1e-14, r, 4), 16)
             kz = K((t[:, None, None] * dirs[None]).reshape(-1, n))
             radial = dw * kz.reshape(len(t), -1).sum(axis=1) * t ** (n - 1)
-            for p, bound in [(3, K.third_abs_moment(r)),
-                             (4, K.fourth_abs_moment(r))]:
+            for p in (3, 4, 6):
                 quad = np.dot(wt, radial * t ** p)
-                assert quad <= bound * (1 + 1e-12), (K, r, p)
+                assert quad <= K.abs_moment(p, r) * (1 + 1e-12), (K, r, p)
+
+
+def test_fourth_moment_matches_quadrature():
+    # m_4(r) = int_{|z| < r} z^4 K, exact for the power laws and from
+    # panels plus a C2 remainder for the log-modulated kernel, agrees
+    # with geometric panels over 14 decades below r within its error
+    from fracbern._quad import geometric_edges, panel_nodes
+    kernels = [fractional_kernel(1, 0.3), fractional_kernel(1, 0.9),
+               anisotropic_kernel(0.6, np.array([[1.3]])),
+               _log_modulated(1, 0.5), _log_modulated(1, 0.95)]
+    for K in kernels:
+        for r in [1e-9, 1e-5, 1e-2, 1.0, 3.0]:
+            t, wt = panel_nodes(geometric_edges(r * 1e-14, r, 4), 16)
+            quad = np.dot(wt, (K(t) + K(-t)) * t ** 4)
+            m4, err = K.fourth_moment(r)
+            assert abs(m4 - quad) <= err + 1e-14 * quad, (K, r)
+            assert err <= 1e-12 * m4
+    with pytest.raises(NotImplementedError):
+        fractional_kernel(2, 0.5).fourth_moment(1.0)
 
 
 def test_rescale_power_kernels_pointwise_invariant():
