@@ -54,30 +54,29 @@ def row_dot(a, w):
     return (a[..., None, :] @ w)[..., 0]
 
 
-def periodic_tail_1d(g, period, start, kernel_ray, kernel_ray_tail,
-                     n_sum=48, order=24):
+def periodic_tail_1d(g, period, start, kernel_ray, kernel_ray_tail):
     """Integral of g(t)*K(t) over [start, inf) for g periodic, mean zero.
 
-    g : maps the (order,) quadrature nodes of one period to an array of
-        shape (..., order): one row per integrand (e.g. per probe), each
+    g : maps the (24,) quadrature nodes of one period to an array of
+        shape (..., 24): one row per integrand (e.g. per probe), each
         periodic with the given period and zero mean
     kernel_ray : t -> K(t) along the ray (vectorized)
     kernel_ray_tail : a -> integral of K over [a, inf) along the ray
 
     Uses the lattice sum S(xi) = sum_m K(start + xi + m*period), whose
-    remainder past n_sum terms is evaluated with Euler-Maclaurin; the
-    single-period integral of g * S is then a smooth quadrature.  S does
+    remainder past 48 terms is evaluated with Euler-Maclaurin; the
+    single-period integral of g * S is then a 24-node Gauss rule.  S does
     not depend on g, so one call serves every row.
     Returns (value, error_estimate), each of g's leading shape.
     """
-    x, w = gl_rule(order)
+    x, w = gl_rule(24)
     xi = 0.5 * period * (x + 1.0)
     wxi = 0.5 * period * w
-    m = np.arange(n_sum)
+    m = np.arange(48)
     pts = start + xi[:, None] + period * m[None, :]
     s = kernel_ray(pts.ravel()).reshape(pts.shape).sum(axis=1)
-    # Euler-Maclaurin remainder of sum_{m >= n_sum} K(a + m*period)
-    a = start + xi + period * n_sum
+    # Euler-Maclaurin remainder of sum_{m >= 48} K(a + m*period)
+    a = start + xi + period * 48
     dk = 1e-4 * a
     k0 = kernel_ray(a)
     k1 = (kernel_ray(a + dk) - kernel_ray(a - dk)) / (2 * dk)

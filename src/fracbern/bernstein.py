@@ -48,14 +48,14 @@ class SearchFailure(Exception):
 class InequalityReport:
     """Per-probe left/right sides with quadrature errors and a verdict."""
 
-    def __init__(self, probes, lhs, rhs, errors, params, slack=0.0):
+    def __init__(self, probes, lhs, rhs, errors, params):
         self.probes = np.asarray(probes)
         self.lhs = np.asarray(lhs, dtype=float)
         self.rhs = np.asarray(rhs, dtype=float)
         self.errors = np.asarray(errors, dtype=float)
         self.params = dict(params)
         self.residual = self.lhs - self.rhs
-        self.margins = self.rhs + self.errors + slack - self.lhs
+        self.margins = self.rhs + self.errors - self.lhs
         self.verdict = bool(np.all(self.margins >= 0.0))
         self.worst_margin = float(np.min(self.margins))
 
@@ -148,7 +148,7 @@ def _squares(op, eta, pieces, u, x, plan):
 
 # -- first-order key inequality -------------------------------------------------
 
-def check_first_order_fraclap(u, eta, e, s, probes, plan=None,
+def check_first_order_fraclap(u, eta, e, s, probes,
                               verify_multipliers=(1.0, 2.0, 4.0)):
     """Threshold sigma0 for the gradient-flavored key inequality.
 
@@ -162,10 +162,9 @@ def check_first_order_fraclap(u, eta, e, s, probes, plan=None,
     quadrature of the full composite.  L is (-Delta)^s, or any operator
     apply_batch takes.
     """
-    if plan is None:
-        plan = _lenient(u.n)
+    plan = _lenient(u.n)
     probes = as_points(probes, u.n)
-    A, S, errA, errS = check_first_order_batch(u, eta, e, s, probes, plan)
+    A, S, errA, errS = check_first_order_batch(u, eta, e, s, probes)
     sigma0 = doubling_bisection(
         lambda sig: np.all(A + sig * S <= errA + sig * errS))
     du = directional_derivative(u, e)
@@ -183,7 +182,7 @@ def check_first_order_fraclap(u, eta, e, s, probes, plan=None,
     return sigma0, reports
 
 
-def check_first_order_batch(u, eta, e, s, probes, plan=None):
+def check_first_order_batch(u, eta, e, s, probes):
     """The sigma0 search data of the first-order inequality.
 
     Returns per-probe (A, S, errA, errS), with A + sigma S the residual
@@ -192,8 +191,7 @@ def check_first_order_batch(u, eta, e, s, probes, plan=None):
     estimates of the batched integrals it is built from.  s is the
     operator: an order in [0, 1], a Kernel or a MeasureOnUnit.
     """
-    if plan is None:
-        plan = _lenient(u.n)
+    plan = _lenient(u.n)
     probes = as_points(probes, u.n)
     du = directional_derivative(u, e)
     A, errA = _split(s, (eta * eta) * (du * du), du,
@@ -202,7 +200,7 @@ def check_first_order_batch(u, eta, e, s, probes, plan=None):
     return A, S, errA, errS
 
 
-def sigma_affinity(u, eta, e, s, x, sigmas, plan=None, op=None):
+def sigma_affinity(u, eta, e, s, x, sigmas, op=None):
     """Full-quadrature residuals at three weights plus the slope oracle.
 
     Returns (residuals, collinearity, slope_fit, slope_direct) where
@@ -211,8 +209,7 @@ def sigma_affinity(u, eta, e, s, x, sigmas, plan=None, op=None):
     quadratured L (u - u(x))^2 at x, that is -integral of |u(x) - u(y)|^2
     K for a kernel.  The operator is op, or (-Delta)^s when op is None.
     """
-    if plan is None:
-        plan = _lenient(u.n)
+    plan = _lenient(u.n)
     if len(sigmas) != 3:
         raise ValueError("need exactly three weights")
     op = s if op is None else op
@@ -239,32 +236,26 @@ def _second_directional(u, e):
     return directional_derivative(directional_derivative(u, e), e)
 
 
-def check_second_order_fraclap(u, s, R=1.0, e=None, kappa=None, probes=None,
-                               eta_R=None, etab_R=None, plan=None,
-                               measure=None):
+def check_second_order_fraclap(u, s, R=1.0, probes=None, measure=None):
     """Threshold pair (tau0, sigma0) for the three-term composite
 
         etabar^2 (dd_e u)_+^2 + tau R^-2 eta^2 (d_e u)^2
             + sigma R^-4 (u - kappa)^2
 
     against its term-by-term majorant, for a single order s in [0, 1] or
-    a measure on [0, 1].  kappa defaults to the sampled supremum of u
-    over B_R.
+    a measure on [0, 1], with e the first axis, eta and etabar the
+    cutoffs of B_R and B_{R/2}, and kappa the sampled supremum of u over
+    B_R.
     """
-    if plan is None:
-        plan = _lenient(u.n)
-    if e is None:
-        e = np.zeros(u.n); e[0] = 1.0
-    if eta_R is None:
-        eta_R = make_cutoff(R / 2.0, R, n=u.n)
-    if etab_R is None:
-        etab_R = make_cutoff(R / 8.0, R / 2.0, n=u.n)
-    if kappa is None:
-        grid = np.linspace(-R, R, 81)
-        pts = grid.reshape(-1, 1) if u.n == 1 else \
-            np.stack(np.meshgrid(grid, grid), -1).reshape(-1, 2)
-        pts = pts[np.linalg.norm(pts, axis=1) <= R]
-        kappa = float(np.max(u(pts)))
+    plan = _lenient(u.n)
+    e = np.zeros(u.n); e[0] = 1.0
+    eta_R = make_cutoff(R / 2.0, R, n=u.n)
+    etab_R = make_cutoff(R / 8.0, R / 2.0, n=u.n)
+    grid = np.linspace(-R, R, 81)
+    pts = grid.reshape(-1, 1) if u.n == 1 else \
+        np.stack(np.meshgrid(grid, grid), -1).reshape(-1, 2)
+    pts = pts[np.linalg.norm(pts, axis=1) <= R]
+    kappa = float(np.max(u(pts)))
     if probes is None:
         probes = np.linspace(-1.4 * R, 1.4 * R, 15).reshape(-1, 1)
     probes = as_points(probes, u.n)
@@ -311,11 +302,10 @@ def check_second_order_fraclap(u, s, R=1.0, e=None, kappa=None, probes=None,
     return (tau0, ratio0 * tau0), rep
 
 
-def check_positive_part_global(v, eta, e, s, probes, plan=None):
+def check_positive_part_global(v, eta, e, s, probes):
     """sigma0 for the global positive-part composite
     eta^2 (d_e v)_+^2 + sigma v^2 (one-sided convention at zeros)."""
-    if plan is None:
-        plan = _lenient(v.n)
+    plan = _lenient(v.n)
     probes = as_points(probes, v.n)
     dv = directional_derivative(v, e)
     # 0 * (unbounded) := 0 convention at the zeros of d_e v
@@ -338,7 +328,7 @@ def check_positive_part_global(v, eta, e, s, probes, plan=None):
 # -- the exact identity (all variants) ------------------------------------------
 
 def check_supert_identity(kernel, base, eta, weight, variant, x, e=None,
-                          h=0.1, plan=None):
+                          h=0.1):
     """|D1 - D2| for the exact composite identity at one probe.
 
     D1 is the operator route: L(aux) minus twice the composite pieces
@@ -351,8 +341,7 @@ def check_supert_identity(kernel, base, eta, weight, variant, x, e=None,
     variant: directional | positive-part | gradient | incremental.
     """
     n = base.n
-    if plan is None:
-        plan = _lenient(n)
+    plan = _lenient(n)
     if e is None:
         e = np.zeros(n); e[0] = 1.0
     xm = as_points(x, n)[:1]
@@ -458,10 +447,8 @@ def _plain_kernel_integral(kernel, W, r_lo, r_hi, plan):
     return float(np.dot(vals * kz, w))
 
 
-def taper_moment(kernel, delta, plan=None):
+def taper_moment(kernel, delta):
     """J3 = integral over B_1 of |y| |Z_delta(y)| K(y) dy."""
-    if plan is None:
-        plan = _lenient(kernel.n)
     xi, _, _ = odd_taper(delta)
 
     def W(y):
@@ -469,17 +456,15 @@ def taper_moment(kernel, delta, plan=None):
         z = np.linalg.norm(xi(y), axis=1)
         return r * z
 
-    val = _plain_kernel_integral(kernel, W, 1e-10, 1.0, plan)
-    return val
+    return _plain_kernel_integral(kernel, W, 1e-10, 1.0, _lenient(kernel.n))
 
 
-def select_delta(kernel, eps, deltas=None, plan=None):
-    """First dyadic taper scale with |J3| <= eps^2 (decreasing sweep)."""
-    if deltas is None:
-        deltas = 0.5 ** np.arange(1, 13)
+def select_delta(kernel, eps):
+    """First dyadic taper scale, 1/2 to 2^-12, with |J3| <= eps^2
+    (decreasing sweep)."""
     vals = []
-    for d in deltas:
-        j3 = taper_moment(kernel, d, plan)
+    for d in 0.5 ** np.arange(1, 13):
+        j3 = taper_moment(kernel, d)
         vals.append((d, j3))
         if abs(j3) <= eps * eps:
             return d, j3, vals
@@ -487,11 +472,12 @@ def select_delta(kernel, eps, deltas=None, plan=None):
                         vals)
 
 
-def check_conto_traccia(kernel, u, eta, eps, e=None, probes=None, plan=None):
+def check_conto_traccia(kernel, u, eta, eps):
     """The key inequality with remainder for a validated general kernel.
 
     Selects the taper scale delta with |J3| <= eps^2, then finds the
-    weight sigma_eps making, at every probe xbar in B_2,
+    weight sigma_eps making, at every probe xbar of a 9-point grid per
+    axis in B_2, with e the first axis,
 
       2 int eta(xb)(eta(xb) - eta(y)) d_e u(xb) d_e u(y) K(xb - y) dy
         <= int |eta(xb) d_e u(xb) - eta(y) d_e u(y)|^2 K dy
@@ -501,19 +487,15 @@ def check_conto_traccia(kernel, u, eta, eps, e=None, probes=None, plan=None):
     The report also records, per probe, whether the inequality holds
     with the remainder dropped (exploration data, never asserted).
     """
-    if plan is None:
-        plan = _lenient(kernel.n)
     n = kernel.n
-    if e is None:
-        e = np.zeros(n); e[0] = 1.0
-    if probes is None:
-        g = np.linspace(-1.8, 1.8, 9)
-        probes = g.reshape(-1, 1) if n == 1 else \
-            np.stack(np.meshgrid(g, g), -1).reshape(-1, 2)
-        probes = probes[np.linalg.norm(probes, axis=1) < 2.0]
-    probes = as_points(probes, n)
+    plan = _lenient(n)
+    e = np.zeros(n); e[0] = 1.0
+    g = np.linspace(-1.8, 1.8, 9)
+    probes = g.reshape(-1, 1) if n == 1 else \
+        np.stack(np.meshgrid(g, g), -1).reshape(-1, 2)
+    probes = probes[np.linalg.norm(probes, axis=1) < 2.0]
 
-    delta, J3, sweep = select_delta(kernel, eps, plan=plan)
+    delta, J3, sweep = select_delta(kernel, eps)
 
     du = directional_derivative(u, e)
     grid = np.linspace(-3.0, 3.0, 301)
@@ -545,7 +527,7 @@ def check_conto_traccia(kernel, u, eta, eps, e=None, probes=None, plan=None):
     return sel, rep
 
 
-def compute_J_terms(kernel, u, eta, delta, e=None, plan=None, r_max=None):
+def compute_J_terms(kernel, u, eta, delta):
     """The two integrated-by-parts remainder terms and the taper moment.
 
     J1 pairs the derivative of (taper-corrected cutoff increment times
@@ -554,13 +536,12 @@ def compute_J_terms(kernel, u, eta, delta, e=None, plan=None, r_max=None):
     driving the selection rule.  Also returns the direct evaluation of
     the original (pre-integration-by-parts) integral for a two-route
     consistency check, and the fitted constant in the bound
-    |J1| + |J2| <= (1/8) R1 + C R2.
+    |J1| + |J2| <= (1/8) R1 + C R2, all with e the first axis and the
+    radial integrals out to where u's tail decays.
     """
-    if plan is None:
-        plan = _lenient(kernel.n)
     n = kernel.n
-    if e is None:
-        e = np.zeros(n); e[0] = 1.0
+    plan = _lenient(n)
+    e = np.zeros(n); e[0] = 1.0
     x0 = np.zeros(n)
     xm = x0.reshape(1, -1)
     xi, xi1, xi2 = odd_taper(delta)
@@ -603,10 +584,10 @@ def compute_J_terms(kernel, u, eta, delta, e=None, plan=None, r_max=None):
                  + phi(y) * eta(y) * rho2(y))
         return inner * sq
 
-    r_hi = r_max if r_max is not None else _decay_radius(u)
+    r_hi = _decay_radius(u)
     J1 = _plain_kernel_integral(kernel, W1, 1e-9, r_hi, plan)
     J2 = _plain_kernel_integral(kernel, W2, 1e-9, r_hi, plan)
-    J3 = taper_moment(kernel, delta, plan)
+    J3 = taper_moment(kernel, delta)
 
     # direct route: integral of I1 = eta(0) phi(y) d_e u(0) d_e u(y) K(y)
     def WI1(y):
@@ -627,10 +608,10 @@ def compute_J_terms(kernel, u, eta, delta, e=None, plan=None, r_max=None):
     }
 
 
-def _decay_radius(u, floor=1e-12):
+def _decay_radius(u):
     r = 8.0
     for _ in range(12):
-        if u.tail.resid(r) <= floor and u.tail.period is None:
+        if u.tail.resid(r) <= 1e-12 and u.tail.period is None:
             return r
         if u.tail.period is not None:
             return 40.0
@@ -640,8 +621,9 @@ def _decay_radius(u, floor=1e-12):
 
 # -- fractional-kernel radial identity -------------------------------------------
 
-def check_kernel_radial_identity(s, n=1, probes=None, kernel=None, fd=True):
-    """Residual of 2(s+1) grad K + z Laplacian(K) (zero for pure powers).
+def check_kernel_radial_identity(s, n=1, kernel=None, fd=True):
+    """Residual of 2(s+1) grad K + z Laplacian(K) (zero for pure powers)
+    at 40 seeded probes, log-uniform in radius over [0.1, 10].
 
     With fd=True the Laplacian comes from centered differences, keeping
     the check independent of the analytic derivative formulas.  For a
@@ -649,14 +631,13 @@ def check_kernel_radial_identity(s, n=1, probes=None, kernel=None, fd=True):
     for the record.
     """
     K = kernel if kernel is not None else fractional_kernel(n, s)
-    if probes is None:
-        rng = np.random.default_rng(5)
-        r = np.exp(rng.uniform(np.log(0.1), np.log(10.0), 40))
-        if n == 1:
-            probes = (r * rng.choice([-1.0, 1.0], 40)).reshape(-1, 1)
-        else:
-            th = rng.uniform(0, 2 * np.pi, 40)
-            probes = np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
+    rng = np.random.default_rng(5)
+    r = np.exp(rng.uniform(np.log(0.1), np.log(10.0), 40))
+    if n == 1:
+        probes = (r * rng.choice([-1.0, 1.0], 40)).reshape(-1, 1)
+    else:
+        th = rng.uniform(0, 2 * np.pi, 40)
+        probes = np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
     if fd:
         g = fd_grad(K, probes, step=1e-6)
         H = fd_hess(K, probes)
@@ -671,20 +652,19 @@ def check_kernel_radial_identity(s, n=1, probes=None, kernel=None, fd=True):
 
 # -- the identity route for grid-born harmonic-type functions -------------------
 
-def check_downstairs_sharmonic(u_sh, s, eta=None, x=None, hyp_tol=None,
-                               plan=None):
+def check_downstairs_sharmonic(u_sh, s, x=None, hyp_tol=None):
     """Gradient-flavored key inequality at a point where the function is
-    annihilated by the operator (hypothesis gated, not assumed).
+    annihilated by the operator (hypothesis gated, not assumed), with the
+    cutoff of B_{1/2}.
 
     u_sh: promoted grid solution; the operator residual at the probe is
-    recomputed by quadrature and must sit under hyp_tol, otherwise a
-    hypothesis error is raised (the claim is simply out of scope there).
+    recomputed by quadrature on a strict plan and must sit under
+    hyp_tol, otherwise a hypothesis error is raised (the claim is simply
+    out of scope there).
     """
     n = u_sh.n
-    if plan is None:
-        plan = default_plan(n).scaled(rel_tol=1e-3)
-    if eta is None:
-        eta = make_cutoff(0.25, 0.5, n=n)
+    plan = default_plan(n).scaled(rel_tol=1e-3)
+    eta = make_cutoff(0.25, 0.5, n=n)
     if x is None:
         x = np.zeros(n)
     xm = as_points(x, n)[:1]

@@ -272,19 +272,18 @@ class SmoothFunction:
     Built directly it is a closure leaf: value, gradient and hessian (and
     d3 if given) map (m, n) point arrays to D^0, D^1, D^2 (and D^3);
     orders above the highest one supplied are central differences of it.
+    A closure leaf carries no Fourier data, so the spectral oracle
+    refuses it.
     """
 
     _children = ()  # (function, extra order) for each one a rule evaluates
     exact_jets = False  # jets exact to order 6 (module docstring)
 
     def __init__(self, n, value, gradient, hessian, d3=None,
-                 sup=np.inf, grad_sup=np.inf, hess_sup=np.inf,
-                 tail=None, fourier=None, fourier_radius=None,
-                 harmonics=None):
+                 sup=np.inf, grad_sup=np.inf, hess_sup=np.inf, tail=None):
         self._closures = (value, gradient, hessian) + (
             () if d3 is None else (d3,))
-        self._set_meta(n, sup, grad_sup, hess_sup, tail, fourier,
-                       fourier_radius, harmonics)
+        self._set_meta(n, sup, grad_sup, hess_sup, tail)
 
     def _set_meta(self, n, sup=np.inf, grad_sup=np.inf, hess_sup=np.inf,
                   tail=None, fourier=None, fourier_radius=None,
@@ -1024,9 +1023,9 @@ def averaged_square(u, h, e, order=16):
                  grad_sup=u2.grad_sup, hess_sup=u2.hess_sup, tail=tail)
 
 
-def averaged_square_root(u, h, e, order=16):
+def averaged_square_root(u, h, e):
     """u_{h,e}(x) = sqrt(integral of u^2 along the segment)."""
-    A = averaged_square(u, h, e, order)
+    A = averaged_square(u, h, e)
     lim = np.sqrt(max(A.tail.limit, 0.0))
     rs = A.tail.resid
     tail = Tail(lim, (lambda r: np.sqrt(rs(r))) if lim == 0.0
@@ -1069,68 +1068,36 @@ class GridFunction:
         if self.n == 1:
             from scipy.interpolate import CubicSpline
             sp = CubicSpline(self.axis, self.values, bc_type="clamped")
-            d1, d2 = sp.derivative(1), sp.derivative(2)
+            ds = (sp, sp.derivative(1), sp.derivative(2))
 
-            def val(x):
-                t = x[:, 0]
-                inside = np.abs(t) <= self.L
-                out = np.where(inside, sp(np.clip(t, -self.L, self.L)), 0.0)
-                if (~inside).any():
-                    out[~inside] = ext.value(x[~inside])
-                return out
-
-            def grad(x):
-                t = x[:, 0]
-                inside = np.abs(t) <= self.L
-                g = np.where(inside, d1(np.clip(t, -self.L, self.L)), 0.0)
-                g = g[:, None]
-                if (~inside).any():
-                    g[~inside] = ext.gradient(x[~inside])
-                return g
-
-            def hess(x):
-                t = x[:, 0]
-                inside = np.abs(t) <= self.L
-                h2 = np.where(inside, d2(np.clip(t, -self.L, self.L)), 0.0)
-                h2 = h2[:, None, None]
-                if (~inside).any():
-                    h2[~inside] = ext.hessian(x[~inside])
-                return h2
+            def spline(p, k):
+                return ds[k](p[:, 0]).reshape((-1,) + (1,) * k)
         else:
             from scipy.interpolate import RectBivariateSpline
             sp = RectBivariateSpline(self.axis, self.axis, self.values,
                                      kx=3, ky=3)
 
-            def _inside(x):
-                return (np.abs(x[:, 0]) <= self.L) & (np.abs(x[:, 1]) <= self.L)
+            def spline(p, k):
+                def d(dx, dy):
+                    return sp.ev(p[:, 0], p[:, 1], dx=dx, dy=dy)
+                if k == 0:
+                    return d(0, 0)
+                if k == 1:
+                    return np.stack([d(1, 0), d(0, 1)], axis=1)
+                dxy = d(1, 1)
+                return np.stack([d(2, 0), dxy, dxy, d(0, 2)],
+                                axis=1).reshape(-1, 2, 2)
 
-            def val(x):
-                inside = _inside(x)
-                xc = np.clip(x, -self.L, self.L)
-                out = sp.ev(xc[:, 0], xc[:, 1])
-                if (~inside).any():
-                    out[~inside] = ext.value(x[~inside])
+        def glued(k):
+            # D^k of the spline at the points clipped into the box, and of
+            # the closure at the points outside it
+            def f(x):
+                out = spline(np.clip(x, -self.L, self.L), k)
+                outside = np.any(np.abs(x) > self.L, axis=1)
+                if outside.any():
+                    out[outside] = ext.jet(x[outside], k)[k]
                 return out
-
-            def grad(x):
-                inside = _inside(x)
-                xc = np.clip(x, -self.L, self.L)
-                g = np.stack([sp.ev(xc[:, 0], xc[:, 1], dx=1),
-                              sp.ev(xc[:, 0], xc[:, 1], dy=1)], axis=1)
-                if (~inside).any():
-                    g[~inside] = ext.gradient(x[~inside])
-                return g
-
-            def hess(x):
-                inside = _inside(x)
-                xc = np.clip(x, -self.L, self.L)
-                H = np.empty((x.shape[0], 2, 2))
-                H[:, 0, 0] = sp.ev(xc[:, 0], xc[:, 1], dx=2)
-                H[:, 1, 1] = sp.ev(xc[:, 0], xc[:, 1], dy=2)
-                H[:, 0, 1] = H[:, 1, 0] = sp.ev(xc[:, 0], xc[:, 1], dx=1, dy=1)
-                if (~inside).any():
-                    H[~inside] = ext.hessian(x[~inside])
-                return H
+            return f
 
         sup = max(float(np.max(np.abs(self.values))), ext.sup)
         rs = ext.tail.resid
@@ -1138,7 +1105,7 @@ class GridFunction:
                     lambda r: np.where(r > self.L * np.sqrt(self.n), rs(r),
                                        rs(r) + sup + abs(ext.tail.limit)),
                     ext.tail.period, ext.tail.amp)
-        return SmoothFunction(self.n, val, grad, hess, sup=sup,
+        return SmoothFunction(self.n, glued(0), glued(1), glued(2), sup=sup,
                               grad_sup=np.inf, hess_sup=np.inf, tail=tail)
 
     def boundary_mismatch(self):

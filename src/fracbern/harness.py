@@ -41,34 +41,36 @@ def _ball_samples(R, n, m, rng):
     return pts[:m]
 
 
-def _stable_sup(fn, R, n, seed=0, start=400, tol=0.01, max_rounds=5):
-    rng = np.random.default_rng(seed)
+def _stable_sup(fn, R, n):
+    """sup of fn over B_R from seeded samples, 400 doubling up to five
+    times until two rounds agree to 1%."""
+    rng = np.random.default_rng(0)
     prev = None
-    m = start
-    for _ in range(max_rounds):
+    m = 400
+    for _ in range(5):
         pts = _ball_samples(R, n, m, rng)
         cur = float(np.max(fn(pts)))
-        if prev is not None and abs(cur - prev) <= tol * max(abs(cur), 1e-12):
+        if prev is not None and abs(cur - prev) <= 0.01 * max(abs(cur), 1e-12):
             return cur
         prev = cur
         m *= 2
     return prev
 
 
-def problem_constants(problem, e=None, R=None, want_second=True,
-                      semiconcavity_guard=True):
+def problem_constants(problem, R=None, want_second=True):
     """Sup-type constants of the data f, g_j over the domain ball.
 
     Computes the negative-part / gradient / directional constants of the
-    combined data, the gamma pair driving the linearized-operator
-    bounds, the identity-atom flag of the measures involved, and the
-    composed zero-order source -F(-g_1, ..., -g_J).
+    combined data (e the first axis), the gamma pair driving the
+    linearized-operator bounds, the identity-atom flag of the measures
+    involved, and the composed zero-order source -F(-g_1, ..., -g_J).
+    With want_second, data whose sampled second derivatives diverge fail
+    the semiconcavity certificate with ValueError.
     """
     n = problem.f.n
     if R is None:
         R = problem.R_dom
-    if e is None:
-        e = np.zeros(n); e[0] = 1.0
+    e = np.zeros(n); e[0] = 1.0
     F = problem.nonlinearity or bellman_max(problem.J)
     gs = [g for _, g in problem.members]
 
@@ -104,13 +106,12 @@ def problem_constants(problem, e=None, R=None, want_second=True,
     Ge1 = _stable_sup(fg_de, R, n)
     Ge2 = None
     if want_second:
-        if semiconcavity_guard:
-            rng = np.random.default_rng(1)
-            a = float(np.max(fg_dee_pos(_ball_samples(R, n, 500, rng))))
-            b = float(np.max(fg_dee_pos(_ball_samples(R, n, 16000, rng))))
-            if b > 2.0 * max(a, 1e-9) + 1e-6:
-                raise ValueError("data fail the semiconcavity certificate: "
-                                 "second-derivative sampling diverges")
+        rng = np.random.default_rng(1)
+        a = float(np.max(fg_dee_pos(_ball_samples(R, n, 500, rng))))
+        b = float(np.max(fg_dee_pos(_ball_samples(R, n, 16000, rng))))
+        if b > 2.0 * max(a, 1e-9) + 1e-6:
+            raise ValueError("data fail the semiconcavity certificate: "
+                             "second-derivative sampling diverges")
         Ge2 = _stable_sup(fg_dee_pos, R, n)
 
     gamma1 = _stable_sup(
@@ -147,10 +148,10 @@ class EstimateReport:
         self.__dict__.update(kw)
 
 
-def measure_derivative_bounds(gf, problem, R, e=None, constants=None,
-                              theorem="indefinite-order"):
+def measure_derivative_bounds(gf, problem, R, theorem="indefinite-order"):
     """Fitted constant between the measured derivative sups of a solved
-    instance and the structural right-hand side of the matching bound.
+    instance and the structural right-hand side of the matching bound,
+    along the first axis e, with problem_constants over B_R.
 
     theorem: "definite-order" (single-order kernel family: the bracket
     carries R^s and R^{1+2s} weights), "indefinite-order" (measure
@@ -160,11 +161,8 @@ def measure_derivative_bounds(gf, problem, R, e=None, constants=None,
     members and measures add none), the largest bracket over them when
     there are several, and raises ValueError when there is none.
     """
-    n = gf.n
-    if e is None:
-        e = np.zeros(n); e[0] = 1.0
-    if constants is None:
-        constants = problem_constants(problem, e=e, R=R)
+    e = np.zeros(gf.n); e[0] = 1.0
+    c = problem_constants(problem, R=R)
     du = grid_gradient(gf, e)
     ddu = grid_second_difference(gf, e)
     nodes = gf.nodes()
@@ -179,7 +177,6 @@ def measure_derivative_bounds(gf, problem, R, e=None, constants=None,
     u_sup_all = max(float(np.max(np.abs(gf.values))), problem.exterior.sup)
     u_sup_R = float(np.max(np.abs(gf.values.ravel()[rad < R])))
 
-    c = constants
     if theorem == "definite-order":
         orders = positive_orders(op for op, _ in problem.members)
         if not orders:
@@ -232,22 +229,21 @@ def semiconcavity_refinement(solve_at, levels=3):
             "stable": bool(all(0.8 <= r <= 1.25 for r in ratios))}
 
 
-def scaled_lemma_check(u, m, sigma0, x_samples=None, rho_levels=8,
-                       interior_radius=2.0):
+def scaled_lemma_check(u, m, sigma0, interior_radius=2.0):
     """The dyadic-ball absorption lemma, run with the proof's epsilon.
 
     Hypothesis: for x in B_2 and dyadic rho, the weighted derivative sum
     over B_rho(x) is controlled by C_eps sigma0 plus eps times the same
     sum over B_{3rho}(x).  With eps* = 1/(2(m+1)4^{m+1}) the proof bounds
     the full sum on B_{1/2} by 2^{m+3} 4^{m+1} C_{eps*} sigma0; both the
-    fitted C_{eps*} and the conclusion check are returned.
+    fitted C_{eps*} and the conclusion check are returned.  The centers
+    are 40 seeded samples of B_{interior_radius}, the radii 2^-1 to 2^-8.
     """
     n = u.n
     eps_star = 1.0 / (2.0 * (m + 1) * 4 ** (m + 1))
     rng = np.random.default_rng(17)
-    if x_samples is None:
-        x_samples = _ball_samples(interior_radius, n, 40, rng)
-    rhos = 0.5 ** np.arange(1, rho_levels + 1)
+    x_samples = _ball_samples(interior_radius, n, 40, rng)
+    rhos = 0.5 ** np.arange(1, 9)
 
     def dsum(center, rho, fac=1.0):
         pts = center[None, :] + _ball_samples(rho * fac, n, 160, rng)

@@ -113,10 +113,8 @@ class OperatorValue(float):
         return "OperatorValue(%.12g +- %.2g)" % (self.value, self.error)
 
 
-def default_plan(n, rel_tol=None):
-    if rel_tol is None:
-        rel_tol = 1e-6 if n == 1 else 1e-4
-    return QuadraturePlan(rel_tol=rel_tol,
+def default_plan(n):
+    return QuadraturePlan(rel_tol=1e-6 if n == 1 else 1e-4,
                           panels_per_decade=6 if n == 1 else 5,
                           order=16 if n == 1 else 12)
 
@@ -521,13 +519,13 @@ def apply_fractional(s, u, x, plan=None):
     return OperatorValue(v, e, {"mode": "identity" if s == 0 else "laplacian"})
 
 
-def apply_superposition(measure, u, x, plan=None):
+def apply_superposition(measure, u, x):
     """L_mu u(x) = integral of (-Delta)^s u(x) over the measure's atoms:
     apply_batch at one point."""
     if not isinstance(measure, MeasureOnUnit):
         measure = MeasureOnUnit(measure)
     try:
-        (v,), (e,) = apply_batch(measure, u, as_points(x, u.n)[:1], plan)
+        (v,), (e,) = apply_batch(measure, u, as_points(x, u.n)[:1])
     except QuadratureFailure as exc:
         (v,), (e,) = exc.partial
         raise QuadratureFailure(str(exc), OperatorValue(v, e)) from None
@@ -536,17 +534,17 @@ def apply_superposition(measure, u, x, plan=None):
 
 # -- independent spectral oracle ----------------------------------------------
 
-def spectral_oracle(s, u, x, rel_tol=1e-11):
+def spectral_oracle(s, u, x):
     """(-Delta)^s u(x): spectral_oracle_batch at one point."""
     try:
-        v = spectral_oracle_batch(s, u, as_points(x, u.n)[:1], rel_tol)
+        v = spectral_oracle_batch(s, u, as_points(x, u.n)[:1])
     except QuadratureFailure as exc:
         (v,), (e,) = exc.partial
         raise QuadratureFailure(str(exc), OperatorValue(v, e, {})) from None
     return float(v[0])
 
 
-def spectral_oracle_batch(s, u, xs, rel_tol=1e-11):
+def spectral_oracle_batch(s, u, xs):
     """(-Delta)^s u at the probe rows of xs, shape (m, n), through the
     Fourier symbol |xi|^{2s}; exact for trigonometric catalog functions.
     Otherwise Gauss-Legendre panels in |xi| on [1e-12 Xi, Xi] (Xi =
@@ -556,7 +554,7 @@ def spectral_oracle_batch(s, u, xs, rel_tol=1e-11):
     until its gap times its radial weight is at most 1e-16 A, A the
     rule's sum of |terms| on 6 directions; done nodes form a prefix in
     radius, and an unfinished node adds its gap to the error.  The error
-    must stay below 100 rel_tol |value| (1e-8 after the finer rule) or
+    must stay below 1e-9 |value| (1e-8 after the finer rule) or
     64 eps A, else QuadratureFailure with .partial = (values, errors).
     The transform is evaluated once for all probes; each probe keeps its
     own levels and rules, so it gets the value of a scalar call.
@@ -575,7 +573,7 @@ def spectral_oracle_batch(s, u, xs, rel_tol=1e-11):
     coarse, ang_c, _ = _oracle_rule(s, u, xs, 5, 12)
     floor = 64 * EPS * A
     err = np.abs(val - coarse) + ang + ang_c
-    ok = err <= np.maximum(100 * rel_tol * np.abs(val), floor)
+    ok = err <= np.maximum(1e-9 * np.abs(val), floor)
     redo = np.flatnonzero(~ok)
     if redo.size:
         fine2, ang2, _ = _oracle_rule(s, u, xs[redo], 12, 32)

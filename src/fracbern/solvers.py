@@ -14,7 +14,7 @@ iteration stays as an independent fixed-point oracle.
 
 import numpy as np
 
-from .kernels import as_points, bellman_max, operator_order, positive_orders
+from .kernels import bellman_max, operator_order, positive_orders
 from .funcspace import SmoothFunction, Tail, GridFunction, constant, \
     translate
 from .nonlocal_ops import assemble_discrete, apply_batch, default_plan
@@ -57,27 +57,19 @@ def barrier(R=1.0, n=1):
                           tail=Tail(98.0, lambda r: np.where(r < 10 * R, 100.0, 0.0)))
 
 
-def barrier_check(op, R=1.0, n=1, probes=None, plan=None,
-                  sweep=(0.5, 1.0, 2.0, 4.0)):
-    """Margin c with L beta_R <= -c on B_R, plus the R-scaling study.
+def barrier_check(op, R=1.0, sweep=(0.5, 1.0, 2.0, 4.0)):
+    """Margin c with L beta_R <= -c on B_R, plus the R-scaling study, on
+    the line at 9 probes spanning 0.9 B_R.
 
     op: Kernel or order s (margin should scale like R^{-2s}) or MeasureOnUnit
     (margin should scale like (1 + R^2)^{-1}).  The normalized margins
     over the dyadic sweep must agree within +-50%.
     """
-    if plan is None:
-        plan = default_plan(n).scaled(rel_tol=1e-5)
+    plan = default_plan(1).scaled(rel_tol=1e-5)
 
     def margin_at(Rv):
-        beta_R = barrier(Rv, n)
-        if probes is None:
-            pr = np.linspace(-0.9 * Rv, 0.9 * Rv, 9).reshape(-1, 1)
-            if n == 2:
-                pr = np.concatenate([np.hstack([pr, np.zeros_like(pr)]),
-                                     np.hstack([np.zeros_like(pr), pr])])
-        else:
-            pr = as_points(probes, n) * Rv
-        return -float(np.max(apply_batch(op, beta_R, pr, plan)[0]))
+        pr = np.linspace(-0.9 * Rv, 0.9 * Rv, 9).reshape(-1, 1)
+        return -float(np.max(apply_batch(op, barrier(Rv), pr, plan)[0]))
 
     c1 = margin_at(R)
     if c1 <= 0:
@@ -140,21 +132,21 @@ class ObstacleProblem:
 
 # -- solvers ---------------------------------------------------------------------
 
-def solve_linear_dirichlet(op, f, exterior, lattice, tol=1e-10):
+def solve_linear_dirichlet(op, f, exterior, lattice):
     """L u = f at interior nodes, u = exterior data outside.
 
     Returns (GridFunction, info).  The linear-solve residual is checked
-    against tol; monotone assembly makes the system an M-matrix, so a
-    singular solve here is an assembly bug, not a data condition.
+    against 1e-10 times the data scale; monotone assembly makes the
+    system an M-matrix, so a singular solve here is an assembly bug, not
+    a data condition.
     """
     disc = assemble_discrete(op, lattice, exterior)
     f_int = f(lattice.nodes[lattice.interior])
     u_int = _solve_member(disc, f_int)
     res = float(np.max(np.abs(disc.A @ u_int + disc.b - f_int)))
-    if res > tol * max(1.0, float(np.max(np.abs(f_int))) + 1.0):
+    if res > 1e-10 * max(1.0, float(np.max(np.abs(f_int))) + 1.0):
         raise ArithmeticError("linear solve residual %.2g above tolerance" % res)
-    gf = _to_gridfunction(lattice, u_int, exterior)
-    return gf, {"residual": res, "operator": disc}
+    return _to_gridfunction(disc, u_int), {"residual": res, "operator": disc}
 
 
 def _solve_member(disc, rhs):
@@ -162,12 +154,12 @@ def _solve_member(disc, rhs):
     return np.linalg.solve(disc.A, rhs - disc.b)
 
 
-def _to_gridfunction(lattice, u_int, exterior):
-    vals = exterior(lattice.nodes)
-    vals[lattice.interior] = u_int
-    if lattice.n == 2:
-        vals = vals.reshape(lattice.N, lattice.N)
-    return GridFunction(lattice.n, lattice.L, vals, exterior)
+def _to_gridfunction(disc, u_int):
+    lat = disc.lattice
+    vals = disc.full_values(u_int)
+    if lat.n == 2:
+        vals = vals.reshape(lat.N, lat.N)
+    return GridFunction(lat.n, lat.L, vals, disc.exterior)
 
 
 def _members(problem, lattice):
@@ -204,59 +196,61 @@ def _newton(problem, lattice, F, tol, max_iter):
     else:
         raise ArithmeticError("Newton iteration did not converge: residual "
                               "history %s" % history[-5:])
-    gf = _to_gridfunction(lattice, u, problem.exterior)
+    gf = _to_gridfunction(discs[0], u)
     return gf, p, {"history": history, "discs": discs,
                    "residual": history[-1], "iterations": len(history),
                    "u_int": u}
 
 
-def solve_bellman(problem, lattice, tol=1e-9, max_iter=80):
+def solve_bellman(problem, lattice):
     """Policy iteration for the maximal equation: the Newton loop of
     solve_fully_nonlinear with F = max, whose first-argmax subgradient
     freezes one member per node.
 
-    Iterates until the sup-norm Bellman residual is below tol.  Returns
-    (GridFunction, policy array, info dict with residual history); the
-    policy is the first argmax of the member values at the last iterate.
+    Iterates until the sup-norm Bellman residual is below 1e-9, at most
+    80 times.  Returns (GridFunction, policy array, info dict with
+    residual history); the policy is the first argmax of the member
+    values at the last iterate.
     """
-    gf, p, info = _newton(problem, lattice, bellman_max(problem.J), tol,
-                          max_iter)
+    gf, p, info = _newton(problem, lattice, bellman_max(problem.J), 1e-9, 80)
     return gf, np.argmax(p, axis=1), info
 
 
-def value_iteration(problem, lattice, tol=1e-9, max_iter=400000, omega=0.85):
-    """Damped fixed-point oracle for the same maximal equation."""
+def value_iteration(problem, lattice, tol=1e-9):
+    """Damped fixed-point oracle for the same maximal equation: steps of
+    0.85 times the residual over the largest diagonal, at most 400,000."""
     discs, f_int, g_int, u = _members(problem, lattice)
     diag = np.max(np.stack([np.diag(d.A) for d in discs]), axis=0)
-    for it in range(max_iter):
+    for it in range(400000):
         vals = np.stack([d.apply(u) - g for d, g in zip(discs, g_int)])
         r = vals.max(axis=0) - f_int
         if np.max(np.abs(r)) <= tol:
             return u, it
-        u = u - omega * r / diag
+        u = u - 0.85 * r / diag
     raise ArithmeticError("value iteration hit the iteration cap")
 
 
-def solve_fully_nonlinear(problem, lattice, tol=1e-8, max_iter=120):
+def solve_fully_nonlinear(problem, lattice):
     """Frozen-coefficient (semismooth Newton) iteration for
     F(L_1 u - g_1, ...) = f, with F the problem's nonlinearity (the max
-    when omitted, where the iteration is policy iteration).
+    when omitted, where the iteration is policy iteration), to a
+    residual of 1e-8 in at most 120 iterations.
 
     Returns (GridFunction, info).
     """
     F = problem.nonlinearity or bellman_max(problem.J)
-    gf, _, info = _newton(problem, lattice, F, tol, max_iter)
+    gf, _, info = _newton(problem, lattice, F, 1e-8, 120)
     return gf, info
 
 
-def solve_obstacle(problem, lattice, tol=1e-9):
+def solve_obstacle(problem, lattice):
     """Two-branch policy iteration for the obstacle problem.
 
     Returns (GridFunction, contact mask, info); the contact set is where
     the constraint branch u - g - f attains the max.
     """
     bell = problem.as_bellman()
-    gf, policy, info = solve_bellman(bell, lattice, tol=tol)
+    gf, policy, info = solve_bellman(bell, lattice)
     contact = policy == 1
     u_int = gf.values.ravel()[lattice.interior]
     nodes_int = lattice.nodes[lattice.interior]
@@ -325,14 +319,15 @@ def grid_second_difference(gf, e):
             - 2 * gf.values.ravel()) / gf.h ** 2
 
 
-def linearize(problem, gf, info, e=None, band=2, tol_factor=10.0):
+def linearize(problem, gf, info):
     """Frozen linearization at a converged solution plus the subsolution
-    report: L u >= f + g, |L d_e u| <= gamma_1, L dd_e u <= gamma_2.
+    report: L u >= f + g, |L d_e u| <= gamma_1, L dd_e u <= gamma_2, with
+    e the first axis.
 
     Derivatives of the solution are centered differences; a band of
-    width band*h near the domain boundary is excluded from the
-    derivative checks (one-sided effects).  tol = tol_factor * h *
-    (Lipschitz scale of the data).
+    width 2 h near the domain boundary is excluded from the derivative
+    checks (one-sided effects).  tol = 10 h max(gamma_1, 1), gamma_1
+    the Lipschitz scale of the data.
     """
     lat = info["discs"][0].lattice
     discs = info["discs"]
@@ -351,8 +346,7 @@ def linearize(problem, gf, info, e=None, band=2, tol_factor=10.0):
     gcomp = -F(np.stack([-g for g in g_int], axis=1))
     Lu = L.apply_interior(u_int)
 
-    if e is None:
-        e = np.zeros(lat.n); e[0] = 1.0
+    e = np.zeros(lat.n); e[0] = 1.0
     ext = problem.exterior
     # the derivative bounds are rendered through one-sided quotients:
     # the discrete equation gives L d+ u <= d+(f+g) and L d- u >= d-(f+g)
@@ -368,9 +362,9 @@ def linearize(problem, gf, info, e=None, band=2, tol_factor=10.0):
     # data-driven constants
     gam1, gam2 = data_derivative_constants(problem, lat)
     rad = np.linalg.norm(nodes_int, axis=1)
-    inner = rad < problem.R_dom - band * lat.h
+    inner = rad < problem.R_dom - 2 * lat.h
     lip = max(gam1, 1.0)
-    tol = tol_factor * lat.h * lip
+    tol = 10.0 * lat.h * lip
     grad_hi = float(np.max(Ldu_plus[inner]))
     grad_lo = float(np.min(Ldu_minus[inner]))
     rep = {
@@ -423,8 +417,9 @@ def _fd_closure(ext, e, h, order):
     return d
 
 
-def data_derivative_constants(problem, lattice, samples=400):
-    """gamma_1 and gamma_2 from dense sampling of the data derivatives.
+def data_derivative_constants(problem, lattice):
+    """gamma_1 and gamma_2 from dense sampling of the data derivatives
+    (400 seeded points of the domain's box, those in the ball kept).
 
     The subgradient weights sum over any p to at most max over one-hot
     selections for the max nonlinearity; smooth selectors are sampled at
@@ -432,7 +427,7 @@ def data_derivative_constants(problem, lattice, samples=400):
     """
     rng = np.random.default_rng(11)
     n = lattice.n
-    pts = rng.uniform(-problem.R_dom, problem.R_dom, size=(samples, n))
+    pts = rng.uniform(-problem.R_dom, problem.R_dom, size=(400, n))
     pts = pts[np.linalg.norm(pts, axis=1) < problem.R_dom]
     fgrad = np.linalg.norm(problem.f.gradient(pts), axis=1)
     fh = problem.f.hessian(pts)
@@ -451,38 +446,35 @@ def data_derivative_constants(problem, lattice, samples=400):
 
 # -- maximum principle with estimate ---------------------------------------------
 
-def max_principle_estimate(ops, phi, R, gamma0=None, n=1, plan=None,
-                           n_probes=13, ext_samples=4000, tol=1e-7):
-    """sup_{B_R} phi <= sup_outside phi + C_R gamma0, with fitted C.
+def max_principle_estimate(ops, phi, R):
+    """sup_{B_R} phi <= sup_outside phi + C_R gamma0, with fitted C, on
+    the line.
 
     ops: list of Kernels and/or MeasureOnUnit members; the pointwise
     operator is the member infimum (arbitrary per-point selection).
-    gamma0 defaults to the certified max over probe nodes of that
-    infimum (clipped at 0).  Returns the fitted constant (minimal C
-    making the bound hold) and the scaling-normalized constant: by
-    R^{2s} when the family has a definite order s (one positive order,
-    kernels.positive_orders), else by 1 + R^2.
+    gamma0 is the certified max of that infimum over 13 probes spanning
+    0.95 B_R (clipped at 0); the sups come from 4,000 seeded samples of
+    B_R and 12,000 of B_{6R} outside it.  Returns the fitted constant
+    (minimal C making the bound hold) and the scaling-normalized
+    constant: by R^{2s} when the family has a definite order s (one
+    positive order, kernels.positive_orders), else by 1 + R^2.
     """
-    if plan is None:
-        plan = default_plan(n).scaled(rel_tol=1e-5)
-    pr = np.linspace(-0.95 * R, 0.95 * R, n_probes).reshape(-1, 1)
-    if n == 2:
-        pr = np.concatenate([np.hstack([pr, np.zeros_like(pr)]),
-                             np.hstack([np.zeros_like(pr), pr])])
+    plan = default_plan(1).scaled(rel_tol=1e-5)
+    pr = np.linspace(-0.95 * R, 0.95 * R, 13).reshape(-1, 1)
     inf_vals = np.min([apply_batch(op, phi, pr, plan)[0] for op in ops],
                       axis=0)
-    g0 = max(float(np.max(inf_vals)), 0.0) if gamma0 is None else gamma0
+    g0 = max(float(np.max(inf_vals)), 0.0)
 
     rng = np.random.default_rng(3)
-    inner = rng.uniform(-R, R, size=(ext_samples, n))
+    inner = rng.uniform(-R, R, size=(4000, 1))
     inner = inner[np.linalg.norm(inner, axis=1) < R]
     sup_in = float(np.max(phi(inner)))
-    outer = rng.uniform(-6 * R, 6 * R, size=(3 * ext_samples, n))
+    outer = rng.uniform(-6 * R, 6 * R, size=(12000, 1))
     outer = outer[np.linalg.norm(outer, axis=1) >= R]
     sup_out = max(float(np.max(phi(outer))), phi.tail.limit)
     gap = sup_in - sup_out
     if g0 <= 0.0:
-        return {"pass": bool(gap <= tol), "gamma0": 0.0,
+        return {"pass": bool(gap <= 1e-7), "gamma0": 0.0,
                 "sup_in": sup_in, "sup_out": sup_out, "fitted_C": 0.0}
     fitted = max(gap, 0.0) / g0
     orders = positive_orders(ops)
@@ -499,15 +491,15 @@ def max_principle_estimate(ops, phi, R, gamma0=None, n=1, plan=None,
 
 # -- the unified derivative-bound functional -------------------------------------
 
-def unified_derivative_bound(problem, gf, info, R, e=None, sigma=4.0,
-                             tau=4.0, cr_form=None):
+def unified_derivative_bound(problem, gf, info, R, cr_form=None):
     """Measured derivative sups against the two structural functionals.
 
     Computes a0, a1, a2 (the negative part / absolute value / positive
     part of the linearized operator on u - sup u, d_e u, dd_e u over the
     domain nodes), assembles the first and one-sided second bound
     brackets with the declared C_R power, and returns the fitted
-    constants relating measured suprema to the brackets.
+    constants relating measured suprema to the brackets, with e the
+    first axis and the weights tau = sigma = 4 of the intermediate claim.
 
     cr_form "R^2s" (C_R = R^{2s}) needs a family of definite order s:
     exactly one positive order among the members (order-0 members such
@@ -516,9 +508,8 @@ def unified_derivative_bound(problem, gf, info, R, e=None, sigma=4.0,
     for such a family and "1+R^2" (C_R = 1 + R^2) otherwise.
     """
     lat = info["discs"][0].lattice
-    if e is None:
-        e = np.zeros(lat.n); e[0] = 1.0
-    L, rep = linearize(problem, gf, info, e=e)
+    e = np.zeros(lat.n); e[0] = 1.0
+    L, rep = linearize(problem, gf, info)
     nodes_int = lat.nodes[lat.interior]
     u_int = gf.values.ravel()[lat.interior]
     rad = np.linalg.norm(nodes_int, axis=1)
@@ -572,8 +563,8 @@ def unified_derivative_bound(problem, gf, info, R, e=None, sigma=4.0,
     bv = etab(nodes_int)
     ev = np.maximum(eta(nodes_int), (rad <= R / 2).astype(float))
     ddp = np.maximum(ddu_grid, 0.0)
-    phi_vals = (bv ** 2 * ddp ** 2 + tau / R ** 2 * ev ** 2 * du_grid ** 2
-                + sigma / R ** 4 * (u_int - sup_u_R) ** 2)
+    phi_vals = (bv ** 2 * ddp ** 2 + 4.0 / R ** 2 * ev ** 2 * du_grid ** 2
+                + 4.0 / R ** 4 * (u_int - sup_u_R) ** 2)
     Phi_vals = (a2 * bv ** 2 * ddp + a1 / R ** 2 * ev ** 2 * np.abs(du_grid)
                 + a0 / R ** 4 * u_sup_R)
     rhs = C_R * float(np.max(Phi_vals)) + u_sup_all ** 2 / R ** 4

@@ -424,6 +424,24 @@ def test_grid_function_promote_2d():
     assert np.max(np.abs(prom(pts) - ext(pts))) < 1e-6
 
 
+def test_grid_function_promote_2d_derivatives():
+    # a bicubic spline reproduces the cubic Re z^3, so the promoted jet
+    # matches the closed form inside the box up to round-off, and is the
+    # exterior's jet outside it
+    u = harmonic_polynomial(2, "re_z3")
+    axis = np.linspace(-1.5, 1.5, 25)
+    X, Y = np.meshgrid(axis, axis, indexing="ij")
+    gf = GridFunction(2, 1.5, u(np.stack([X.ravel(), Y.ravel()], 1))
+                      .reshape(25, 25), u)
+    prom = gf.promote()
+    pts = np.random.default_rng(12).uniform(-1.5, 1.5, size=(200, 2))
+    for a, b in zip(prom.jet(pts, 2), u.jet(pts, 2)):
+        assert np.max(np.abs(a - b)) < 1e-12
+    out = np.array([[2.0, 0.3], [-0.4, -1.7], [3.0, 3.0]])
+    for a, b in zip(prom.jet(out, 2), u.jet(out, 2)):
+        np.testing.assert_array_equal(a, b)
+
+
 def test_grid_function_validates():
     with pytest.raises(ValueError):
         GridFunction(1, 1.0, np.array([1.0, np.nan, 2.0]), constant(0.0, 1))

@@ -261,3 +261,25 @@ def test_definite_order_theorem_needs_an_order():
         measure_derivative_bounds(gf, prob, 1.0, theorem="definite-order")
     rep = measure_derivative_bounds(gf, prob, 1.0)
     assert np.isfinite(rep.fitted_C_first)
+
+
+@pytest.mark.parametrize("config", [{"s": 0.5},
+                                    {"s": 0.25, "function": "wave"}])
+def test_cli_extension(tmp_path, capsys, config):
+    from fracbern import cli
+    cfg = tmp_path / "ext.json"
+    cfg.write_text(json.dumps(config))
+    assert cli.main(["extension", str(cfg)]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["la_pass"] and rep["sup_pass"] and rep["trace_pass"]
+    assert rep["d_s"] > 0 and rep["d_s_spread"] <= 1e-3
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported lazily, by GridFunction.promote alone, so a cold
+    # start of the package and its command line pays nothing for it
+    r = subprocess.run(
+        [sys.executable, "-c", "import sys, fracbern, fracbern.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, check=True)
+    assert r.stdout.strip() == "[]"
