@@ -1,9 +1,10 @@
 """Low-level quadrature building blocks.
 
 Everything here is plain numpy: Gauss-Legendre panels, geometric panel
-grids for integrable power singularities, a row-by-row dot product for
-batched quadrature sums, and a periodic-tail summation based on
-Euler-Maclaurin for slowly decaying oscillatory tails.
+grids for integrable power singularities (one range, or one per row),
+a row-by-row dot product for batched quadrature sums, and a
+periodic-tail summation based on Euler-Maclaurin for slowly decaying
+oscillatory tails.
 """
 
 import numpy as np
@@ -45,6 +46,23 @@ def geometric_edges(r_inner, r_outer, panels_per_decade):
     return np.geomspace(r_inner, r_outer, n + 1)
 
 
+def geometric_panels(r_inner, r_outer, panels_per_decade):
+    """The panels of geometric_edges(r_inner[i], r_outer[i], ppd) for
+    every row i of the arrays r_inner, r_outer at once, flattened in row
+    order: (panels per row, left edges, right edges)."""
+    decades = np.log10(r_outer / r_inner)
+    n = np.maximum(np.ceil(decades * panels_per_decade), 1).astype(int)
+    row = np.repeat(np.arange(n.size), n)
+    j = np.arange(row.size) - np.repeat(np.cumsum(n) - n, n)
+    # the edges of np.geomspace: 10 ** linspace(log10 r_inner, log10 r_outer)
+    lo, hi = np.log10(r_inner), np.log10(r_outer)
+    step = ((hi - lo) / n)[row]
+    edge = lambda k: 10.0 ** (lo[row] + k * step)
+    left = np.where(j == 0, r_inner[row], edge(j))
+    right = np.where(j + 1 == n[row], r_outer[row], edge(j + 1))
+    return n, left, right
+
+
 def row_dot(a, w):
     """a @ w for every row of a, one BLAS dot per row.
 
@@ -57,11 +75,15 @@ def row_dot(a, w):
 def periodic_tail_1d(g, period, start, kernel_ray, kernel_ray_tail):
     """Integral of g(t)*K(t) over [start, inf) for g periodic, mean zero.
 
-    g : maps the (24,) quadrature nodes of one period to an array of
-        shape (..., 24): one row per integrand (e.g. per probe), each
-        periodic with the given period and zero mean
-    kernel_ray : t -> K(t) along the ray (vectorized)
-    kernel_ray_tail : a -> integral of K over [a, inf) along the ray
+    start : a scalar, or an array of starts, one per row
+    g : maps the quadrature nodes of one period, shape start.shape + (24,),
+        to an array that broadcasts with them: one row per integrand
+        (e.g. per probe), each periodic with the given period and zero
+        mean
+    kernel_ray : t -> K(t) along the ray, elementwise; with per-row
+        starts, t has shape start.shape + (k,) and K may depend on the row
+    kernel_ray_tail : a -> integral of K over [a, inf) along the ray,
+        elementwise over an array a shaped like t
 
     Uses the lattice sum S(xi) = sum_m K(start + xi + m*period), whose
     remainder past 48 terms is evaluated with Euler-Maclaurin; the
@@ -73,8 +95,10 @@ def periodic_tail_1d(g, period, start, kernel_ray, kernel_ray_tail):
     xi = 0.5 * period * (x + 1.0)
     wxi = 0.5 * period * w
     m = np.arange(48)
-    pts = start + xi[:, None] + period * m[None, :]
-    s = kernel_ray(pts.ravel()).reshape(pts.shape).sum(axis=1)
+    start = np.asarray(start, dtype=float)[..., None]
+    pts = start[..., None] + xi[:, None] + period * m
+    s = kernel_ray(pts.reshape(start.shape[:-1] + (-1,)))
+    s = s.reshape(pts.shape).sum(axis=-1)
     # Euler-Maclaurin remainder of sum_{m >= 48} K(a + m*period)
     a = start + xi + period * 48
     dk = 1e-4 * a
@@ -84,6 +108,6 @@ def periodic_tail_1d(g, period, start, kernel_ray, kernel_ray_tail):
     gv = g(start + xi)
     value = row_dot(gv * s, wxi)
     # third-derivative EM term, estimated crudely from k1 decay
-    err = period ** 3 * np.max(np.abs(k1)) / a[0] ** 2 / 720.0
+    err = period ** 3 * np.max(np.abs(k1), axis=-1) / a[..., 0] ** 2 / 720.0
     err = abs(err) * period * np.max(np.abs(gv), axis=-1)
     return value, err

@@ -16,13 +16,15 @@ Only n = 1 is supported here: the identity structure being verified is
 dimension-uniform and the desk-scale checks all live on the line.
 """
 
+from functools import cache
 from math import gamma
 
 import numpy as np
 
-from ._quad import geometric_edges, panel_nodes, periodic_tail_1d
+from ._quad import (geometric_edges, geometric_panels, gl_rule, panel_nodes,
+                    periodic_tail_1d, row_dot)
 from .funcspace import directional_derivative, Tail
-from .nonlocal_ops import spectral_oracle_batch
+from .nonlocal_ops import CHUNK, spectral_oracle_batch
 
 __all__ = [
     "poisson_constant", "ExtensionField", "extend",
@@ -31,6 +33,18 @@ __all__ = [
 ]
 
 _E1 = np.array([1.0])
+
+
+@cache
+def _peak_rule():
+    """The 12 peak panels on [-4, 4]; a point at height y takes y times."""
+    return panel_nodes(np.linspace(-4.0, 4.0, 13), 16)
+
+
+@cache
+def _ray_rule():
+    """The ray tail's rule on [1, 1e4]; the tail from a takes a times."""
+    return panel_nodes(geometric_edges(1.0, 1e4, 6), 12)
 
 
 def poisson_constant(n, s):
@@ -56,11 +70,22 @@ def _kernel_y_derivs(t, y, s, ky):
 
 
 def _kernel_ray_tail(a, y, s, ky):
-    """integral over [a, inf) of the ky-th y-derivative of the kernel."""
-    edges = geometric_edges(a, a * 1e4, 6)
-    t, wt = panel_nodes(edges, 12)
-    val = np.dot(wt, _kernel_y_derivs(t, y, s, ky))
-    # beyond a*1e4 the kernel is a pure power in t to machine accuracy
+    """integral over [a, inf) of the ky-th y-derivative of the kernel,
+    elementwise over the broadcast of the arrays a and y.
+
+    The rule is 6 order-12 Gauss panels per decade on [a, 1e4 a], one
+    unit rule on [1, 1e4] scaled by a, run over blocks of at most CHUNK
+    nodes; past 1e4 a the kernel is a pure power in t to machine accuracy.
+    """
+    a, y = np.broadcast_arrays(np.asarray(a, dtype=float),
+                               np.asarray(y, dtype=float))
+    af, yf = a.reshape(-1, 1), y.reshape(-1, 1)
+    tu, wu = _ray_rule()
+    val = np.empty(af.shape[0])
+    step = max(CHUNK // tu.size, 1)
+    for i in range(0, val.size, step):
+        blk = slice(i, i + step)
+        val[blk] = row_dot(_kernel_y_derivs(af[blk] * tu, yf[blk], s, ky), wu)
     p = poisson_constant(1, s)
     far = a * 1e4
     if ky == 0:
@@ -69,8 +94,7 @@ def _kernel_ray_tail(a, y, s, ky):
         coef = p * 2 * s * y ** (2 * s - 1)
     else:
         coef = p * 2 * s * (2 * s - 1) * y ** (2 * s - 2)
-    val += coef * far ** (-1 - 2 * s) * far / (2 * s)
-    return val
+    return a * val.reshape(a.shape) + coef * far ** (-1 - 2 * s) * far / (2 * s)
 
 
 class ExtensionField:
@@ -79,7 +103,11 @@ class ExtensionField:
     field(kx, ky) returns a vectorized evaluator of d_x^kx d_y^ky U on
     points (x, y), y > 0; kx <= 4 uses exact base derivatives.  Each
     convolution runs 16-node Gauss panels: 12 across the kernel's peak
-    [-4y, 4y] and 6 per decade on either side out to the cutoff T.
+    [-4y, 4y] and 6 per decade on either side out to the cutoff
+    T = max(24, 8y, 2|x|).  A call evaluates all its points as one batch:
+    the base function and the kernel are each evaluated once over the
+    nodes of every point, in blocks of at most CHUNK nodes, and the
+    far-field limit and periodic tail are added for all points at once.
     """
 
     def __init__(self, u, s):
@@ -111,42 +139,64 @@ class ExtensionField:
         return Tail(0.0, lambda r: 50.0 * base.resid(np.maximum(r - 1.0, 0.0)))
 
     def field(self, kx=0, ky=0):
-        uf = self._ux[kx]
+        uf, tail = self._ux[kx], self._tail_of(kx)
 
         def ev(x, y):
-            x = np.atleast_1d(np.asarray(x, dtype=float))
-            y = np.atleast_1d(np.asarray(y, dtype=float))
+            x, y = (v.ravel() for v in np.broadcast_arrays(
+                np.asarray(x, dtype=float), np.asarray(y, dtype=float)))
+            T = np.maximum(np.maximum(24.0, 8.0 * y), 2.0 * np.abs(x))
+            n, left, right = geometric_panels(4.0 * y, T, 6)
+            # whole points per block, at most CHUNK nodes in a block
+            step = max(CHUNK // (16 * (12 + 2 * n.max(initial=1))), 1)
+            ends = np.cumsum(n)[step - 1:x.size - 1:step]
             out = np.empty(x.size)
-            for i in range(x.size):
-                out[i] = self._conv(uf, kx, ky, float(x[i]), float(y[i]))
+            for i, lo, hi in zip(range(0, x.size, step),
+                                 np.split(left, ends), np.split(right, ends)):
+                b = slice(i, i + step)
+                out[b] = self._conv(uf, tail, ky, x[b], y[b], T[b], n[b],
+                                    lo, hi)
             return out
 
         return ev
 
-    def _conv(self, uf, kx, ky, x, y):
-        T = max(24.0, 8.0 * y, 2.0 * abs(x))
-        peak = np.linspace(-4 * y, 4 * y, 13)
-        right = geometric_edges(4 * y, T, 6)
-        tp, wp = panel_nodes(peak, 16)
-        tr, wr = panel_nodes(right, 16)
-        t_off = np.concatenate([tp, tr, -tr])
-        w_all = np.concatenate([wp, wr, wr])
-        kv = _kernel_y_derivs(t_off, y, self.s, ky)
-        vals = uf((x + t_off).reshape(-1, 1))
-        total = float(np.dot(w_all, kv * vals))
-        tail = self._tail_of(kx)
+    def _conv(self, uf, tail, ky, x, y, T, n, left, right):
+        """d_x^kx d_y^ky U at the points (x, y) with cutoffs T, where uf
+        is d^kx u and tail its metadata; the side panels [left, right]
+        of point i are n[i] consecutive entries."""
+        m = x.size
+        gx, gw = gl_rule(16)
+        tp, wp = _peak_rule()
+        h = 0.5 * (right - left)
+        # panel rows: the 12 peak panels of every point, then the sides
+        row = np.concatenate([np.repeat(np.arange(m), 12),
+                              np.repeat(np.arange(m), n)])
+        t = np.concatenate([(y[:, None] * tp).reshape(-1, 16),
+                            (left + h)[:, None] + h[:, None] * gx])
+        w = np.concatenate([(y[:, None] * wp).reshape(-1, 16),
+                            h[:, None] * gw])
+        kv = _kernel_y_derivs(t, y[row, None], self.s, ky)
+        # u at x + t on every panel and at x - t on the side panels
+        xr, k = x[row, None], 12 * m
+        vals = uf(np.concatenate([xr + t, xr[k:] - t[k:]]).reshape(-1, 1))
+        vals = vals.reshape(-1, 16)
+        vals[k:len(t)] += vals[len(t):]
+        total = np.bincount(row, np.sum(w * kv * vals[:len(t)], axis=1),
+                            minlength=m)
         lim = tail.limit
-        ray = lambda tt: _kernel_y_derivs(np.abs(tt), y, self.s, ky)
-        ray_tail = lambda aa: np.array([
-            _kernel_ray_tail(ai, y, self.s, ky) for ai in np.atleast_1d(aa)])
         if lim != 0.0:
             total += lim * 2.0 * _kernel_ray_tail(T, y, self.s, ky)
         if tail.period is not None:
+            xc, yc = x[:, None], y[:, None]
+
             def gt(tt):
-                return (uf((x + tt).reshape(-1, 1))
-                        + uf((x - tt).reshape(-1, 1))) - 2.0 * lim
+                pm = uf(np.concatenate([xc + tt, xc - tt]).reshape(-1, 1))
+                pm = pm.reshape(2, m, -1)
+                return (pm[0] + pm[1]) - 2.0 * lim
+
+            ray = lambda tt: _kernel_y_derivs(np.abs(tt), yc, self.s, ky)
+            ray_tail = lambda aa: _kernel_ray_tail(aa, yc, self.s, ky)
             val, _ = periodic_tail_1d(gt, tail.period, T, ray, ray_tail)
-            total += float(val)
+            total += val
         return total
 
     # convenience bundles ----------------------------------------------------

@@ -440,8 +440,7 @@ def _tail(kernel, G, xs, gx, R):
 
         e1 = np.array([1.0])
         ray = lambda t: kernel(t.reshape(-1, 1))
-        ray_tail = lambda a: np.array([kernel.ray_tail(ai, e1)
-                                       for ai in np.atleast_1d(a)])
+        ray_tail = lambda a: kernel.ray_tail(a, e1)
         val, err = periodic_tail_1d(gtilde, G.tail.period, R, ray, ray_tail)
         value += val
         error += err + resid * tm

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from scipy.special import gamma
 
+from fracbern._quad import geometric_edges, panel_nodes, periodic_tail_1d
 from fracbern.funcspace import (gaussian_bump, plane_wave, constant,
                                 modulated_gaussian, make_cutoff)
 from fracbern.extension import (extend, weighted_normal_derivative,
                                 trace_constant, poisson_constant,
                                 verify_extension_identities,
-                                check_halfspace_max_principle)
+                                check_halfspace_max_principle,
+                                _kernel_ray_tail, _kernel_y_derivs)
 from fracbern.nonlocal_ops import spectral_oracle
 
 
@@ -202,3 +204,64 @@ def test_subsolution_shifted_pair():
         Vfn, lambda x: np.zeros_like(np.asarray(x)), box=(2.0, 2.0),
         nx=11, ny=8, tol=1e-5)
     assert rep["pass"]
+
+
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+def test_kernel_ray_tail_matches_quad_elementwise(s):
+    from scipy.integrate import quad
+    a = np.array([24.0, 30.0, 24.0 + 48.0 * np.pi])
+    for y in (1e-3, 0.08, 1.0):
+        for ky in (0, 1, 2):
+            got = _kernel_ray_tail(a, y, s, ky)
+            each = [_kernel_ray_tail(ai, y, s, ky) for ai in a]
+            assert np.array_equal(got, each)
+            # t = a e^v up to v = 60, then the pure power of the kernel
+            coef = poisson_constant(1, s) * (
+                y ** (2 * s), 2 * s * y ** (2 * s - 1),
+                2 * s * (2 * s - 1) * y ** (2 * s - 2))[ky]
+            for ai, g in zip(a, got):
+                ref = quad(lambda v: ai * np.exp(v) * float(_kernel_y_derivs(
+                    ai * np.exp(v), y, s, ky)), 0.0, 60.0, epsabs=0.0,
+                    epsrel=1e-13, limit=200)[0]
+                ref += coef * (ai * np.exp(60.0)) ** (-2 * s) / (2 * s)
+                assert g == pytest.approx(ref, rel=1e-11, abs=0.0)
+
+
+def _per_point_field(E, kx, ky, x, y):
+    """Reference: one point's convolution with its own rule and a scalar
+    ray tail per periodic-tail node; returns (value, sum of |terms|)."""
+    uf, tail = E._ux[kx], E._tail_of(kx)
+    T = max(24.0, 8.0 * y, 2.0 * abs(x))
+    tp, wp = panel_nodes(np.linspace(-4 * y, 4 * y, 13), 16)
+    tr, wr = panel_nodes(geometric_edges(4 * y, T, 6), 16)
+    t = np.concatenate([tp, tr, -tr])
+    terms = (np.concatenate([wp, wr, wr]) * _kernel_y_derivs(t, y, E.s, ky)
+             * uf((x + t).reshape(-1, 1)))
+    val = np.sum(terms) + 2.0 * tail.limit * _kernel_ray_tail(T, y, E.s, ky)
+    if tail.period is not None:
+        val += periodic_tail_1d(
+            lambda r: uf((x + r).reshape(-1, 1)) + uf((x - r).reshape(-1, 1))
+            - 2.0 * tail.limit, tail.period, T,
+            lambda r: _kernel_y_derivs(np.abs(r), y, E.s, ky),
+            lambda a: np.array([_kernel_ray_tail(ai, y, E.s, ky)
+                                for ai in a]))[0]
+    return val, np.sum(np.abs(terms))
+
+
+@pytest.mark.parametrize("u", [plane_wave(1.0), gaussian_bump(1, 0.2, 0.8)],
+                         ids=["periodic-tail", "decaying-tail"])
+def test_field_batch_equals_one_point_calls(u):
+    # |x| up to 15 reaches the cutoff T = 2|x|; heights from 1e-3 to 2
+    xs = np.array([0.0, 0.3, -1.1, 4.0, 11.9, 12.1, -15.0, 7.5])
+    ys = np.array([1e-3, 0.08, 2.0, 0.02, 0.5, 1e-3, 0.3, 1.0])
+    E = extend(u, 0.4)
+    for kx in range(5):
+        for ky in range(3):
+            f = E.field(kx, ky)
+            batch = f(xs, ys)
+            each = np.array([f(x, y)[0] for x, y in zip(xs, ys)])
+            assert np.allclose(batch, each, rtol=1e-14, atol=0.0)
+            # the same rule as the per-point loop, up to summation order
+            ref, size = np.array([_per_point_field(E, kx, ky, x, y)
+                                  for x, y in zip(xs, ys)]).T
+            assert np.all(np.abs(batch - ref) <= 16 * 2.2e-16 * size)

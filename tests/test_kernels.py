@@ -287,3 +287,52 @@ def test_kernel_json_roundtrip():
     K2 = kernel_from_json(kernel_to_json(K))
     z = np.random.default_rng(4).normal(size=(20, 2))
     assert np.allclose(K(z), K2(z), rtol=1e-12)
+
+
+def _ray_tail_kernels():
+    s = 0.4
+    frac = fractional_kernel(1, s)
+    return {
+        "fractional": fractional_kernel(1, s),
+        "anisotropic": anisotropic_kernel(s, [[1.7]]),
+        "stable": stable_kernel(1, s, lambda w: 1.0 + 0.5 * w[:, 0] ** 2),
+        "custom-hook": _log_modulated(1, s),
+        "custom-generic": custom_kernel(1, s, frac, C1=frac.C1,
+                                        C2=frac.C2, C3=frac.C3),
+        "fractional-2d": fractional_kernel(2, s),
+        "custom-generic-2d": custom_kernel(2, s, fractional_kernel(2, s),
+                                           C1=1.0, C2=1.0, C3=1.0),
+    }
+
+
+@pytest.mark.parametrize("name", list(_ray_tail_kernels()))
+def test_ray_tail_array_equals_elementwise(name):
+    K = _ray_tail_kernels()[name]
+    omega = np.array([1.0]) if K.n == 1 else np.array([0.6, -0.8])
+    a = np.array([[0.3, 1.0, 16.0], [24.0, 30.0, 24.0 + 48.0 * np.pi]])
+    got = K.ray_tail(a, omega)
+    assert got.shape == a.shape
+    each = np.array([[K.ray_tail(ai, omega) for ai in row] for row in a])
+    assert np.array_equal(got, each)
+
+
+def test_generic_ray_tail_truncation_is_covered_or_refused():
+    # the generic ray tail stops at 1e10 a and drops 10^(-20 s) of the
+    # integral; the C2 bound of tail_mass keeps the operator value honest:
+    # covered by the certified error at s = 0.25, refused at s = 0.1
+    from fracbern.funcspace import plane_wave
+    from fracbern.nonlocal_ops import QuadratureFailure
+    e1 = np.array([1.0])
+    for s in (0.05, 0.1, 0.25):
+        F = fractional_kernel(1, s)
+        C = custom_kernel(1, s, F, C1=F.C1, C2=F.C2, C3=F.C3)
+        short = 1.0 - C.ray_tail(16.0, e1) / F.ray_tail(16.0, e1)
+        assert short == pytest.approx(10.0 ** (-20 * s), rel=1e-6)
+    F = fractional_kernel(1, 0.25)
+    C = custom_kernel(1, 0.25, F, C1=F.C1, C2=F.C2, C3=F.C3)
+    val = apply_nonlocal(C, plane_wave(1.0), 0.3)
+    assert abs(val.value - np.cos(0.3)) <= val.error
+    F = fractional_kernel(1, 0.1)
+    C = custom_kernel(1, 0.1, F, C1=F.C1, C2=F.C2, C3=F.C3)
+    with pytest.raises(QuadratureFailure):
+        apply_nonlocal(C, plane_wave(1.0), 0.3)

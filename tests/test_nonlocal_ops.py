@@ -15,7 +15,8 @@ from fracbern.funcspace import (gaussian_bump, plane_wave, modulated_gaussian,
                                 affine_precompose, translate, make_cutoff,
                                 directional_derivative, positive_part_square,
                                 SmoothFunction, Tail)
-from fracbern._quad import geometric_edges, panel_nodes
+from fracbern._quad import (geometric_edges, geometric_panels, panel_nodes,
+                           periodic_tail_1d)
 from fracbern.nonlocal_ops import (apply_nonlocal, apply_fractional,
                                    apply_batch, apply_superposition,
                                    spectral_oracle, spectral_oracle_batch,
@@ -283,6 +284,39 @@ def test_order_continuity_sweep():
     vals = np.array([apply_fractional(0.0, g, x).value] + vals
                     + [apply_fractional(1.0, g, x).value])
     assert np.max(np.abs(np.diff(vals))) < 0.25  # no blow-up toward s = 1
+
+
+def test_geometric_panels_equal_geometric_edges_per_row():
+    # the extension's side panels: [4y, T], T = max(24, 8y, 2|x|)
+    rng = np.random.default_rng(0)
+    y = np.append(rng.uniform(1e-3, 2.0, 200), [0.6, 0.06, 1e-3, 2.0])
+    x = np.append(rng.uniform(-30.0, 30.0, 200), [0.0, 0.0, 15.0, -12.1])
+    T = np.maximum(np.maximum(24.0, 8.0 * y), 2.0 * np.abs(x))
+    n, left, right = geometric_panels(4.0 * y, T, 6)
+    first = np.append(0, np.cumsum(n))
+    for i in range(y.size):
+        edges = geometric_edges(4.0 * y[i], T[i], 6)
+        assert np.array_equal(left[first[i]:first[i + 1]], edges[:-1])
+        assert np.array_equal(right[first[i]:first[i + 1]], edges[1:])
+
+
+def test_periodic_tail_per_row_starts_equal_scalar_calls():
+    # rows differ in start, kernel constant and phase of the periodic g
+    s, period = 0.3, 2 * np.pi
+    starts = np.array([24.0, 30.0, 24.0 + 48.0 * np.pi])
+    c = np.array([1.0, 0.5, 2.0])
+    phase = np.array([0.0, 0.4, -1.3])
+
+    def tail(start, c, phase):
+        return periodic_tail_1d(
+            lambda t: np.cos(t + phase), period, start,
+            lambda t: c * np.abs(t) ** (-1 - 2 * s),
+            lambda a: c * a ** (-2 * s) / (2 * s))
+
+    val, err = tail(starts, c[:, None], phase[:, None])
+    each = [tail(*row) for row in zip(starts, c, phase)]
+    assert np.array_equal(val, [v for v, _ in each])
+    assert np.array_equal(err, [e for _, e in each])
 
 
 def test_quadrature_failure_carries_partial():
