@@ -2,10 +2,13 @@
 
 Everything here is plain numpy: Gauss-Legendre panels, geometric panel
 grids for integrable power singularities (one range, or one per row),
-a row-by-row dot product for batched quadrature sums, and a
-periodic-tail summation based on Euler-Maclaurin for slowly decaying
-oscillatory tails.
+the half-sphere angular rule and the radial rules built on it, a
+row-by-row dot product for batched quadrature sums, and a periodic-tail
+summation based on Euler-Maclaurin for slowly decaying oscillatory
+tails.
 """
+
+from functools import cache, lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -61,6 +64,57 @@ def geometric_panels(r_inner, r_outer, panels_per_decade):
     left = np.where(j == 0, r_inner[row], edge(j))
     right = np.where(j + 1 == n[row], r_outer[row], edge(j + 1))
     return n, left, right
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@cache
+def half_sphere(n, count):
+    """Directions (k, n) and weights (k,) that integrate an even function
+    over the unit sphere S^{n-1} exactly as the full count-direction
+    trapezoid rule does, from one direction of each +-pair: +1 with
+    weight 2 in 1d; in 2d the first count // 2 angles of the count
+    uniform ones, each with weight 4 pi / count (count must be even).
+    The weights sum to |S^{n-1}|.  Cached and read-only."""
+    if n == 1:
+        return _read_only(np.array([[1.0]]), np.array([2.0]))
+    if count % 2:
+        raise ValueError("a half-sphere rule needs an even direction count")
+    th = np.linspace(0.0, 2 * np.pi, count, endpoint=False)[:count // 2]
+    return _read_only(np.stack([np.cos(th), np.sin(th)], axis=1),
+                      np.full(count // 2, 4 * np.pi / count))
+
+
+@lru_cache(maxsize=64)
+def radial_rule(kernel, r_lo, r_hi, order, ppd, n_ang):
+    """Nodes z, kernel values K(z) and weights w with
+
+        sum_k w_k F(z_k) K(z_k) ~ integral over r_lo < |z| < r_hi of F K
+
+    for an even F K: Gauss-Legendre panels (ppd per decade) on a
+    geometric radial grid times half_sphere(n, n_ang), w = wt t^{n-1} wd.
+    Radius-major, so a prefix of whole panels is the rule on fewer
+    panels.  Cached, since zone edges, outer radii and rules recur from
+    call to call; the arrays are read-only.
+    """
+    t, wt = panel_nodes(geometric_edges(r_lo, r_hi, ppd), order)
+    dirs, wd = half_sphere(kernel.n, n_ang)
+    z = (t[:, None, None] * dirs).reshape(-1, kernel.n)
+    w = ((wt * t ** (kernel.n - 1))[:, None] * wd).ravel()
+    return _read_only(z, kernel(z), w)
+
+
+@cache
+def ray_rule(decades):
+    """6 order-12 Gauss panels per decade on [1, 10^decades]: a ray
+    integral over [a, 10^decades a] is this rule scaled by a.  Cached
+    and read-only."""
+    return _read_only(*panel_nodes(geometric_edges(1.0, 10.0 ** decades, 6),
+                                   12))
 
 
 def row_dot(a, w):

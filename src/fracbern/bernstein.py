@@ -23,7 +23,8 @@ from .kernels import fractional_kernel, as_points, fd_grad, fd_hess
 from .funcspace import (constant, directional_derivative,
                         positive_part, positive_part_square, incremental_quotient,
                         averaged_square, averaged_square_root, make_cutoff)
-from .nonlocal_ops import apply_batch, default_plan, _radial_nodes
+from ._quad import radial_rule
+from .nonlocal_ops import N_ANGULAR, apply_batch, default_plan
 
 __all__ = [
     "InequalityReport", "DeltaSigmaSelection", "SearchFailure",
@@ -440,11 +441,11 @@ def odd_taper(delta):
 
 
 def _plain_kernel_integral(kernel, W, r_lo, r_hi, plan):
-    """integral over r_lo < |y| < r_hi of W(y) K(y) dy (even-paired)."""
-    z, kz, w = _radial_nodes(kernel, r_lo, r_hi, plan.order,
-                             plan.panels_per_decade)
-    vals = 0.5 * (W(z) + W(-z)) if kernel.n == 1 else W(z)
-    return float(np.dot(vals * kz, w))
+    """integral over r_lo < |y| < r_hi of W(y) K(y) dy: the even part
+    (W(y) + W(-y)) / 2 on the plan's radial rule, in every dimension."""
+    z, kz, w = radial_rule(kernel, r_lo, r_hi, plan.order,
+                           plan.panels_per_decade, N_ANGULAR)
+    return float(np.dot(0.5 * (W(z) + W(-z)) * kz, w))
 
 
 def taper_moment(kernel, delta):

@@ -21,8 +21,8 @@ from math import gamma
 
 import numpy as np
 
-from ._quad import (geometric_edges, geometric_panels, gl_rule, panel_nodes,
-                    periodic_tail_1d, row_dot)
+from ._quad import (geometric_panels, gl_rule, panel_nodes, periodic_tail_1d,
+                    ray_rule, row_dot)
 from .funcspace import directional_derivative, Tail
 from .nonlocal_ops import CHUNK, spectral_oracle_batch
 
@@ -39,12 +39,6 @@ _E1 = np.array([1.0])
 def _peak_rule():
     """The 12 peak panels on [-4, 4]; a point at height y takes y times."""
     return panel_nodes(np.linspace(-4.0, 4.0, 13), 16)
-
-
-@cache
-def _ray_rule():
-    """The ray tail's rule on [1, 1e4]; the tail from a takes a times."""
-    return panel_nodes(geometric_edges(1.0, 1e4, 6), 12)
 
 
 def poisson_constant(n, s):
@@ -80,7 +74,7 @@ def _kernel_ray_tail(a, y, s, ky):
     a, y = np.broadcast_arrays(np.asarray(a, dtype=float),
                                np.asarray(y, dtype=float))
     af, yf = a.reshape(-1, 1), y.reshape(-1, 1)
-    tu, wu = _ray_rule()
+    tu, wu = ray_rule(4)
     val = np.empty(af.shape[0])
     step = max(CHUNK // tu.size, 1)
     for i in range(0, val.size, step):

@@ -501,9 +501,14 @@ def _periodic_product_mean(f, g):
     if period in (None, -1.0) or f.n != 1:
         return 0.0
     x, w = gl_rule(64)
-    # mean over one far period of (f - lim)(g - lim); radius large enough
-    # that decaying residuals are negligible for catalog functions
-    t0 = 0.0
+    # mean over one period of (f - lim)(g - lim), started at the first
+    # radius 0, 1, 2, 4, ..., 2^20 past which both residual bounds are
+    # round-off (0 where both vanish; 0 too where neither gets there)
+    radii = np.append(0.0, 2.0 ** np.arange(21))
+    eps = np.finfo(float).eps
+    small = ((f.tail.resid(radii) <= eps * f.sup)
+             & (g.tail.resid(radii) <= eps * g.sup))
+    t0 = radii[np.argmax(small)]
     pts = (t0 + 0.5 * period * (x + 1.0)).reshape(-1, 1)
     fv = f(pts) - f.tail.limit
     gv = g(pts) - g.tail.limit
@@ -1109,19 +1114,9 @@ class GridFunction:
                               grad_sup=np.inf, hess_sup=np.inf, tail=tail)
 
     def boundary_mismatch(self):
-        """Gap between interior values and the exterior closure at the rim."""
-        ext = self.exterior
-        if self.n == 1:
-            pts = np.array([[-self.L], [self.L]])
-            vals = np.array([self.values[0], self.values[-1]])
-        else:
-            idx = [0, self.N - 1]
-            pts, vals = [], []
-            for i in idx:
-                for j in range(self.N):
-                    pts.append([self.axis[i], self.axis[j]])
-                    vals.append(self.values[i, j])
-                    pts.append([self.axis[j], self.axis[i]])
-                    vals.append(self.values[j, i])
-            pts, vals = np.asarray(pts), np.asarray(vals)
-        return float(np.max(np.abs(vals - ext.value(as_points(pts, self.n)))))
+        """Largest gap between the grid values and the exterior closure
+        over the rim nodes (a first or last index on some axis)."""
+        idx = np.indices(self.values.shape)
+        rim = np.any((idx == 0) | (idx == self.N - 1), axis=0)
+        gap = self.values[rim] - self.exterior.value(self.nodes()[rim.ravel()])
+        return float(np.max(np.abs(gap)))

@@ -9,12 +9,11 @@ Points are numpy arrays of shape (m, n); kernel evaluation returns (m,).
 """
 
 import json
-from functools import cache
 from math import gamma
 
 import numpy as np
 
-from ._quad import geometric_edges, panel_nodes, row_dot
+from ._quad import half_sphere, radial_rule, ray_rule, row_dot
 
 __all__ = [
     "normalizing_constant", "Kernel", "EllipticMatrix", "MeasureOnUnit",
@@ -24,12 +23,6 @@ __all__ = [
     "operator_order", "positive_orders", "bellman_max", "log_sum_exp",
     "linear_nonlinearity",
 ]
-
-
-@cache
-def _ray_rule():
-    """ray_tail's rule on [a, 1e10 a] is this rule on [1, 1e10] times a."""
-    return panel_nodes(geometric_edges(1.0, 1e10, 6), 12)
 
 
 def normalizing_constant(n, s):
@@ -117,6 +110,7 @@ class Kernel:
         self._radial_tail = radial_tail        # custom: int_a^inf K(t w) dt
         self._radial_moment2 = radial_moment2  # custom: int_0^r t^2 K(t w) t^{n-1} dt
         self._angular_cache = {}
+        self._surface = float(half_sphere(self.n, 2)[1].sum())  # |S^{n-1}|
 
     # -- evaluation ---------------------------------------------------------
 
@@ -139,25 +133,15 @@ class Kernel:
     # -- exact/certified radial structure ------------------------------------
 
     def _angular_integral(self, moment):
-        """integral over the unit sphere of a(w) (moment=0) or a(w) w w^T."""
-        key = moment
-        if key in self._angular_cache:
-            return self._angular_cache[key]
-        if self.n == 1:
-            dirs = sphere_directions(1, 2)
-            a = self._angular(dirs)
-            out = a.sum() if moment == 0 else np.array([[a.sum()]])
-        else:
-            m = 512
-            dirs = sphere_directions(2, m)
-            a = self._angular(dirs)
-            w = 2 * np.pi / m
+        """integral over the unit sphere of a(w) (moment=0) or a(w) w w^T
+        (moment=1), on the 512-direction half-sphere rule (exact in 1d)."""
+        def compute():
+            dirs, wd = half_sphere(self.n, 512)
+            aw = self._angular(dirs) * wd
             if moment == 0:
-                out = float(a.sum() * w)
-            else:
-                out = w * np.einsum("k,ki,kj->ij", a, dirs, dirs)
-        self._angular_cache[key] = out
-        return out
+                return aw.sum()
+            return np.einsum("k,ki,kj->ij", aw, dirs, dirs)
+        return self._cached(("angular", moment), compute)
 
     def is_power_law(self):
         return self._angular is not None
@@ -174,48 +158,35 @@ class Kernel:
                             lambda: self._tail_mass_uncached(R))
 
     def _tail_mass_uncached(self, R):
-        p = self.n + 2 * self.s
         if self.is_power_law():
             return self._angular_integral(0) * R ** (-2 * self.s) / (2 * self.s), 0.0
-        surf = 2.0 if self.n == 1 else 2 * np.pi
-        if self._radial_tail is not None:
-            val = surf * self._rt_shell(R)
+        if self._radial_tail is not None and self.n == 1:
+            val = self._surface * self._radial_tail(R)
             return val, 1e-13 * abs(val)
-        # numeric shells over 10 decades, power remainder bound past that
-        edges = geometric_edges(R, R * 1e10, 6)
-        t, wt = panel_nodes(edges, 12)
-        dirs = sphere_directions(self.n, 64)
-        vals = np.zeros_like(t)
-        dw = 1.0 if self.n == 1 else 2 * np.pi / len(dirs)
-        for d in dirs:
-            vals += self(t[:, None] * d[None, :]) * dw
-        val = float(np.dot(wt, vals * t ** (self.n - 1)))
-        rem = self.C2 * self.s * (1 - self.s) * surf \
+        # numeric shells over 10 decades, the C2 power bound past that
+        _, kz, w = radial_rule(self, R, R * 1e10, 12, 6, 64)
+        rem = self.C2 * self.s * (1 - self.s) * self._surface \
             * (R * 1e10) ** (-2 * self.s) / (2 * self.s)
-        return val, rem
-
-    def _rt_shell(self, R):
-        # radial tail of r^{n-1} K(r e); custom hook gives the ray integral
-        if self.n == 1:
-            return self._radial_tail(R)
-        raise NotImplementedError("exact custom tails are 1d only")
+        return float(np.dot(kz, w)), rem
 
     def ray_tail(self, a, omega):
         """integral over [a, inf) of K(t*omega) dt along one ray, for a
         radius a or elementwise over an array of radii: in closed form for
         power laws, by the custom hook (called once on the array), else
-        by 6 order-12 Gauss panels per decade over [a, 1e10 a]."""
+        by 6 order-12 Gauss panels per decade over [a, b], b = 1e10 a,
+        plus the pure-power continuation K(b omega) b / (n + 2s - 1)."""
         p = self.n + 2 * self.s
         if self.is_power_law():
             aw = self._angular(np.asarray(omega, dtype=float).reshape(1, -1))[0]
             return aw * a ** (1 - p) / (p - 1)
         if self._radial_tail is not None and self.n == 1:
             return self._radial_tail(a)
-        tu, wu = _ray_rule()
+        tu, wu = ray_rule(10)
         a = np.asarray(a, dtype=float)
-        t = a[..., None] * tu
+        t = a[..., None] * np.append(tu, 1e10)
         pts = t[..., None] * np.asarray(omega, dtype=float)
-        return a * row_dot(self(pts.reshape(-1, self.n)).reshape(t.shape), wu)
+        k = self(pts.reshape(-1, self.n)).reshape(t.shape)
+        return a * row_dot(k[..., :-1], wu) + k[..., -1] * t[..., -1] / (p - 1)
 
     def second_moment_matrix(self, r):
         """(M, error) with M = integral over B_r of z z^T K(z) dz."""
@@ -240,21 +211,15 @@ class Kernel:
             v = self._radial_moment2(r)
             return np.array([[2 * v]]), 1e-13 * abs(v)
         lo = r * 1e-9
-        edges = geometric_edges(lo, r, 6)
-        t, wt = panel_nodes(edges, 12)
-        dirs = sphere_directions(self.n, 64)
-        dw = 1.0 if self.n == 1 else 2 * np.pi / len(dirs)
-        M = np.zeros((self.n, self.n))
-        for d in dirs:
-            kd = self(t[:, None] * d[None, :])
-            M += dw * np.outer(d, d) * np.dot(wt, kd * t ** (self.n - 1 + p))
+        z, kz, w = radial_rule(self, lo, r, 12, 6, 64)
+        zz = np.sum(z * z, axis=1)
+        M = np.einsum("k,ki,kj->ij", kz * w * zz ** (p // 2 - 1), z, z)
         return M, self.abs_moment(p, lo)
 
     def abs_moment(self, p, r):
         """Upper bound on integral over B_r of |z|^p K(z) dz (p > 2s), from
         K(z) <= C2 s (1 - s) |z|^{-n-2s}; r may be an array."""
-        surf = 2.0 if self.n == 1 else 2 * np.pi
-        return self.C2 * self.s * (1 - self.s) * surf \
+        return self.C2 * self.s * (1 - self.s) * self._surface \
             * r ** (p - 2 * self.s) / (p - 2 * self.s)
 
     def __repr__(self):

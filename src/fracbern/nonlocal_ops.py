@@ -24,12 +24,15 @@ error estimate:
   jets (closure leaves, positive parts), or once the zone's own error
   holds over half the tolerance, r_zone = eps = 1e-10, with no quartic
   term, and a bound from the third derivative covers |z| < eps;
-- annulus r0 < |z| < R: log-radial Gauss-Legendre panels (times a
-  trapezoid angular rule in 2d), with a fine/coarse Richardson pair;
+- annulus r0 < |z| < R: log-radial Gauss-Legendre panels times the
+  half-sphere angular rule (_quad.radial_rule), with a fine/coarse
+  Richardson pair;
 - far field |z| > R: the integrand's tail metadata, exact for compact
   supports, certified bounds for decaying tails, and an Euler-Maclaurin
   periodic summation for trigonometric tails in 1d.
 
+Every paired integrand and every kernel is even in z, so each radial
+rule evaluates one direction of each +-pair (_quad.half_sphere).
 Every error also carries a round-off floor.  Probes whose error misses
 the tolerance are refined alone.
 singular_integral is a batch of one; singular_integral_batch returns
@@ -46,10 +49,9 @@ from math import factorial
 
 import numpy as np
 
-from ._quad import (geometric_edges, panel_nodes, periodic_tail_1d,
-                    gl_rule, row_dot)
-from .kernels import (MeasureOnUnit, as_points, fractional_kernel,
-                      sphere_directions)
+from ._quad import (geometric_edges, half_sphere, panel_nodes,
+                    periodic_tail_1d, gl_rule, radial_rule, row_dot)
+from .kernels import MeasureOnUnit, as_points, fractional_kernel
 
 __all__ = [
     "QuadraturePlan", "OperatorValue", "QuadratureFailure",
@@ -60,7 +62,7 @@ __all__ = [
 ]
 
 R_INNER = 1e-2   # Taylor part below this radius, panels above
-N_ANGULAR = 48   # trapezoid directions per radius in 2d
+N_ANGULAR = 48   # trapezoid directions per radius in 2d, half evaluated
 T_NODES = 6      # Gauss nodes of the Bochner segment integral
 CHUNK = 16384    # integrand points per call, see _chunked
 STENCIL_BYTES = 1 << 21  # bound on each gather temporary of apply_to_grid
@@ -135,32 +137,6 @@ def _pick_outer(kernel, G, xnorm, rel_tol):
     return R
 
 
-@lru_cache(maxsize=64)
-def _radial_nodes(kernel, r_lo, r_hi, order, ppd, n_ang=N_ANGULAR):
-    """Nodes z, kernel values K(z) and weights w with
-
-        sum_k w_k F(z_k) K(z_k) ~ integral over r_lo < |z| < r_hi of F K
-
-    for an even F: Gauss-Legendre panels on a geometric radial grid, on
-    the positive half-line in 1d (weights doubled) and times a trapezoid
-    rule over n_ang directions in 2d.  Cached, since the zone edges,
-    outer radii and rules recur from call to call; the arrays are
-    read-only.
-    """
-    t, wt = panel_nodes(geometric_edges(r_lo, r_hi, ppd), order)
-    if kernel.n == 1:
-        z = t.reshape(-1, 1)
-        w = 2.0 * wt
-    else:
-        dirs = sphere_directions(2, n_ang)
-        z = (t[:, None, None] * dirs[None]).reshape(-1, 2)
-        w = np.repeat(wt * t * (2 * np.pi / n_ang), n_ang)
-    out = z, kernel(z), w
-    for a in out:
-        a.flags.writeable = False
-    return out
-
-
 def _chunked(F, m, z):
     """F(rows, z) over all m probes and nodes z (k, n), as an (m, k)
     array; F maps a slice of the probes and some nodes to their values,
@@ -176,12 +152,13 @@ def _chunked(F, m, z):
 
 
 def _richardson(kernel, F, m, r_lo, r_hi, fine, coarse, n_ang=N_ANGULAR):
-    """Fine and coarse (order, panels per decade) rules for the integral
-    of F K over r_lo < |z| < r_hi at m probes (F as in _chunked), on one
-    pass over the nodes of both.
+    """Fine and coarse (order, panels per decade) radial_rules, on the
+    half-sphere of n_ang directions, for the integral of F K over
+    r_lo < |z| < r_hi at m probes (F as in _chunked), on one pass over
+    the nodes of both.
     Returns (fine value, half the fine-coarse gap) per probe."""
-    zf, kf, wf = _radial_nodes(kernel, r_lo, r_hi, *fine, n_ang)
-    zc, kc, wc = _radial_nodes(kernel, r_lo, r_hi, *coarse, n_ang)
+    zf, kf, wf = radial_rule(kernel, r_lo, r_hi, *fine, n_ang)
+    zc, kc, wc = radial_rule(kernel, r_lo, r_hi, *coarse, n_ang)
     vals = _chunked(F, m, np.concatenate([zf, zc]))
     f = row_dot(vals[:, :len(zf)] * kf, wf)
     c = row_dot(vals[:, len(zf):] * kc, wc)
@@ -452,9 +429,16 @@ def _tail(kernel, G, xs, gx, R):
 # -- operator application -----------------------------------------------------
 
 def apply_nonlocal(kernel, u, x, plan=None):
-    """L_K u(x) = int (u(x) - u(y)) K(x - y) dy (paired PV form)."""
-    si = singular_integral(kernel, u, x, plan)
-    return OperatorValue(-si.value, si.error, si.breakdown)
+    """L_K u(x) = int (u(x) - u(y)) K(x - y) dy (paired PV form): minus
+    singular_integral, with its error and breakdown.  A strict miss
+    raises QuadratureFailure whose .partial is that OperatorValue of
+    L_K u."""
+    def negated(si):
+        return OperatorValue(-si.value, si.error, si.breakdown)
+    try:
+        return negated(singular_integral(kernel, u, x, plan))
+    except QuadratureFailure as exc:
+        raise QuadratureFailure(str(exc), negated(exc.partial)) from None
 
 
 _FRACTIONAL_CACHE = {}
@@ -549,12 +533,13 @@ def spectral_oracle_batch(s, u, xs):
     Otherwise Gauss-Legendre panels in |xi| on [1e-12 Xi, Xi] (Xi =
     u.fourier_radius), a fine/coarse pair and a finer rule where they
     disagree.  In 2d each radial node doubles a nested trapezoid rule in
-    angle, 6 up to 384 directions (half of them, by conjugate symmetry),
-    until its gap times its radial weight is at most 1e-16 A, A the
-    rule's sum of |terms| on 6 directions; done nodes form a prefix in
-    radius, and an unfinished node adds its gap to the error.  The error
-    must stay below 1e-9 |value| (1e-8 after the finer rule) or
-    64 eps A, else QuadratureFailure with .partial = (values, errors).
+    angle, 6 up to 384 directions (the half_sphere ones, by conjugate
+    symmetry), until its gap times its radial weight is at most
+    1e-16 A, A the rule's sum of |terms| on 6 directions; done nodes
+    form a prefix in radius, and an unfinished node adds its gap to the
+    error.  The error must stay below 1e-9 |value| (1e-8 after the
+    finer rule) or 64 eps A, else QuadratureFailure with .partial =
+    (values, errors).
     The transform is evaluated once for all probes; each probe keeps its
     own levels and rules, so it gets the value of a scalar call.
     """
@@ -616,12 +601,12 @@ def _oracle_rule(s, u, xs, ppd, order):
     # c S / N, c = w t^{n-1+2s} 2 |S^{n-1}| / (2 pi)^n = w t^{n-1+2s} 2/(n pi)
     c = wt * t ** (u.n - 1 + 2 * s) * 2 / (u.n * np.pi)
     N, cap = ORACLE_DIRS if u.n == 2 else (2, 2)
-    S, absS = level(0, sphere_directions(u.n, N)[:N // 2])
+    S, absS = level(0, half_sphere(u.n, N)[0])
     A, mean = row_dot(absS, c) / N, S / N
     done, gap = np.zeros((m, t.size), dtype=bool), np.zeros((m, t.size))
     while N < cap and not done.all():
         k0, N = int(done.sum(axis=1).min()), 2 * N
-        S[:, k0:] += level(k0, sphere_directions(2, N)[1:N // 2:2])[0]
+        S[:, k0:] += level(k0, half_sphere(2, N)[0][1::2])[0]
         live = ~done[:, k0:]
         gap[:, k0:] = np.abs(S[:, k0:] / N - mean[:, k0:]) * c[k0:] * live
         mean[:, k0:] = np.where(live, S[:, k0:] / N, mean[:, k0:])
@@ -762,7 +747,8 @@ def _far_data_integral(kernel, exterior, xs, R):
     """integral of exterior(x + z) K(z) over |z| > R (paired form) at
     every row x of xs: the tail metadata, plus the residual where it is
     not known to vanish, on the radial rule out to 1e5 R (order 8, 3
-    panels per decade) cut at its first edge e with resid(e - max|x|)
+    panels per decade, the half-sphere of N_ANGULAR directions in 2d)
+    cut at its first edge e with resid(e - max|x|)
     tail_mass(e) <= eps min_x resid(R - |x|) tail_mass(R); resid(r)
     bounds the residual on |y| >= r, so the cut drops only round-off."""
     if exterior.tail.period is not None:
@@ -773,7 +759,7 @@ def _far_data_integral(kernel, exterior, xs, R):
     rows = np.flatnonzero(resid > 0)
     if rows.size == 0:
         return val
-    z, kz, w = _radial_nodes(kernel, R, R * 1e5, 8, 3)
+    z, kz, w = radial_rule(kernel, R, R * 1e5, 8, 3, N_ANGULAR)
     edges, xmax = geometric_edges(R, R * 1e5, 3), xn[rows].max()
     floor = np.finfo(float).eps * resid[rows].min() * kernel.tail_mass(R)[0]
     bounds = _resid(exterior.tail, edges[1:-1] - xmax)

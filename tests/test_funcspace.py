@@ -390,6 +390,31 @@ def test_affine_precompose():
     _fd_gradient_check(w, pts[:20])
 
 
+def test_incommensurate_tails_and_affine_period():
+    # periods in the ratio sqrt 2 have no common period: the sum and the
+    # product fold their periodic parts into the residual bound
+    f, g = plane_wave(1.0), plane_wave(np.sqrt(2.0))
+    rs = np.array([0.0, 10.0, 1e4])
+    for h, bound in ((f + g, 2.0), (f * g, 1.0)):
+        assert h.tail.period is None and h.tail.limit == 0.0
+        assert np.all(np.broadcast_to(h.tail.resid(rs), rs.shape) == bound)
+        pts = np.linspace(-40.0, 40.0, 801).reshape(-1, 1)
+        assert np.max(np.abs(h(pts))) <= bound
+    # x -> cos(2 x) keeps a periodic tail, of period pi
+    h = affine_precompose(plane_wave(1.0), [[2.0]])
+    assert h.tail.period == pytest.approx(np.pi, rel=1e-15)
+    pts = np.linspace(-5.0, 5.0, 41).reshape(-1, 1)
+    assert np.allclose(h(pts), np.cos(2.0 * pts[:, 0]), rtol=0, atol=1e-15)
+
+
+def test_periodic_product_mean_starts_past_the_residual():
+    # cos^2 has mean 1/2: a bump beside the wave shifts the limit of the
+    # product only if the mean is taken where the bump has not decayed
+    for center in (0.0, 3.0):
+        p = (plane_wave(1.0) + gaussian_bump(1, center, 1.0)) * plane_wave(1.0)
+        assert p.tail.limit == pytest.approx(0.5, abs=1e-12), center
+
+
 def test_direction_normalizes():
     d = Direction([3.0, 4.0])
     assert np.linalg.norm(d.e) == pytest.approx(1.0, abs=1e-14)
@@ -440,6 +465,22 @@ def test_grid_function_promote_2d_derivatives():
     out = np.array([[2.0, 0.3], [-0.4, -1.7], [3.0, 3.0]])
     for a, b in zip(prom.jet(out, 2), u.jet(out, 2)):
         np.testing.assert_array_equal(a, b)
+
+
+def test_grid_function_boundary_mismatch_2d():
+    # the rim nodes are read against the closure: an offset of 0.01 reads
+    # 0.01, a perturbed rim node is found, an interior one is not read
+    ext = gaussian_bump(2, [0.2, -0.1], 0.8)
+    nodes = GridFunction(2, 1.5, np.zeros((25, 25)), ext).nodes()
+    vals = ext(nodes).reshape(25, 25) + 0.01
+    assert GridFunction(2, 1.5, vals, ext).boundary_mismatch() \
+        == pytest.approx(0.01, abs=1e-15)
+    vals[12, 12] += 5.0
+    assert GridFunction(2, 1.5, vals, ext).boundary_mismatch() \
+        == pytest.approx(0.01, abs=1e-15)
+    vals[7, 24] += 0.3
+    assert GridFunction(2, 1.5, vals, ext).boundary_mismatch() \
+        == pytest.approx(0.31, abs=1e-15)
 
 
 def test_grid_function_validates():

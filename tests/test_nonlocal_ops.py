@@ -15,15 +15,15 @@ from fracbern.funcspace import (gaussian_bump, plane_wave, modulated_gaussian,
                                 affine_precompose, translate, make_cutoff,
                                 directional_derivative, positive_part_square,
                                 SmoothFunction, Tail)
-from fracbern._quad import (geometric_edges, geometric_panels, panel_nodes,
-                           periodic_tail_1d)
+from fracbern._quad import (geometric_edges, geometric_panels, half_sphere,
+                           panel_nodes, periodic_tail_1d, radial_rule)
 from fracbern.nonlocal_ops import (apply_nonlocal, apply_fractional,
                                    apply_batch, apply_superposition,
                                    spectral_oracle, spectral_oracle_batch,
                                    singular_integral, singular_integral_batch,
                                    assemble_discrete, Lattice, default_plan,
                                    QuadratureFailure, _far_data_integral,
-                                   _radial_nodes, _tail, N_ANGULAR)
+                                   _tail, N_ANGULAR)
 from fracbern.solvers import barrier, _quotient_closure
 
 
@@ -421,6 +421,24 @@ def test_apply_batch_matches_scalar_entry_points(op, u):
         assert abs(v - ref) <= e + ref_err
 
 
+def test_apply_nonlocal_strict_failure_is_the_operator_value():
+    # the partial is L u = -(the singular integral), with its error and
+    # breakdown, through apply_nonlocal and apply_fractional alike
+    u = gaussian_bump(1, 0.0, 1.0)
+    plan = default_plan(1).scaled(rel_tol=1e-30, max_refine=0,
+                                  order=4, panels_per_decade=1)
+    K = fractional_kernel(1, 0.5)
+    with pytest.raises(QuadratureFailure) as si:
+        singular_integral(K, u, 0.3, plan)
+    for apply in (lambda: apply_nonlocal(K, u, 0.3, plan),
+                  lambda: apply_fractional(0.5, u, 0.3, plan)):
+        with pytest.raises(QuadratureFailure) as an:
+            apply()
+        part, ref = an.value.partial, si.value.partial
+        assert part.value == -ref.value and part.error == ref.error
+        assert part.breakdown == ref.breakdown
+
+
 def test_apply_batch_strict_failure_is_the_operator_value():
     # the partial is L u = -(the singular integral), atoms weighted
     u = gaussian_bump(1, 0.0, 1.0)
@@ -636,6 +654,47 @@ def test_stencil_symmetric_monotone_annihilates_constants(s, N):
     assert np.max(np.abs(out)) < 1e-12
 
 
+# -- the half-sphere rule ------------------------------------------------------
+
+def test_half_sphere_is_the_full_trapezoid_on_even_functions():
+    # one direction of each +-pair, weights 4 pi / count: on an even
+    # function, the full count-direction trapezoid rule
+    f = lambda d: np.exp(d[:, 0] * d[:, 1]) + d[:, 0] ** 4
+    for count in (2, 6, 16, 48, 64, 512):
+        dirs, w = half_sphere(2, count)
+        full = sphere_directions(2, count)
+        assert np.array_equal(dirs, full[:count // 2])
+        assert np.dot(f(dirs), w) == pytest.approx(
+            2 * np.pi / count * f(full).sum(), rel=1e-14)
+        assert not (dirs.flags.writeable or w.flags.writeable)
+    # the oracle's doubling directions, the odd angles of each level
+    for count in range(6, 513, 2):
+        assert np.array_equal(half_sphere(2, count)[0][1::2],
+                              sphere_directions(2, count)[1:count // 2:2])
+    dirs, w = half_sphere(1, 2)
+    assert np.array_equal(dirs, [[1.0]]) and np.array_equal(w, [2.0])
+    assert half_sphere(2, 2)[1].sum() == 2 * np.pi
+    with pytest.raises(ValueError):
+        half_sphere(2, 7)
+
+
+def test_radial_rule_is_panels_times_half_sphere():
+    # 1d: the half-line panels with doubled weights, bit for bit; 2d: the
+    # full 48-direction rule on an even integrand, up to round-off
+    t, wt = panel_nodes(geometric_edges(1e-2, 8.0, 6), 16)
+    z, kz, w = radial_rule(fractional_kernel(1, 0.3), 1e-2, 8.0, 16, 6,
+                           N_ANGULAR)
+    assert np.array_equal(z[:, 0], t) and np.array_equal(w, 2.0 * wt)
+    K = anisotropic_kernel(0.4, [[1.5, 0.3], [0.3, 0.8]])
+    z, kz, w = radial_rule(K, 1e-2, 8.0, 12, 5, N_ANGULAR)
+    F = lambda z: np.exp(-np.sum(z * z, axis=1)) * (1.0 + z[:, 0] * z[:, 1])
+    t, wt = panel_nodes(geometric_edges(1e-2, 8.0, 5), 12)
+    full = (t[:, None, None] * sphere_directions(2, N_ANGULAR)).reshape(-1, 2)
+    ref = np.dot(F(full) * K(full),
+                 np.repeat(wt * t * (2 * np.pi / N_ANGULAR), N_ANGULAR))
+    assert np.dot(F(z) * kz, w) == pytest.approx(ref, rel=1e-13)
+
+
 # -- the far field's radial cut against the full rule -----------------------------
 
 EPS = np.finfo(float).eps
@@ -645,7 +704,7 @@ def _far_full(K, ext, xs, R):
     """The far field on all 15 panels of the radial rule out to 1e5 R,
     probe by probe: a reference for the cut rule."""
     val, _ = _tail(K, ext, xs, np.zeros(len(xs)), R)
-    z, kz, w = _radial_nodes(K, R, 1e5 * R, 8, 3)
+    z, kz, w = radial_rule(K, R, 1e5 * R, 8, 3, N_ANGULAR)
     for i, x in enumerate(xs):
         if ext.tail.resid(max(R - np.linalg.norm(x), 0.0)) > 0:
             g = 0.5 * (ext(x + z) + ext(x - z)) - ext.tail.limit
@@ -715,7 +774,7 @@ def test_far_field_cut_keeps_slow_residual(n):
     for s in (0.1, 0.9):
         seen[0] = 0
         _far_data_integral(fractional_kernel(n, s), ext, xs, 8.0625)
-        per_panel = 8 * (1 if n == 1 else N_ANGULAR)
+        per_panel = 8 * len(half_sphere(n, N_ANGULAR)[0])
         assert seen[0] == 2 * 15 * per_panel * len(xs)
 
 
