@@ -35,9 +35,15 @@ Every paired integrand and every kernel is even in z, so each radial
 rule evaluates one direction of each +-pair (_quad.half_sphere).
 Every error also carries a round-off floor.  Probes whose error misses
 the tolerance are refined alone.
-singular_integral is a batch of one; singular_integral_batch returns
-the per-probe values and errors.  apply_batch applies a kernel, an order
-in [0, 1] or a measure on [0, 1] at a batch of probes through it.
+
+Every entry formats one batch result (_lu): per-probe arrays, signed as
+L u, of value, error, tol (what the error is held to) and converged,
+and for a kernel the pieces inner, quartic, zone, annulus and tail
+(summing to value), r_outer, r_zone and scale.  Pointwise entries
+index it, batch entries return (values, errors); both singular_integral
+entries negate it.  One function, _settle, raises QuadratureFailure,
+for a strict plan and a missed probe; its .partial is the lenient
+return: what the same call returns with strict=False.
 
 Sign convention: apply_nonlocal(K, u, x) is the positive-definite form
 int (u(x) - u(y)) K(x - y) dy, which for the standard power kernel is
@@ -68,12 +74,15 @@ CHUNK = 16384    # integrand points per call, see _chunked
 STENCIL_BYTES = 1 << 21  # bound on each gather temporary of apply_to_grid
 ORACLE_DIRS = (6, 384)   # first and last direction count of the 2d oracle
 EPS = np.finfo(float).eps
+# the result entries that _lu signs as L u: the value and its pieces
+PIECES = ("value", "inner", "quartic", "zone", "annulus", "tail")
 
 
 class QuadratureFailure(Exception):
-    """Raised when the error estimate stays above tolerance; carries the
-    partial result in .partial (an OperatorValue, or the (values,
-    errors) arrays of a batch)."""
+    """An error estimate above tolerance under a strict plan.  .partial
+    is what the same call returns with strict=False, signed alike; the
+    spectral oracle, with no lenient mode, carries its OperatorValue or
+    its (values, errors)."""
 
     def __init__(self, message, partial):
         super().__init__(message)
@@ -83,10 +92,11 @@ class QuadratureFailure(Exception):
 class QuadraturePlan:
     """Knobs for the singular-integral quadrature.
 
-    strict=False turns a tolerance miss after refinement into a returned
-    value carrying its (honest, larger) error estimate instead of a
-    QuadratureFailure; inequality checkers use that mode and absorb the
-    error into their verdict budgets.
+    strict decides only what a tolerance miss after refinement does:
+    strict=False returns the value with its (honest, larger) error
+    estimate, strict=True raises QuadratureFailure carrying that same
+    return as .partial.  Inequality checkers use the lenient mode and
+    absorb the error into their verdict budgets.
     """
 
     def __init__(self, panels_per_decade=6, order=16, rel_tol=1e-6,
@@ -198,18 +208,17 @@ def _integrate(kernel, G, xs, plan):
     """Paired PV integral of (G(x + z) - G(x)) K(z) dz at every probe
     row x of xs, shape (m, n).
 
-    Returns a dict of per-probe arrays: value, error, the pieces inner,
-    quartic (the Taylor term below r_zone, 1d only), zone, annulus and
-    tail, the outer radius r_outer, the zone's lower edge r_zone, the
-    tolerance scale and a converged flag.  Every pass starts each of its
-    probes' zones at the cut against that pass's errors (_zone_cuts:
-    sextic in 1d, quartic in 2d), and reruns a zone, with its quartic
-    term, whose edge falls.  Probes that miss plan.rel_tol are refined
-    alone: the annulus and the tail at a higher order with more panels
-    per decade (and a 4x outer radius where the tail holds over half the
-    error), the correction zone, from eps, uncut and without a quartic
-    term, where its own error holds over half the tolerance.  After the
-    last refinement a probe within 30x the tolerance still counts as
+    Returns the batch result's arrays but tol (module docstring), signed
+    as this integral: quartic is the Taylor term below the zone's lower
+    edge r_zone (1d only).  Every pass starts each of its probes' zones
+    at the cut against that pass's errors (_zone_cuts: sextic in 1d,
+    quartic in 2d), and reruns a zone, with its quartic term, whose edge
+    falls.  Probes that miss plan.rel_tol are refined alone: the annulus
+    and the tail at a higher order with more panels per decade (and a 4x
+    outer radius where the tail holds over half the error), the
+    correction zone, from eps, uncut and without a quartic term, where
+    its own error holds over half the tolerance.  After the last
+    refinement a probe within 30x the tolerance still counts as
     converged.
     """
     m = xs.shape[0]
@@ -347,53 +356,6 @@ def _zone_cuts(kernel, top, d4x, budget, eps, below_err):
             np.where(cut, d4x * m4[k] / 24.0, 0.0))
 
 
-def singular_integral(kernel, G, x, plan=None):
-    """Paired PV integral of (G(y) - G(x)) K(x - y) dy at one point x.
-
-    A batch of one through the shared pipeline (module docstring).
-    Returns an OperatorValue with the breakdown inner / quartic / zone /
-    annulus / tail / r_inner / r_outer / r_zone and the tolerance scale
-    in .scale; raises QuadratureFailure carrying that value as .partial
-    if refinement cannot reach plan.rel_tol and plan.strict is set.
-    """
-    if plan is None:
-        plan = default_plan(kernel.n)
-    res = _integrate(kernel, G, as_points(x, kernel.n).reshape(1, -1), plan)
-    r = {key: v[0] for key, v in res.items()}
-    out = OperatorValue(r["value"], r["error"], {
-        "inner": float(r["inner"]), "quartic": float(r["quartic"]),
-        "zone": float(r["zone"]),
-        "annulus": float(r["annulus"]), "tail": float(r["tail"]),
-        "r_inner": R_INNER, "r_outer": float(r["r_outer"]),
-        "r_zone": float(r["r_zone"])})
-    out.scale = float(r["scale"])
-    if r["converged"] or not plan.strict:
-        return out
-    raise QuadratureFailure("error estimate %.2g above tolerance" % out.error,
-                            out)
-
-
-def singular_integral_batch(kernel, G, xs, plan=None):
-    """singular_integral at every probe of xs, shape (m, n), in one pass.
-
-    Returns (values, errors): each probe's error is its own Richardson,
-    moment and tail estimate, and only the probes that miss the
-    tolerance are refined.  With plan.strict, a probe left above
-    tolerance raises QuadratureFailure whose .partial is the (values,
-    errors) pair.
-    """
-    if plan is None:
-        plan = default_plan(kernel.n)
-    res = _integrate(kernel, G, as_points(xs, kernel.n), plan)
-    values, errors = res["value"], res["error"]
-    if plan.strict and not res["converged"].all():
-        raise QuadratureFailure(
-            "error estimate above tolerance at %d of %d probes"
-            % (np.count_nonzero(~res["converged"]), values.size),
-            (values, errors))
-    return values, errors
-
-
 def _resid(tail, r):
     """tail.resid at the radii max(r, 0) of the array r, in one call."""
     r = np.maximum(r, 0.0)
@@ -426,20 +388,7 @@ def _tail(kernel, G, xs, gx, R):
     return value, error
 
 
-# -- operator application -----------------------------------------------------
-
-def apply_nonlocal(kernel, u, x, plan=None):
-    """L_K u(x) = int (u(x) - u(y)) K(x - y) dy (paired PV form): minus
-    singular_integral, with its error and breakdown.  A strict miss
-    raises QuadratureFailure whose .partial is that OperatorValue of
-    L_K u."""
-    def negated(si):
-        return OperatorValue(-si.value, si.error, si.breakdown)
-    try:
-        return negated(singular_integral(kernel, u, x, plan))
-    except QuadratureFailure as exc:
-        raise QuadratureFailure(str(exc), negated(exc.partial)) from None
-
+# -- the one batch result and its entries ------------------------------------
 
 _FRACTIONAL_CACHE = {}
 
@@ -453,44 +402,95 @@ def _cached_fractional(n, s):
     return K
 
 
-def apply_batch(op, u, xs, plan=None):
-    """L u at every probe row of xs, shape (m, n): (values, errors).
+def _exact(value):
+    """The result of an exact L u: every probe converged with error 0."""
+    zeros = np.zeros(len(value))
+    return {"value": value, "error": zeros, "tol": zeros,
+            "converged": np.ones(len(value), dtype=bool)}
 
-    op is a Kernel (apply_nonlocal's paired PV form), an order s in
-    [0, 1] ((-Delta)^s: u itself at 0 and -Laplacian u at 1, both exact
-    with error 0) or a MeasureOnUnit (the weighted sum over its atoms,
-    errors weighted the same way).  With plan.strict, a tolerance miss
-    raises QuadratureFailure whose .partial is the (values, errors) pair
-    of L u.
-    """
-    xs = as_points(xs, u.n)
+
+def _lu(op, u, xs, plan):
+    """The batch result (module docstring) of L u at the probe rows of
+    xs: for a kernel _integrate with its PIECES negated, for the orders
+    0 and 1 u and -Laplacian u exactly, for a measure the weighted sum of
+    its atoms' value, error and tol, their converged masks ANDed."""
     if isinstance(op, MeasureOnUnit):
-        vals = errs = 0.0
-        miss = None
-        for s, w in op:
-            try:
-                v, e = apply_batch(s, u, xs, plan)
-            except QuadratureFailure as exc:
-                miss, (v, e) = exc, exc.partial
-            vals, errs = vals + w * v, errs + w * e
-        if miss is not None:
-            raise QuadratureFailure(str(miss), (vals, errs))
-        return vals, errs
+        parts = [(w, _lu(s, u, xs, plan)) for s, w in op]
+        res = {key: sum(w * r[key] for w, r in parts)
+               for key in ("value", "error", "tol")}
+        res["converged"] = np.logical_and.reduce([r["converged"]
+                                                  for _, r in parts])
+        return res
     if np.isscalar(op):
         if not 0.0 <= op <= 1.0:
             raise ValueError("order must lie in [0, 1]")
-        if op == 0.0:
-            return u(xs), np.zeros(len(xs))
-        if op == 1.0:
-            return (-np.trace(u.hessian(xs), axis1=1, axis2=2),
-                    np.zeros(len(xs)))
+        if op in (0.0, 1.0):
+            return _exact(u(xs) if op == 0.0 else
+                          -np.trace(u.hessian(xs), axis1=1, axis2=2))
         op = _cached_fractional(u.n, op)
-    try:
-        values, errors = singular_integral_batch(op, u, xs, plan)
-    except QuadratureFailure as exc:
-        values, errors = exc.partial
-        raise QuadratureFailure(str(exc), (-values, errors)) from None
-    return -values, errors
+    plan = plan or default_plan(op.n)
+    res = _integrate(op, u, xs, plan)
+    for key in PIECES:
+        np.negative(res[key], out=res[key])
+    res["tol"] = plan.rel_tol * res["scale"]
+    return res
+
+
+def _settle(res, plan, partial):
+    """The one failure point: partial, the return formatted from the
+    result res, unless the plan is strict (so is None, the default plan
+    and the oracle's) and a probe of res missed its tolerance: then
+    QuadratureFailure carrying partial."""
+    if (plan is not None and not plan.strict) or res["converged"].all():
+        return partial
+    miss = ~res["converged"]
+    raise QuadratureFailure(
+        "error estimate above tolerance at %d of %d probes, worst "
+        "error/tolerance %.3g" % (np.count_nonzero(miss), miss.size,
+                                  np.max(res["error"][miss] / res["tol"][miss])),
+        partial)
+
+
+def _pointwise(kernel, G, x, plan, sign):
+    """The result at one point x as an OperatorValue times sign (1 for
+    L u, -1 for the singular integral), with its breakdown and the
+    tolerance scale in .scale."""
+    res = _lu(kernel, G, as_points(x, kernel.n).reshape(1, -1), plan)
+    out = OperatorValue(sign * res["value"][0], res["error"][0], {
+        **{key: float(sign * res[key][0]) for key in PIECES[1:]},
+        "r_inner": R_INNER, "r_outer": float(res["r_outer"][0]),
+        "r_zone": float(res["r_zone"][0])})
+    out.scale = float(res["scale"][0])
+    return _settle(res, plan, out)
+
+
+def apply_nonlocal(kernel, u, x, plan=None):
+    """L_K u(x) = int (u(x) - u(y)) K(x - y) dy (paired PV form), with
+    its error, breakdown inner / quartic / zone / annulus / tail /
+    r_inner / r_outer / r_zone and the tolerance scale in .scale."""
+    return _pointwise(kernel, u, x, plan, 1.0)
+
+
+def singular_integral(kernel, G, x, plan=None):
+    """Paired PV integral of (G(y) - G(x)) K(x - y) dy at one point x:
+    apply_nonlocal negated, value and pieces alike."""
+    return _pointwise(kernel, G, x, plan, -1.0)
+
+
+def singular_integral_batch(kernel, G, xs, plan=None):
+    """singular_integral at every probe of xs, shape (m, n), in one pass:
+    (values, errors)."""
+    res = _lu(kernel, G, as_points(xs, kernel.n), plan)
+    return _settle(res, plan, (-res["value"], res["error"]))
+
+
+def apply_batch(op, u, xs, plan=None):
+    """L u at every probe row of xs, shape (m, n): (values, errors), for
+    op a Kernel (apply_nonlocal's form), an order s in [0, 1]
+    ((-Delta)^s: u itself at 0 and -Laplacian u at 1, both exact) or a
+    MeasureOnUnit (the weighted sum over its atoms)."""
+    res = _lu(op, u, as_points(xs, u.n), plan)
+    return _settle(res, plan, (res["value"], res["error"]))
 
 
 def apply_fractional(s, u, x, plan=None):
@@ -507,29 +507,33 @@ def apply_superposition(measure, u, x):
     apply_batch at one point."""
     if not isinstance(measure, MeasureOnUnit):
         measure = MeasureOnUnit(measure)
-    try:
-        (v,), (e,) = apply_batch(measure, u, as_points(x, u.n)[:1])
-    except QuadratureFailure as exc:
-        (v,), (e,) = exc.partial
-        raise QuadratureFailure(str(exc), OperatorValue(v, e)) from None
+    (v,), (e,) = apply_batch(measure, u, as_points(x, u.n)[:1])
     return OperatorValue(v, e)
 
 
 # -- independent spectral oracle ----------------------------------------------
 
 def spectral_oracle(s, u, x):
-    """(-Delta)^s u(x): spectral_oracle_batch at one point."""
-    try:
-        v = spectral_oracle_batch(s, u, as_points(x, u.n)[:1])
-    except QuadratureFailure as exc:
-        (v,), (e,) = exc.partial
-        raise QuadratureFailure(str(exc), OperatorValue(v, e, {})) from None
-    return float(v[0])
+    """(-Delta)^s u(x) as OperatorValue(value, error): _oracle at one
+    point.  The error covers the radial rules and the angular levels on
+    [1e-12 Xi, Xi]; it does not yet cover the dropped head [0, 1e-12 Xi]
+    or the band past Xi."""
+    res = _oracle(s, u, as_points(x, u.n)[:1])
+    return _settle(res, None, OperatorValue(res["value"][0], res["error"][0]))
 
 
 def spectral_oracle_batch(s, u, xs):
-    """(-Delta)^s u at the probe rows of xs, shape (m, n), through the
-    Fourier symbol |xi|^{2s}; exact for trigonometric catalog functions.
+    """spectral_oracle at the probe rows of xs, shape (m, n): the values
+    array; a miss carries the (values, errors) pair."""
+    res = _oracle(s, u, as_points(xs, u.n))
+    _settle(res, None, (res["value"], res["error"]))
+    return res["value"]
+
+
+def _oracle(s, u, xs):
+    """(-Delta)^s u at the probe rows of xs through the Fourier symbol
+    |xi|^{2s}, as a result (_lu's value, error, tol and converged);
+    exact for trigonometric catalog functions.
     Otherwise Gauss-Legendre panels in |xi| on [1e-12 Xi, Xi] (Xi =
     u.fourier_radius), a fine/coarse pair and a finer rule where they
     disagree.  In 2d each radial node doubles a nested trapezoid rule in
@@ -537,38 +541,32 @@ def spectral_oracle_batch(s, u, xs):
     symmetry), until its gap times its radial weight is at most
     1e-16 A, A the rule's sum of |terms| on 6 directions; done nodes
     form a prefix in radius, and an unfinished node adds its gap to the
-    error.  The error must stay below 1e-9 |value| (1e-8 after the
-    finer rule) or 64 eps A, else QuadratureFailure with .partial =
-    (values, errors).
+    error.  The error is held to 1e-9 |value| (1e-8 after the finer
+    rule) or 64 eps A.
     The transform is evaluated once for all probes; each probe keeps its
     own levels and rules, so it gets the value of a scalar call.
     """
     if not 0.0 <= s <= 1.0:
         raise ValueError("order must lie in [0, 1]")
-    xs = as_points(xs, u.n)
     if u.harmonics is not None:
-        return sum(a * np.linalg.norm(k) ** (2 * s) * np.cos(xs @ k + p)
-                   for a, k, p in u.harmonics) + np.zeros(len(xs))
+        return _exact(sum(a * np.linalg.norm(k) ** (2 * s) * np.cos(xs @ k + p)
+                          for a, k, p in u.harmonics) + np.zeros(len(xs)))
     if u.fourier is None:
         raise ValueError("function is outside the closed-Fourier catalog")
     if s == 0.0:
-        return u(xs)
+        return _exact(u(xs))
     val, ang, A = _oracle_rule(s, u, xs, 8, 24)
     coarse, ang_c, _ = _oracle_rule(s, u, xs, 5, 12)
     floor = 64 * EPS * A
     err = np.abs(val - coarse) + ang + ang_c
-    ok = err <= np.maximum(1e-9 * np.abs(val), floor)
-    redo = np.flatnonzero(~ok)
+    tol = np.maximum(1e-9 * np.abs(val), floor)
+    redo = np.flatnonzero(~(err <= tol))
     if redo.size:
         fine2, ang2, _ = _oracle_rule(s, u, xs[redo], 12, 32)
         err[redo] = np.abs(fine2 - val[redo]) + ang2 + ang[redo]
         val[redo] = fine2
-        ok[redo] = err[redo] <= np.maximum(1e-8 * np.abs(fine2), floor[redo])
-    if not ok.all():
-        raise QuadratureFailure(
-            "spectral oracle did not converge at %d of %d probes"
-            % (np.count_nonzero(~ok), ok.size), (val, err))
-    return val
+        tol[redo] = np.maximum(1e-8 * np.abs(fine2), floor[redo])
+    return {"value": val, "error": err, "tol": tol, "converged": err <= tol}
 
 
 @lru_cache(maxsize=8)

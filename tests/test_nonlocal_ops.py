@@ -1,6 +1,7 @@
 """Operator evaluation, the spectral oracle, and discrete assembly."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from fracbern.nonlocal_ops import (apply_nonlocal, apply_fractional,
                                    spectral_oracle, spectral_oracle_batch,
                                    singular_integral, singular_integral_batch,
                                    assemble_discrete, Lattice, default_plan,
-                                   QuadratureFailure, _far_data_integral,
+                                   QuadratureFailure, OperatorValue,
+                                   _far_data_integral,
                                    _tail, N_ANGULAR)
 from fracbern.solvers import barrier, _quotient_closure
 
@@ -423,7 +425,8 @@ def test_apply_batch_matches_scalar_entry_points(op, u):
 
 def test_apply_nonlocal_strict_failure_is_the_operator_value():
     # the partial is L u = -(the singular integral), with its error and
-    # breakdown, through apply_nonlocal and apply_fractional alike
+    # breakdown (pieces negated, radii kept), through apply_nonlocal and
+    # apply_fractional alike
     u = gaussian_bump(1, 0.0, 1.0)
     plan = default_plan(1).scaled(rel_tol=1e-30, max_refine=0,
                                   order=4, panels_per_decade=1)
@@ -436,7 +439,9 @@ def test_apply_nonlocal_strict_failure_is_the_operator_value():
             apply()
         part, ref = an.value.partial, si.value.partial
         assert part.value == -ref.value and part.error == ref.error
-        assert part.breakdown == ref.breakdown
+        assert part.breakdown == {
+            key: v if key.startswith("r_") else -v
+            for key, v in ref.breakdown.items()}
 
 
 def test_apply_batch_strict_failure_is_the_operator_value():
@@ -460,6 +465,83 @@ def test_apply_batch_strict_failure_is_the_operator_value():
     assert np.allclose(errs, 0.5 * si.value.partial[1], rtol=1e-15, atol=0.0)
     with pytest.raises(ValueError):
         apply_batch(1.5, u, xs)
+
+
+FAILING = default_plan(1).scaled(rel_tol=1e-30, max_refine=0, order=4,
+                                 panels_per_decade=1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda u, xs, plan: singular_integral(fractional_kernel(1, 0.5), u,
+                                          xs[0], plan),
+    lambda u, xs, plan: singular_integral_batch(fractional_kernel(1, 0.5),
+                                                u, xs, plan),
+    lambda u, xs, plan: apply_nonlocal(fractional_kernel(1, 0.5), u, xs[0],
+                                       plan),
+    lambda u, xs, plan: apply_fractional(0.5, u, xs[0], plan),
+    lambda u, xs, plan: apply_batch(fractional_kernel(1, 0.5), u, xs, plan),
+    lambda u, xs, plan: apply_batch(0.5, u, xs, plan),
+    lambda u, xs, plan: apply_batch(MeasureOnUnit([(0.0, 0.5), (0.5, 0.5)]),
+                                    u, xs, plan)],
+    ids=["singular_integral", "singular_integral_batch", "apply_nonlocal",
+         "apply_fractional", "apply_batch-kernel", "apply_batch-order",
+         "apply_batch-measure"])
+def test_partial_is_the_lenient_return(call):
+    # on a plan no probe can meet, the strict call's .partial is, bit for
+    # bit, what the same call returns with strict=False, and the message
+    # names the missed probes and the worst error over tolerance
+    u = gaussian_bump(1, 0.0, 1.0)
+    xs = np.linspace(-1.0, 1.0, 5).reshape(-1, 1)
+    with pytest.raises(QuadratureFailure) as exc:
+        call(u, xs, FAILING)
+    part = exc.value.partial
+    lenient = call(u, xs, FAILING.scaled(strict=False))
+    m = re.search(r"at (\d+) of (\d+) probes, worst error/tolerance (\S+)",
+                  str(exc.value))
+    assert m is not None
+    if isinstance(lenient, tuple):
+        assert all(np.array_equal(p, q) for p, q in zip(part, lenient))
+        assert m.group(1) == m.group(2) == "5"
+    else:
+        assert (part.value, part.error, part.breakdown, part.scale) == (
+            lenient.value, lenient.error, lenient.breakdown, lenient.scale)
+        assert m.group(1) == m.group(2) == "1"
+        assert m.group(3) == "%.3g" % (
+            part.error / (FAILING.rel_tol * part.scale))
+    assert float(m.group(3)) > 30
+
+
+def test_breakdown_pieces_sum_to_the_operator_value():
+    # the pieces are signed as L u, like the value they sum to
+    K = fractional_kernel(1, 0.4)
+    for u in (gaussian_bump(1, 0.0, 1.0), plane_wave(1.5, 0.4),
+              modulated_gaussian(0.2, 1.1, 2.0)):
+        for v in (apply_fractional(0.5, u, 0.3), apply_nonlocal(K, u, -0.7),
+                  singular_integral(K, u, -0.7)):
+            pieces = sum(v.breakdown[key] for key in
+                         ("inner", "quartic", "zone", "annulus", "tail"))
+            assert abs(pieces - v.value) <= v.error
+    assert apply_fractional(0.5, gaussian_bump(1), 0.3).breakdown[
+        "annulus"] > 0
+
+
+def test_scalar_quadrature_values_carry_their_scale():
+    u = gaussian_bump(1, 0.0, 1.0) + gaussian_bump(1, 0.5, 0.7, -0.4)
+    K = fractional_kernel(1, 0.6)
+    ref = singular_integral(K, u, 0.2)
+    assert apply_nonlocal(K, u, 0.2).scale == ref.scale
+    assert apply_fractional(0.6, u, 0.2).scale == ref.scale
+
+
+def test_spectral_oracle_keeps_its_error():
+    for s, u, x in ((0.5, gaussian_bump(1, 0.0, 1.0), 0.3),
+                    (0.3, gaussian_bump(2, [0.1, 0.0], 1.0), [0.2, -0.1]),
+                    (0.5, plane_wave(1.0), 0.4)):
+        v = spectral_oracle(s, u, x)
+        assert isinstance(v, OperatorValue)
+        assert v.value == spectral_oracle_batch(s, u, np.atleast_2d(x))[0]
+        assert 0.0 <= v.error <= 1e-8 * abs(v.value) + 1e-15
+        assert np.array([v, v]).dtype == np.float64
 
 
 # -- discrete assembly ----------------------------------------------------------
