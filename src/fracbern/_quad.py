@@ -1,11 +1,11 @@
 """Low-level quadrature building blocks.
 
-Everything here is plain numpy: Gauss-Legendre panels, geometric panel
-grids for integrable power singularities (one range, or one per row),
-the half-sphere angular rule and the radial rules built on it, a
-row-by-row dot product for batched quadrature sums, and a periodic-tail
-summation based on Euler-Maclaurin for slowly decaying oscillatory
-tails.
+Everything here is plain numpy: Gauss-Legendre panels, a Gauss-Jacobi
+rule for a power weight, geometric panel grids for integrable power
+singularities (one range, or one per row), the half-sphere angular rule
+and the radial rules built on it, a row-by-row dot product for batched
+quadrature sums, and a periodic-tail summation based on Euler-Maclaurin
+for slowly decaying oscillatory tails.
 """
 
 from functools import cache, lru_cache
@@ -23,6 +23,26 @@ def gl_rule(order):
         rule = leggauss(order)
         _GL_CACHE[order] = rule
     return rule
+
+
+def jacobi_rule(order, beta):
+    """Gauss-Jacobi nodes x (increasing) and weights w on [-1, 1] for the
+    weight (1 + x)^beta, beta > -1: sum_k w_k f(x_k) is the integral of
+    (1 + x)^beta f(x) for every polynomial f of degree < 2 order.
+
+    Golub & Welsch (Math. Comp. 23, 1969): the nodes are the eigenvalues
+    of the symmetric tridiagonal matrix of the monic three-term
+    recurrence, and each weight is the total mass 2^(beta+1) / (beta+1)
+    times the squared first component of its eigenvector.
+    """
+    k = np.arange(1, order)
+    d = 2 * np.arange(order) + beta   # 2k + alpha + beta, alpha = 0
+    diag = np.empty(order)
+    diag[0] = beta / (beta + 2)
+    diag[1:] = beta ** 2 / (d[1:] * (d[1:] + 2))
+    off = 2 * k * (k + beta) / d[1:] / np.sqrt(d[1:] ** 2 - 1)
+    x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return x, 2 ** (beta + 1) / (beta + 1) * v[0] ** 2
 
 
 def panel_nodes(edges, order):

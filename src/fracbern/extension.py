@@ -47,20 +47,20 @@ def poisson_constant(n, s):
 
 
 def _kernel_y_derivs(t, y, s, ky):
-    """d^ky/dy^ky of the 1d Poisson kernel at offsets t, height y."""
-    p = poisson_constant(1, s)
+    """d^ky/dy^ky of the 1d Poisson kernel at offsets t, height y: one
+    power each of Q = t^2 + y^2 and of y, the other factors of Q and y
+    by division."""
+    if ky > 2:
+        raise ValueError("kernel y-derivatives available up to order 2")
     Q = t * t + y * y
     al = (1 + 2 * s) / 2.0
+    k = poisson_constant(1, s) * y ** (2 * s) * Q ** (-al)
     if ky == 0:
-        return p * y ** (2 * s) * Q ** (-al)
+        return k
     if ky == 1:
-        return p * (2 * s * y ** (2 * s - 1) * Q ** (-al)
-                    - 2 * al * y ** (2 * s + 1) * Q ** (-al - 1))
-    if ky == 2:
-        return p * (2 * s * (2 * s - 1) * y ** (2 * s - 2) * Q ** (-al)
-                    - 2 * al * (4 * s + 1) * y ** (2 * s) * Q ** (-al - 1)
-                    + 4 * al * (al + 1) * y ** (2 * s + 2) * Q ** (-al - 2))
-    raise ValueError("kernel y-derivatives available up to order 2")
+        return k * (2 * s / y - 2 * al * y / Q)
+    return k * (2 * s * (2 * s - 1) / (y * y) - 2 * al * (4 * s + 1) / Q
+                + 4 * al * (al + 1) * (y * y) / (Q * Q))
 
 
 def _kernel_ray_tail(a, y, s, ky):

@@ -55,7 +55,7 @@ from math import factorial
 
 import numpy as np
 
-from ._quad import (geometric_edges, half_sphere, panel_nodes,
+from ._quad import (geometric_edges, half_sphere, jacobi_rule, panel_nodes,
                     periodic_tail_1d, gl_rule, radial_rule, row_dot)
 from .kernels import MeasureOnUnit, as_points, fractional_kernel
 
@@ -73,6 +73,7 @@ T_NODES = 6      # Gauss nodes of the Bochner segment integral
 CHUNK = 16384    # integrand points per call, see _chunked
 STENCIL_BYTES = 1 << 21  # bound on each gather temporary of apply_to_grid
 ORACLE_DIRS = (6, 384)   # first and last direction count of the 2d oracle
+ORACLE_HEAD = 1e-2       # the oracle's Gauss-Jacobi head panel is [0, 1e-2 Xi]
 EPS = np.finfo(float).eps
 # the result entries that _lu signs as L u: the value and its pieces
 PIECES = ("value", "inner", "quartic", "zone", "annulus", "tail")
@@ -123,6 +124,9 @@ class OperatorValue(float):
 
     def __repr__(self):
         return "OperatorValue(%.12g +- %.2g)" % (self.value, self.error)
+
+    def __str__(self):
+        return repr(self.value)
 
 
 def default_plan(n):
@@ -515,9 +519,10 @@ def apply_superposition(measure, u, x):
 
 def spectral_oracle(s, u, x):
     """(-Delta)^s u(x) as OperatorValue(value, error): _oracle at one
-    point.  The error covers the radial rules and the angular levels on
-    [1e-12 Xi, Xi]; it does not yet cover the dropped head [0, 1e-12 Xi]
-    or the band past Xi."""
+    point.  The error covers the radial rules on [0, Xi], the head
+    [0, 1e-2 Xi] included (a Gauss-Jacobi panel checked by the same
+    fine/coarse pair), the angular levels and round-off; it does not
+    cover the band past Xi (about exp(-72) for a Gaussian leaf)."""
     res = _oracle(s, u, as_points(x, u.n)[:1])
     return _settle(res, None, OperatorValue(res["value"][0], res["error"][0]))
 
@@ -534,15 +539,20 @@ def _oracle(s, u, xs):
     """(-Delta)^s u at the probe rows of xs through the Fourier symbol
     |xi|^{2s}, as a result (_lu's value, error, tol and converged);
     exact for trigonometric catalog functions.
-    Otherwise Gauss-Legendre panels in |xi| on [1e-12 Xi, Xi] (Xi =
-    u.fourier_radius), a fine/coarse pair and a finer rule where they
-    disagree.  In 2d each radial node doubles a nested trapezoid rule in
-    angle, 6 up to 384 directions (the half_sphere ones, by conjugate
-    symmetry), until its gap times its radial weight is at most
-    1e-16 A, A the rule's sum of |terms| on 6 directions; done nodes
-    form a prefix in radius, and an unfinished node adds its gap to the
-    error.  The error is held to 1e-9 |value| (1e-8 after the finer
-    rule) or 64 eps A.
+    Otherwise a radial rule in |xi| on [0, Xi] (Xi = u.fourier_radius,
+    _oracle_nodes): a Gauss-Jacobi panel for the weight |xi|^{n-1+2s}
+    on the head [0, 1e-2 Xi], where the paired integrand is even and
+    smooth (the catalog's transforms are entire), then Gauss-Legendre
+    panels; a fine/coarse pair, each member with its own order on the
+    head as on every panel, and a finer rule where they disagree.  The
+    band past Xi is not covered (about exp(-72) for a Gaussian leaf).
+    In 2d each radial node doubles a nested trapezoid rule in angle, 6
+    up to 384 directions (the half_sphere ones, by conjugate symmetry),
+    until its gap times its radial weight is at most 1e-16 A, A the
+    rule's sum of |terms| on 6 directions; done nodes form a prefix in
+    radius, and an unfinished node adds its gap to the error.  The error
+    carries a round-off term 8 eps A and is held to 1e-9 |value| (1e-8
+    after the finer rule) or 64 eps A.
     The transform is evaluated once for all probes; each probe keeps its
     own levels and rules, so it gets the value of a scalar call.
     """
@@ -557,28 +567,44 @@ def _oracle(s, u, xs):
         return _exact(u(xs))
     val, ang, A = _oracle_rule(s, u, xs, 8, 24)
     coarse, ang_c, _ = _oracle_rule(s, u, xs, 5, 12)
-    floor = 64 * EPS * A
-    err = np.abs(val - coarse) + ang + ang_c
+    floor, rnd = 64 * EPS * A, 8 * EPS * A
+    err = np.abs(val - coarse) + ang + ang_c + rnd
     tol = np.maximum(1e-9 * np.abs(val), floor)
     redo = np.flatnonzero(~(err <= tol))
     if redo.size:
         fine2, ang2, _ = _oracle_rule(s, u, xs[redo], 12, 32)
-        err[redo] = np.abs(fine2 - val[redo]) + ang2 + ang[redo]
+        err[redo] = np.abs(fine2 - val[redo]) + ang2 + ang[redo] + rnd[redo]
         val[redo] = fine2
         tol[redo] = np.maximum(1e-8 * np.abs(fine2), floor[redo])
     return {"value": val, "error": err, "tol": tol, "converged": err <= tol}
 
 
-@lru_cache(maxsize=8)
-def _oracle_nodes(ppd, order):
-    """Nodes and weights of the oracle's radial rule for Xi = 1."""
-    return panel_nodes(geometric_edges(1e-12, 1.0, ppd), order)
+@lru_cache(maxsize=128)
+def _oracle_nodes(ppd, order, beta):
+    """Nodes t (increasing) and weights c of the oracle's radial rule
+    for Xi = 1, sum c f(t) ~ integral over [0, 1] of t^beta f(t): one
+    order-node Gauss-Jacobi panel for the weight t^beta on the head
+    [0, ORACLE_HEAD], then ppd Gauss-Legendre panels per decade up to 1.
+    Cached per (ppd, order, beta), so every order of a sweep keeps its
+    three rules; read-only."""
+    x, w = jacobi_rule(order, beta)
+    h = ORACLE_HEAD / 2
+    tp, wp = panel_nodes(geometric_edges(ORACLE_HEAD, 1.0, ppd), order)
+    t = np.concatenate([h * (x + 1), tp])
+    c = np.concatenate([h ** (beta + 1) * w, wp * tp ** beta])
+    t.flags.writeable = c.flags.writeable = False
+    return t, c
 
 
 def _oracle_rule(s, u, xs, ppd, order):
     """One radial rule of the oracle at the rows of xs: (values, angular
     errors, A) per probe, A the sum of the |terms| of its first level."""
-    t, wt = (u.fourier_radius * a for a in _oracle_nodes(ppd, order))
+    Xi, beta = u.fourier_radius, u.n - 1 + 2 * s
+    t, c = _oracle_nodes(ppd, order, beta)
+    # S sums the N / 2 directions of a half sphere and a node's term is
+    # c S / N: the unit weight (t^{n-1+2s} in it) times Xi^{n+2s} and
+    # 2 |S^{n-1}| / (2 pi)^n = 2 / (n pi)
+    t, c = Xi * t, c * (Xi ** (beta + 1) * 2 / (u.n * np.pi))
     m = xs.shape[0]
 
     def level(k0, dirs):
@@ -595,9 +621,6 @@ def _oracle_rule(s, u, xs, ppd, order):
             out[:, a:a + step] = g.sum(axis=2), np.abs(g).sum(axis=2)
         return out
 
-    # S sums the N / 2 directions of a half sphere and a node's term is
-    # c S / N, c = w t^{n-1+2s} 2 |S^{n-1}| / (2 pi)^n = w t^{n-1+2s} 2/(n pi)
-    c = wt * t ** (u.n - 1 + 2 * s) * 2 / (u.n * np.pi)
     N, cap = ORACLE_DIRS if u.n == 2 else (2, 2)
     S, absS = level(0, half_sphere(u.n, N)[0])
     A, mean = row_dot(absS, c) / N, S / N

@@ -15,6 +15,37 @@ from fracbern.extension import (extend, weighted_normal_derivative,
 from fracbern.nonlocal_ops import spectral_oracle
 
 
+def _kernel_y_terms(t, y, s, ky):
+    """The terms of d^ky/dy^ky of the 1d Poisson kernel, each with its
+    own powers of y and Q = t^2 + y^2."""
+    p, Q, al = poisson_constant(1, s), t * t + y * y, (1 + 2 * s) / 2
+    if ky == 0:
+        return [p * y ** (2 * s) * Q ** -al]
+    if ky == 1:
+        return [p * 2 * s * y ** (2 * s - 1) * Q ** -al,
+                -p * 2 * al * y ** (2 * s + 1) * Q ** (-al - 1)]
+    return [p * 2 * s * (2 * s - 1) * y ** (2 * s - 2) * Q ** -al,
+            -p * 2 * al * (4 * s + 1) * y ** (2 * s) * Q ** (-al - 1),
+            p * 4 * al * (al + 1) * y ** (2 * s + 2) * Q ** (-al - 2)]
+
+
+def test_kernel_y_derivs_match_term_by_term_powers():
+    # one power each of Q and y, the rest by division: within 1e-13 of
+    # the term-by-term form, relative to the terms' moduli (where the
+    # terms cancel, a plain relative gap measures the cancellation)
+    t = np.concatenate([-np.geomspace(1e-6, 1e4, 40), [0.0],
+                        np.geomspace(1e-6, 1e4, 40)])
+    y = np.geomspace(1e-4, 1e2, 19)[:, None]
+    for s in (0.05, 0.25, 0.5, 0.75, 0.95):
+        for ky in (0, 1, 2):
+            terms = _kernel_y_terms(t, y, s, ky)
+            got = _kernel_y_derivs(t, y, s, ky)
+            assert np.all(np.abs(got - sum(terms))
+                          <= 1e-13 * sum(np.abs(a) for a in terms)), (s, ky)
+    with pytest.raises(ValueError):
+        _kernel_y_derivs(t, y, 0.5, 3)
+
+
 def test_poisson_constant_half():
     assert poisson_constant(1, 0.5) == pytest.approx(1 / np.pi, rel=1e-14)
 

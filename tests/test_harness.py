@@ -277,9 +277,14 @@ def test_cli_extension(tmp_path, capsys, config):
 
 def test_import_loads_no_scipy():
     # scipy is imported lazily, by GridFunction.promote alone, so a cold
-    # start of the package and its command line pays nothing for it
+    # start of the package and its command line pays nothing for it, and
+    # neither does the spectral oracle's first call in 1d and in 2d
     r = subprocess.run(
         [sys.executable, "-c", "import sys, fracbern, fracbern.cli; "
+         "from fracbern.funcspace import gaussian_bump; "
+         "from fracbern.nonlocal_ops import spectral_oracle; "
+         "spectral_oracle(0.3, gaussian_bump(1), 0.2); "
+         "spectral_oracle(0.7, gaussian_bump(2), [0.2, -0.1]); "
          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
         capture_output=True, text=True, check=True)
     assert r.stdout.strip() == "[]"

@@ -3,6 +3,7 @@
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,14 +18,15 @@ from fracbern.funcspace import (gaussian_bump, plane_wave, modulated_gaussian,
                                 directional_derivative, positive_part_square,
                                 SmoothFunction, Tail)
 from fracbern._quad import (geometric_edges, geometric_panels, half_sphere,
-                           panel_nodes, periodic_tail_1d, radial_rule)
+                           jacobi_rule, panel_nodes, periodic_tail_1d,
+                           radial_rule)
 from fracbern.nonlocal_ops import (apply_nonlocal, apply_fractional,
                                    apply_batch, apply_superposition,
                                    spectral_oracle, spectral_oracle_batch,
                                    singular_integral, singular_integral_batch,
                                    assemble_discrete, Lattice, default_plan,
                                    QuadratureFailure, OperatorValue,
-                                   _far_data_integral,
+                                   _far_data_integral, _oracle_nodes,
                                    _tail, N_ANGULAR)
 from fracbern.solvers import barrier, _quotient_closure
 
@@ -542,6 +544,76 @@ def test_spectral_oracle_keeps_its_error():
         assert v.value == spectral_oracle_batch(s, u, np.atleast_2d(x))[0]
         assert 0.0 <= v.error <= 1e-8 * abs(v.value) + 1e-15
         assert np.array([v, v]).dtype == np.float64
+
+
+def test_operator_value_prints_as_its_float():
+    for v in (apply_fractional(0.4, gaussian_bump(1), 0.3),
+              spectral_oracle(0.4, gaussian_bump(1), 0.3)):
+        assert str(v) == "%s" % v == f"{v}" == repr(v.value)
+        assert repr(v).startswith("OperatorValue(")
+
+
+# -- the oracle's Gauss-Jacobi head panel ---------------------------------------
+
+@pytest.mark.parametrize("q", [12, 24, 32])
+@pytest.mark.parametrize("beta", [0.002, 0.2, 1.0, 1.5, 2.8])
+def test_jacobi_rule_moments(q, beta):
+    # integral over [0, 1] of t^beta t^k = 1 / (beta + k + 1), exact for
+    # k < 2q; on [0, 1] the rule's nodes are (x + 1) / 2, weights scaled
+    # by 2^-(beta + 1)
+    x, w = jacobi_rule(q, beta)
+    t, c = (x + 1) / 2, w / 2 ** (beta + 1)
+    assert np.all(np.diff(x) > 0) and x[0] > -1 and x[-1] < 1 and np.all(w > 0)
+    for k in range(2 * q):
+        assert np.dot(c, t ** k) == pytest.approx(1 / (beta + k + 1),
+                                                  rel=1e-13), k
+
+
+def test_oracle_fine_rule_node_count():
+    # one Jacobi panel on [0, 1e-2] and ppd order-q panels per decade on
+    # the two decades above it
+    for beta in (0.2, 1.0, 2.8):
+        assert [_oracle_nodes(ppd, q, beta)[0].size
+                for ppd, q in ((8, 24), (5, 12), (12, 32))] == [408, 132, 800]
+    t, c = _oracle_nodes(8, 24, 0.6)
+    assert t[0] > 0 and t[-1] < 1 and np.all(np.diff(t) > 0)
+    # the rule integrates t^beta t^2 over [0, 1]
+    assert np.dot(c, t ** 2) == pytest.approx(1 / 3.6, rel=1e-14)
+
+
+def _gaussian_closed_form(n, s, r):
+    """(-Delta)^s exp(-|x|^2 / 2) at |x| = r in dimension n, to 30 digits:
+    2^s Gamma(n/2 + s) / Gamma(n/2) 1F1(n/2 + s; n/2; -r^2/2)."""
+    with mpmath.workdps(30):
+        h, s = mpmath.mpf(n) / 2, mpmath.mpf(s)
+        return float(2 ** s * mpmath.gamma(h + s) / mpmath.gamma(h)
+                     * mpmath.hyp1f1(h + s, h, -mpmath.mpf(r) ** 2 / 2))
+
+
+@pytest.mark.parametrize("n, xs", [
+    (1, [[0.0], [0.7], [-2.3]]),
+    (2, [[0.0, 0.0], [0.7, -0.4], [1.5, 1.8]])])
+def test_oracle_errors_cover_gaussian_closed_form(n, xs):
+    # near s = 0 the 1d weight t^{2s} hardly falls at t = 0, so any head
+    # [0, a] the rule leaves out costs about a: the error must cover it
+    u = gaussian_bump(n)
+    for s in (0.001, 0.01, 0.1, 0.5, 0.9):
+        for x in xs:
+            v = spectral_oracle(s, u, x)
+            gap = v.value - _gaussian_closed_form(n, s, np.linalg.norm(x))
+            assert abs(gap) <= v.error, (s, x)
+
+
+def test_oracle_errors_carry_roundoff_floor():
+    # fine and coarse rules often agree bit for bit, yet the sum rounds:
+    # every quadrature value carries at least 8 eps |value|
+    rng = np.random.default_rng(1)
+    for u in (gaussian_bump(1, 0.3, 0.7), modulated_gaussian(0.2, 0.9, 2.0),
+              gaussian_bump(2, [0.4, -0.3], 0.8)):
+        for s in (0.1, 0.5, 0.9):
+            for x in rng.uniform(-1.5, 1.5, size=(4, u.n)):
+                v = spectral_oracle(s, u, x)
+                assert v.error >= 8 * np.finfo(float).eps * abs(v.value) > 0
 
 
 # -- discrete assembly ----------------------------------------------------------
