@@ -329,6 +329,12 @@ def linearize(problem, gf, info):
     checks (one-sided effects).  tol = 10 h max(gamma_1, 1), gamma_1
     the Lipschitz scale of the data.
     """
+    return _linearize(problem, gf, info)[:2]
+
+
+def _linearize(problem, gf, info):
+    """linearize, plus the second difference dd_e u on the full lattice
+    and L dd_e u, which unified_derivative_bound reuses."""
     lat = info["discs"][0].lattice
     discs = info["discs"]
     F = problem.nonlinearity
@@ -379,7 +385,7 @@ def linearize(problem, gf, info):
         "second_bound_worst": float(np.max(Lddu[inner]) - gam2),
         "gamma1": gam1, "gamma2": gam2, "tol": tol,
     }
-    return L, rep
+    return L, rep, ddu_full, Lddu
 
 
 def _quotient_full(gf, e, sign):
@@ -509,7 +515,7 @@ def unified_derivative_bound(problem, gf, info, R, cr_form=None):
     """
     lat = info["discs"][0].lattice
     e = np.zeros(lat.n); e[0] = 1.0
-    L, rep = linearize(problem, gf, info)
+    L, rep, ddu_full, Lddu = _linearize(problem, gf, info)
     nodes_int = lat.nodes[lat.interior]
     u_int = gf.values.ravel()[lat.interior]
     rad = np.linalg.norm(nodes_int, axis=1)
@@ -519,9 +525,7 @@ def unified_derivative_bound(problem, gf, info, R, cr_form=None):
     shift_ext = problem.exterior - sup_u_R
     Lshift = L.apply_grid(shift_full, shift_ext)
     du_full = grid_gradient(gf, e)
-    ddu_full = grid_second_difference(gf, e)
     Ldu = L.apply_grid(du_full, _fd_closure(problem.exterior, e, lat.h, 1))
-    Lddu = L.apply_grid(ddu_full, _fd_closure(problem.exterior, e, lat.h, 2))
     band = rad < R - 2 * lat.h
     a0 = float(np.max(np.maximum(-Lshift[band], 0.0)))
     a1 = float(np.max(np.abs(Ldu[band])))

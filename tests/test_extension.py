@@ -12,7 +12,7 @@ from fracbern.extension import (extend, weighted_normal_derivative,
                                 verify_extension_identities,
                                 check_halfspace_max_principle,
                                 _kernel_ray_tail, _kernel_y_derivs)
-from fracbern.nonlocal_ops import spectral_oracle
+from fracbern.nonlocal_ops import spectral_oracle, spectral_oracle_batch
 
 
 def _kernel_y_terms(t, y, s, ky):
@@ -75,7 +75,7 @@ def test_fourth_x_derivative_is_exact():
     z = (t[:, 0] - c) / w
     # D^4 exp(-z^2 / 2) = He_4(z) exp(-z^2 / 2) / w^4
     exact = (z ** 4 - 6 * z ** 2 + 3) * np.exp(-0.5 * z * z) / w ** 4
-    got = E._ux[4](t)
+    got = E.u.jet(t, 4)[4].ravel()
     assert np.max(np.abs(got - exact)) <= 1e-11 * np.max(np.abs(exact))
 
 
@@ -107,13 +107,39 @@ def test_normal_derivative_constant_zero():
 
 
 def test_trace_constant_closed_form():
-    # d_s = 2s Gamma(1-s) / (4^s Gamma(1+s)), derived from the Bessel
-    # small-argument expansion of the one-mode extension profile
-    for s in [0.25, 0.5, 0.75]:
+    # d_s = 2^{1-2s} Gamma(1-s) / Gamma(s) for the mass-one kernel: every
+    # ratio of the weighted normal derivative to the oracle, for a
+    # Gaussian and a modulated Gaussian at three points, is within 1e-5
+    probes = np.array([0.0, 0.35, -0.6])
+    for s in [0.1, 0.25, 0.5, 0.75, 0.9]:
         ds, spread = trace_constant(s)
-        want = 2 * s * gamma(1 - s) / (4 ** s * gamma(1 + s))
-        assert ds == pytest.approx(want, rel=1e-5)
-        assert spread < 1e-3
+        assert ds == pytest.approx(2 ** (1 - 2 * s) * gamma(1 - s) / gamma(s),
+                                   rel=1e-14)
+        assert spread == 0.0
+        for u in (gaussian_bump(1, width=1.0),
+                  modulated_gaussian(0.2, 1.4, 1.0)):
+            E = extend(u, s)
+            for x, den in zip(probes, spectral_oracle_batch(s, u, probes)):
+                if abs(den) > 1e-3:
+                    ratio = weighted_normal_derivative(E, x) / den
+                    assert ratio == pytest.approx(ds, rel=1e-5), (s, x)
+    assert trace_constant(0.5)[0] == 1.0
+    for s in (0.0, 1.0, 1.2):
+        with pytest.raises(ValueError):
+            trace_constant(s)
+
+
+def test_trace_route_does_not_use_the_oracle(monkeypatch):
+    import fracbern.nonlocal_ops as nl
+
+    def no_oracle(*args):
+        raise AssertionError("the extension route called the oracle")
+
+    monkeypatch.setattr(nl, "_oracle", no_oracle)
+    s = 0.37
+    assert trace_constant(s)[0] > 0
+    E = extend(gaussian_bump(1), s)
+    assert np.isfinite(weighted_normal_derivative(E, 0.2))
 
 
 def test_trace_factorization_across_catalog():
@@ -261,18 +287,19 @@ def test_kernel_ray_tail_matches_quad_elementwise(s):
 def _per_point_field(E, kx, ky, x, y):
     """Reference: one point's convolution with its own rule and a scalar
     ray tail per periodic-tail node; returns (value, sum of |terms|)."""
-    uf, tail = E._ux[kx], E._tail_of(kx)
+    uf = lambda t: E.u.jet(t, kx)[kx].ravel()
+    lim, period = E.u.tail.limit if kx == 0 else 0.0, E.u.tail.period
     T = max(24.0, 8.0 * y, 2.0 * abs(x))
     tp, wp = panel_nodes(np.linspace(-4 * y, 4 * y, 13), 16)
     tr, wr = panel_nodes(geometric_edges(4 * y, T, 6), 16)
     t = np.concatenate([tp, tr, -tr])
     terms = (np.concatenate([wp, wr, wr]) * _kernel_y_derivs(t, y, E.s, ky)
              * uf((x + t).reshape(-1, 1)))
-    val = np.sum(terms) + 2.0 * tail.limit * _kernel_ray_tail(T, y, E.s, ky)
-    if tail.period is not None:
+    val = np.sum(terms) + 2.0 * lim * _kernel_ray_tail(T, y, E.s, ky)
+    if period is not None:
         val += periodic_tail_1d(
             lambda r: uf((x + r).reshape(-1, 1)) + uf((x - r).reshape(-1, 1))
-            - 2.0 * tail.limit, tail.period, T,
+            - 2.0 * lim, period, T,
             lambda r: _kernel_y_derivs(np.abs(r), y, E.s, ky),
             lambda a: np.array([_kernel_ray_tail(ai, y, E.s, ky)
                                 for ai in a]))[0]

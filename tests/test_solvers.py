@@ -7,7 +7,8 @@ from fracbern.kernels import (fractional_kernel, anisotropic_kernel,
                               MeasureOnUnit, bellman_max, log_sum_exp,
                               linear_nonlinearity)
 from fracbern.funcspace import gaussian_bump, constant, modulated_gaussian
-from fracbern.nonlocal_ops import Lattice, apply_fractional
+from fracbern.nonlocal_ops import (Lattice, DiscreteOperatorDense,
+                                  apply_fractional)
 from fracbern.solvers import (barrier, barrier_check, solve_linear_dirichlet,
                               BellmanProblem, solve_bellman, value_iteration,
                               solve_fully_nonlinear, ObstacleProblem,
@@ -420,11 +421,18 @@ def test_unified_bound_constant_solution():
     assert out["measured_grad_half"] <= 1e-8
 
 
-def test_unified_bound_bellman_instance():
+def test_unified_bound_bellman_instance(monkeypatch):
     lattice = lat(257)
     prob = mixed_bellman(lattice)
     gf, policy, info = solve_bellman(prob, lattice)
+    # per member: three far-field applies in the linearization (d+ u,
+    # d- u, dd u), then two more (u - sup u, d u); dd u is not redone
+    calls = []
+    apply_to_grid = DiscreteOperatorDense.apply_to_grid
+    monkeypatch.setattr(DiscreteOperatorDense, "apply_to_grid",
+                        lambda d, *a: calls.append(d) or apply_to_grid(d, *a))
     out = unified_derivative_bound(prob, gf, info, 1.0)
+    assert len(calls) == 5 * len(prob.members)
     assert np.isfinite(out["fitted_C_first"])
     assert out["fitted_C_first"] > 0
     assert np.isfinite(out["fitted_C_sharp"])
