@@ -4,8 +4,8 @@ Everything here is plain numpy: Gauss-Legendre panels, a Gauss-Jacobi
 rule for a power weight, geometric panel grids for integrable power
 singularities (one range, or one per row), the half-sphere angular rule
 and the radial rules built on it, a row-by-row dot product for batched
-quadrature sums, and a periodic-tail summation based on Euler-Maclaurin
-for slowly decaying oscillatory tails.
+quadrature sums, squared row norms, and a periodic-tail summation based
+on Euler-Maclaurin for slowly decaying oscillatory tails.
 """
 
 from functools import cache, lru_cache
@@ -144,6 +144,15 @@ def row_dot(a, w):
     matrix-vector product does not.
     """
     return (a[..., None, :] @ w)[..., 0]
+
+
+def sq_norms(z):
+    """|z_i|^2 for every row of an (m, n) array: one contraction, where
+    np.sum(z * z, axis=1) reduces along a short axis 3-4x slower.
+    For n <= 2 it adds the same squares in the same order, so
+    np.sqrt(sq_norms(z)) equals np.linalg.norm(z, axis=1) bit for bit.
+    """
+    return np.einsum("ij,ij->i", z, z)
 
 
 def periodic_tail_1d(g, period, start, kernel_ray, kernel_ray_tail):

@@ -23,7 +23,7 @@ from .kernels import fractional_kernel, as_points, fd_grad, fd_hess
 from .funcspace import (constant, directional_derivative,
                         positive_part, positive_part_square, incremental_quotient,
                         averaged_square, averaged_square_root, make_cutoff)
-from ._quad import radial_rule
+from ._quad import radial_rule, sq_norms
 from .nonlocal_ops import N_ANGULAR, apply_batch, default_plan
 
 __all__ = [
@@ -255,7 +255,7 @@ def check_second_order_fraclap(u, s, R=1.0, probes=None, measure=None):
     grid = np.linspace(-R, R, 81)
     pts = grid.reshape(-1, 1) if u.n == 1 else \
         np.stack(np.meshgrid(grid, grid), -1).reshape(-1, 2)
-    pts = pts[np.linalg.norm(pts, axis=1) <= R]
+    pts = pts[np.sqrt(sq_norms(pts)) <= R]
     kappa = float(np.max(u(pts)))
     if probes is None:
         probes = np.linspace(-1.4 * R, 1.4 * R, 15).reshape(-1, 1)
@@ -453,8 +453,8 @@ def taper_moment(kernel, delta):
     xi, _, _ = odd_taper(delta)
 
     def W(y):
-        r = np.linalg.norm(y, axis=1)
-        z = np.linalg.norm(xi(y), axis=1)
+        r = np.sqrt(sq_norms(y))
+        z = np.sqrt(sq_norms(xi(y)))
         return r * z
 
     return _plain_kernel_integral(kernel, W, 1e-10, 1.0, _lenient(kernel.n))
@@ -494,7 +494,7 @@ def check_conto_traccia(kernel, u, eta, eps):
     g = np.linspace(-1.8, 1.8, 9)
     probes = g.reshape(-1, 1) if n == 1 else \
         np.stack(np.meshgrid(g, g), -1).reshape(-1, 2)
-    probes = probes[np.linalg.norm(probes, axis=1) < 2.0]
+    probes = probes[np.sqrt(sq_norms(probes)) < 2.0]
 
     delta, J3, sweep = select_delta(kernel, eps)
 
@@ -502,7 +502,7 @@ def check_conto_traccia(kernel, u, eta, eps):
     grid = np.linspace(-3.0, 3.0, 301)
     pts3 = grid.reshape(-1, 1) if n == 1 else \
         np.stack(np.meshgrid(grid[::4], grid[::4]), -1).reshape(-1, 2)
-    pts3 = pts3[np.linalg.norm(pts3, axis=1) <= 3.0]
+    pts3 = pts3[np.sqrt(sq_norms(pts3)) <= 3.0]
     du_sup3 = float(np.max(np.abs(du(pts3))))
     E_allow = eps ** 2 * du_sup3 ** 2
 
@@ -647,7 +647,7 @@ def check_kernel_radial_identity(s, n=1, kernel=None, fd=True):
         H = K.hess(probes)
     lap = np.trace(H, axis1=1, axis2=2)
     resid = 2 * (K.s + 1) * g + probes * lap[:, None]
-    rel = np.linalg.norm(resid, axis=1) / np.linalg.norm(g, axis=1)
+    rel = np.sqrt(sq_norms(resid)) / np.sqrt(sq_norms(g))
     return float(np.max(rel))
 
 

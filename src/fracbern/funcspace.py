@@ -46,7 +46,7 @@ from math import comb, factorial
 import numpy as np
 from numpy.polynomial import hermite_e
 
-from ._quad import gl_rule
+from ._quad import gl_rule, sq_norms
 from .kernels import as_points
 
 __all__ = [
@@ -569,7 +569,7 @@ def gaussian_bump(n, center=None, width=1.0, height=1.0):
 
     def jet(x, k, call):
         d = x - c
-        v = h * np.exp(-np.sum(d * d, axis=1) / (2 * w * w))
+        v = h * np.exp(-sq_norms(d) / (2 * w * w))
         if k == 0:
             return [v]
         if n == 1:
@@ -592,7 +592,7 @@ def gaussian_bump(n, center=None, width=1.0, height=1.0):
     fac = abs(h) / (w * w)
 
     def fourier(xi):
-        q = np.sum(xi * xi, axis=1)
+        q = sq_norms(xi)
         phase = np.exp(-1j * (xi @ c))
         return h * (2 * np.pi) ** (n / 2.0) * w ** n * np.exp(-w * w * q / 2) * phase
 
@@ -948,7 +948,7 @@ class Cutoff(_Node):
         # the profile of t = (|x| - r_in) / dr, with the radius
         # |x| = sqrt(|x|^2) differentiated by the square-root rule
         n, dr = self.n, self.r_out - self.r_in
-        r = np.linalg.norm(x, axis=1)
+        r = np.sqrt(sq_norms(x))
         t = (r - self.r_in) / dr
         mid = (t > 1e-9) & (t < 1 - 1e-9)
         out = [(t <= 1e-9).astype(float)] + [

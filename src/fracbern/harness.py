@@ -13,6 +13,7 @@ import os
 import numpy as np
 
 from . import __version__
+from ._quad import sq_norms
 from .kernels import MeasureOnUnit, bellman_max, positive_orders
 from .solvers import grid_gradient, grid_second_difference
 
@@ -37,7 +38,7 @@ class ProblemConstants:
 
 def _ball_samples(R, n, m, rng):
     pts = rng.uniform(-R, R, size=(3 * m, n))
-    pts = pts[np.linalg.norm(pts, axis=1) < R]
+    pts = pts[np.sqrt(sq_norms(pts)) < R]
     return pts[:m]
 
 
@@ -83,8 +84,8 @@ def problem_constants(problem, R=None, want_second=True):
     def fg_grad(pts):
         out = []
         for g in gs:
-            out.append(np.linalg.norm(problem.f.gradient(pts)
-                                      + g.gradient(pts), axis=1))
+            out.append(np.sqrt(sq_norms(problem.f.gradient(pts)
+                                        + g.gradient(pts))))
         return np.max(np.stack(out), axis=0)
 
     def fg_de(pts):
@@ -115,8 +116,8 @@ def problem_constants(problem, R=None, want_second=True):
         Ge2 = _stable_sup(fg_dee_pos, R, n)
 
     gamma1 = _stable_sup(
-        lambda p: np.linalg.norm(problem.f.gradient(p), axis=1), R, n) \
-        + max(_stable_sup(lambda p, g=g: np.linalg.norm(g.gradient(p), axis=1),
+        lambda p: np.sqrt(sq_norms(problem.f.gradient(p))), R, n) \
+        + max(_stable_sup(lambda p, g=g: np.sqrt(sq_norms(g.gradient(p))),
                           R, n) for g in gs)
     gamma2 = None
     if want_second:
@@ -166,7 +167,7 @@ def measure_derivative_bounds(gf, problem, R, theorem="indefinite-order"):
     du = grid_gradient(gf, e)
     ddu = grid_second_difference(gf, e)
     nodes = gf.nodes()
-    rad = np.linalg.norm(nodes, axis=1)
+    rad = np.sqrt(sq_norms(nodes))
     half = rad < R / 2
     quarter = rad < R / 4
     inner_band = rad < R - 2 * gf.h
@@ -221,7 +222,7 @@ def semiconcavity_refinement(solve_at, levels=3):
         gf = solve_at(lvl)
         e = np.zeros(gf.n); e[0] = 1.0
         ddu = grid_second_difference(gf, e)
-        rad = np.linalg.norm(gf.nodes(), axis=1)
+        rad = np.sqrt(sq_norms(gf.nodes()))
         mask = rad < 0.5 - 2 * gf.h
         sups.append(float(np.max(ddu[mask])))
     ratios = [sups[i + 1] / sups[i] for i in range(len(sups) - 1)]
@@ -249,7 +250,7 @@ def scaled_lemma_check(u, m, sigma0, interior_radius=2.0):
         pts = center[None, :] + _ball_samples(rho * fac, n, 160, rng)
         total = np.max(np.abs(u(pts)))
         if m >= 1:
-            total += rho * np.max(np.linalg.norm(u.gradient(pts), axis=1))
+            total += rho * np.max(np.sqrt(sq_norms(u.gradient(pts))))
         if m >= 2:
             total += rho ** 2 * np.max(np.abs(np.linalg.eigvalsh(
                 u.hessian(pts))).max(axis=1))
@@ -268,7 +269,7 @@ def scaled_lemma_check(u, m, sigma0, interior_radius=2.0):
     pts_half = _ball_samples(0.5, n, 800, rng)
     total_half = np.max(np.abs(u(pts_half)))
     if m >= 1:
-        total_half += np.max(np.linalg.norm(u.gradient(pts_half), axis=1))
+        total_half += np.max(np.sqrt(sq_norms(u.gradient(pts_half))))
     if m >= 2:
         total_half += np.max(np.abs(np.linalg.eigvalsh(
             u.hessian(pts_half))).max(axis=1))
@@ -343,7 +344,7 @@ def run_experiment(config, out_dir):
 
 def _probe_cloud(rng, n, count, radius):
     pts = rng.uniform(-radius, radius, size=(3 * count + 16, n))
-    pts = pts[np.linalg.norm(pts, axis=1) < radius]
+    pts = pts[np.sqrt(sq_norms(pts)) < radius]
     return pts[:count]
 
 

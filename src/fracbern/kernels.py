@@ -13,7 +13,7 @@ from math import gamma
 
 import numpy as np
 
-from ._quad import half_sphere, radial_rule, ray_rule, row_dot
+from ._quad import half_sphere, radial_rule, ray_rule, row_dot, sq_norms
 
 __all__ = [
     "normalizing_constant", "Kernel", "EllipticMatrix", "MeasureOnUnit",
@@ -212,7 +212,7 @@ class Kernel:
             return np.array([[2 * v]]), 1e-13 * abs(v)
         lo = r * 1e-9
         z, kz, w = radial_rule(self, lo, r, 12, 6, 64)
-        zz = np.sum(z * z, axis=1)
+        zz = sq_norms(z)
         M = np.einsum("k,ki,kj->ij", kz * w * zz ** (p // 2 - 1), z, z)
         return M, self.abs_moment(p, lo)
 
@@ -234,15 +234,15 @@ def fractional_kernel(n, s):
     p = n + 2 * s
 
     def density(z):
-        r = np.linalg.norm(z, axis=1)
+        r = np.sqrt(sq_norms(z))
         return c * r ** (-p)
 
     def grad(z):
-        r = np.linalg.norm(z, axis=1, keepdims=True)
+        r = np.sqrt(sq_norms(z))[:, None]
         return -p * c * r ** (-p - 2) * z
 
     def hess(z):
-        r = np.linalg.norm(z, axis=1)
+        r = np.sqrt(sq_norms(z))
         k = c * r ** (-p)
         eye = np.eye(n)
         zz = z[:, :, None] * z[:, None, :] / (r ** 2)[:, None, None]
@@ -265,15 +265,15 @@ def anisotropic_kernel(s, A):
     A2 = A.A @ A.A
 
     def density(z):
-        r = np.linalg.norm(z @ A.A, axis=1)
+        r = np.sqrt(sq_norms(z @ A.A))
         return c * r ** (-p)
 
     def grad(z):
-        az2 = np.sum((z @ A.A) ** 2, axis=1)
+        az2 = sq_norms(z @ A.A)
         return -p * c * (az2 ** (-(p + 2) / 2.0))[:, None] * (z @ A2)
 
     def hess(z):
-        az2 = np.sum((z @ A.A) ** 2, axis=1)
+        az2 = sq_norms(z @ A.A)
         w = z @ A2
         ww = w[:, :, None] * w[:, None, :]
         k = c * az2 ** (-p / 2.0)
@@ -285,7 +285,7 @@ def anisotropic_kernel(s, A):
     C2 = c * A.lam ** (-p) / (s * (1 - s))
     C3 = p * ratio + p * (p + 3) * ratio ** 2
     return Kernel(n, s, density, "anisotropic", C1, C2, C3,
-                  angular=lambda w: c * np.linalg.norm(w @ A.A, axis=1) ** (-p),
+                  angular=lambda w: c * np.sqrt(sq_norms(w @ A.A)) ** (-p),
                   params={"A": A.A.tolist(), "lam": A.lam, "Lam": A.Lam},
                   grad=grad, hess=hess)
 
@@ -331,7 +331,7 @@ def stable_kernel(n, s, directional_density):
     p = n + 2 * s
 
     def density(z):
-        r = np.linalg.norm(z, axis=1, keepdims=True)
+        r = np.sqrt(sq_norms(z))[:, None]
         return sym(z / r) * r[:, 0] ** (-p)
 
     C1 = a_probe.min() / (s * (1 - s))
@@ -363,7 +363,7 @@ def fd_grad(K, z, step=1e-5):
     """Centred differences of K at the rows of z, shape (m, n), with a
     step of step |z| per axis: the gradient, shape (m, n)."""
     g = np.empty_like(z)
-    r = np.linalg.norm(z, axis=1)
+    r = np.sqrt(sq_norms(z))
     for i in range(z.shape[1]):
         dz = np.zeros_like(z)
         dz[:, i] = step * r
@@ -375,7 +375,7 @@ def fd_hess(K, z, step=1e-4):
     """The Hessian of K at the rows of z, shape (m, n, n), as fd_grad."""
     n = z.shape[1]
     H = np.empty((z.shape[0], n, n))
-    r = np.linalg.norm(z, axis=1)
+    r = np.sqrt(sq_norms(z))
     k0 = K(z)
     for i in range(n):
         for j in range(i, n):
@@ -399,7 +399,7 @@ def _fit_c3(density, n, dirs):
         g = fd_grad(density, z)
         H = fd_hess(density, z)
         hn = np.linalg.norm(H, ord=2, axis=(1, 2))
-        worst = max(worst, np.max((r * np.linalg.norm(g, axis=1)
+        worst = max(worst, np.max((r * np.sqrt(sq_norms(g))
                                    + r * r * hn) / k))
     return 1.05 * worst
 
@@ -476,12 +476,12 @@ def validate_kernel_class(K, radii_count=40, tol_fd=1e-3):
     if np.any(~np.isfinite(k)) or np.any(k <= 0):
         raise ValueError("kernel evaluation failed on probe set")
     sym_gap = float(np.max(np.abs(K(pts) - K(-pts)) / k))
-    r = np.linalg.norm(pts, axis=1)
+    r = np.sqrt(sq_norms(pts))
     ratio = k * r ** (K.n + 2 * K.s) / (K.s * (1 - K.s))
     c1_hat, c2_hat = float(ratio.min()), float(ratio.max())
     g = K.grad(pts, step=1e-4)
     H = K.hess(pts, step=1e-3)
-    c3_hat = float(np.max((r * np.linalg.norm(g, axis=1)
+    c3_hat = float(np.max((r * np.sqrt(sq_norms(g))
                            + r * r * np.linalg.norm(H, ord=2, axis=(1, 2))) / k))
     ok = (sym_gap <= 1e-9
           and c1_hat >= K.C1 / (1 + tol_fd)

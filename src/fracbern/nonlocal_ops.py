@@ -56,7 +56,7 @@ from math import factorial
 import numpy as np
 
 from ._quad import (geometric_edges, half_sphere, jacobi_rule, panel_nodes,
-                    periodic_tail_1d, gl_rule, radial_rule, row_dot)
+                    periodic_tail_1d, gl_rule, radial_rule, row_dot, sq_norms)
 from .kernels import MeasureOnUnit, as_points, fractional_kernel
 
 __all__ = [
@@ -71,7 +71,7 @@ R_INNER = 1e-2   # Taylor part below this radius, panels above
 N_ANGULAR = 48   # trapezoid directions per radius in 2d, half evaluated
 T_NODES = 6      # Gauss nodes of the Bochner segment integral
 CHUNK = 16384    # integrand points per call, see _chunked
-STENCIL_BYTES = 1 << 21  # bound on each gather temporary of apply_to_grid
+STENCIL_BYTES = 1 << 21  # bound on each (probes, nodes) temporary
 ORACLE_DIRS = (6, 384)   # first and last direction count of the 2d oracle
 ORACLE_HEAD = 1e-2       # the oracle's Gauss-Jacobi head panel is [0, 1e-2 Xi]
 EPS = np.finfo(float).eps
@@ -252,7 +252,7 @@ def _integrate(kernel, G, xs, plan):
     zone_err, low_err = np.zeros(m), np.zeros(m)
     todo, uncut = np.arange(m), np.arange(0)
     order, ppd = plan.order, plan.panels_per_decade
-    R = _pick_outer(kernel, G, float(np.linalg.norm(xs, axis=1).max()),
+    R = _pick_outer(kernel, G, float(np.sqrt(sq_norms(xs)).max()),
                     plan.rel_tol)
     for it in range(plan.max_refine + 1):
         x, gxt = xs[todo], gx[todo]
@@ -372,7 +372,7 @@ def _tail(kernel, G, xs, gx, R):
     tm, tm_err = kernel.tail_mass(R)
     lim = G.tail.limit
     # resid(0) and resid(R - |x|) per probe in one call
-    resid = _resid(G.tail, np.append(0.0, R - np.linalg.norm(xs, axis=1)))
+    resid = _resid(G.tail, np.append(0.0, R - np.sqrt(sq_norms(xs))))
     value = (lim - gx) * tm
     error = tm_err * (np.abs(lim - gx) + resid[0] + G.tail.amp)
     resid = resid[1:]
@@ -654,7 +654,7 @@ class Lattice:
         else:
             X, Y = np.meshgrid(self.axis, self.axis, indexing="ij")
             self.nodes = np.stack([X.ravel(), Y.ravel()], axis=1)
-        rad = np.linalg.norm(self.nodes, axis=1)
+        rad = np.sqrt(sq_norms(self.nodes))
         self.interior = np.where(rad < R_dom - 1e-12)[0]
         self.n_int = self.interior.size
 
@@ -700,7 +700,7 @@ def _stencil(op, lattice):
         ks = np.arange(-kmax, kmax + 1)
         KX, KY = np.meshgrid(ks, ks, indexing="ij")
         cells = np.stack([KX.ravel(), KY.ravel()], axis=1)
-        cells = cells[np.sum(cells * cells, axis=1) <= (kmax + 0.5) ** 2]
+        cells = cells[sq_norms(cells) <= (kmax + 0.5) ** 2]
         # keep only one of each +-pair: evenness makes them equal
         offsets = cells[(cells[:, 0] > 0)
                         | ((cells[:, 0] == 0) & (cells[:, 1] > 0))]
@@ -714,11 +714,11 @@ def _stencil(op, lattice):
         # directions (axis and diagonal stencils keep the scheme monotone)
         evals, evecs = np.linalg.eigh(M2)
         cand = np.array([[1, 0], [0, 1], [1, 1], [1, -1]])
-        candu = cand / np.linalg.norm(cand, axis=1, keepdims=True)
+        candu = cand / np.sqrt(sq_norms(cand))[:, None]
         pick = np.argmax(np.abs(evecs.T @ candu.T), axis=1)
         extra = np.zeros(len(cand))
         np.add.at(extra, pick,
-                  0.5 * evals / (np.sum(cand[pick] ** 2, axis=1) * h * h))
+                  0.5 * evals / (sq_norms(cand[pick]) * h * h))
         at = [np.flatnonzero(np.all(offsets == c, axis=1))[0] for c in cand]
         masses[at] += extra
     if np.any(masses < 0):
@@ -775,7 +775,7 @@ def _far_data_integral(kernel, exterior, xs, R):
     if exterior.tail.period is not None:
         return _tail(kernel, exterior, xs, np.zeros(len(xs)), R)[0]
     val = np.full(len(xs), exterior.tail.limit * kernel.tail_mass(R)[0])
-    xn = np.linalg.norm(xs, axis=1)
+    xn = np.sqrt(sq_norms(xs))
     resid = _resid(exterior.tail, R - xn)
     rows = np.flatnonzero(resid > 0)
     if rows.size == 0:
@@ -802,6 +802,15 @@ def _far_data_integral(kernel, exterior, xs, R):
     return val
 
 
+def _smooth_len(m):
+    """The least m' >= m with no prime factor above 5."""
+    r = m
+    for p in (2, 3, 5):
+        while r % p == 0:
+            r //= p
+    return m if r == 1 else _smooth_len(m + 1)
+
+
 class DiscreteOperatorDense:
     """A translation-invariant stencil on a lattice, as a dense interior
     matrix A plus an affine exterior vector b:
@@ -817,7 +826,8 @@ class DiscreteOperatorDense:
     and t + sum W on it, so A is symmetric and monotone (off-diagonals
     <= 0); b is apply_to_grid of the exterior data with the interior
     zeroed.  offsets and masses keep the half stencil a kernel's
-    weights came from.
+    weights came from.  W's transform is kept for apply_to_grid's FFT
+    convolution.
     """
 
     def __init__(self, lattice, W, exterior, tail_mass_far=0.0, far=(),
@@ -831,20 +841,29 @@ class DiscreteOperatorDense:
         idx = np.stack(np.unravel_index(lat.interior, (lat.N,) * n), axis=1)
         # the band of lattice indices the stencil reaches from the
         # interior: the neighbours of interior node i are the window of
-        # W's shape at band index idx_i - min(idx)
+        # W's shape at band index idx_i - min(idx).  W is symmetric, so
+        # the correlation of the band with W over that window is their
+        # convolution at idx_i - min(idx) + 2 k, an index that circular
+        # wrap on the band's own side never reaches.  The transform
+        # length is the next 5-smooth one: numpy's FFT is 5x slower on a
+        # prime such as 1151, the side at 1d N = 257
         lo = idx.min(axis=0) - k
         self._side = tuple(idx.max(axis=0) + k + 1 - lo)
-        self._starts = idx - idx.min(axis=0)
+        self._reads = tuple((idx - idx.min(axis=0) + 2 * k).T)
+        self._fft = (tuple(_smooth_len(m) for m in self._side),
+                     tuple(range(n)))
+        self._W_hat = np.fft.rfftn(W, *self._fft)
         band = np.indices(self._side).reshape(n, -1).T + lo
         in_box = np.all((band >= 0) & (band < lat.N), axis=1)
         self._box = np.flatnonzero(in_box)
         self._box_nodes = np.ravel_multi_index(band[in_box].T, (lat.N,) * n)
         # the closure is evaluated only out to the stencil's reach; the
-        # band points past it stay 0 and meet only zero weights
+        # band points past it hold the reference value, a difference of
+        # 0, and meet only zero weights
         pts = lat.axis[0] + band * lat.h
-        reach = lat.R_dom + lat.h * (np.linalg.norm(
-            np.argwhere(W != 0) - k, axis=1).max(initial=0) + 1)
-        beyond = ~in_box & (np.linalg.norm(pts, axis=1) < reach)
+        reach = lat.R_dom + lat.h * (np.sqrt(
+            sq_norms(np.argwhere(W != 0) - k)).max(initial=0) + 1)
+        beyond = ~in_box & (np.sqrt(sq_norms(pts)) < reach)
         self._beyond, self._beyond_pts = np.flatnonzero(beyond), pts[beyond]
 
         # A[i, j] = -W[idx_j - idx_i], from W padded to cover every
@@ -876,22 +895,25 @@ class DiscreteOperatorDense:
         values_full: values at every lattice node; closure: SmoothFunction
         supplying values beyond the box (evaluated once, on the lattice
         points the stencil reaches) and the far-field integral.  Returns
-        the operator values at the interior nodes; interior rows are
-        gathered in chunks of at most STENCIL_BYTES per temporary.
+        the operator values at the interior nodes.
+
+        The stencil sum is one real-FFT convolution of the band of
+        reached values with W, in differences from one reference value
+        c = u(x_0): t u_i + sum W (u_i - c) - sum_k W_k (u_{i+k} - c).
+        A constant grid function makes every difference exactly 0.
         """
-        lat, w = self.lattice, self.W.ravel()
-        G = np.zeros(self._side)
+        lat = self.lattice
+        v = values_full[lat.interior]
+        ref = v[0]
+        G = np.full(self._side, ref)
         G.flat[self._box] = values_full[self._box_nodes]
         if self._beyond.size:
             G.flat[self._beyond] = closure(self._beyond_pts)
-        windows = np.lib.stride_tricks.sliding_window_view(G, self.W.shape)
-        v = values_full[lat.interior]
-        out = self.tail_mass_far * v
-        step = max(STENCIL_BYTES // (8 * w.size), 1)
-        for a in range(0, v.size, step):
-            d = windows[tuple(self._starts[a:a + step].T)].reshape(-1, w.size)
-            np.subtract(v[a:a + step, None], d, out=d)
-            out[a:a + step] += d @ w
+        G -= ref
+        conv = np.fft.irfftn(np.fft.rfftn(G, *self._fft) * self._W_hat,
+                             *self._fft)
+        out = (self.tail_mass_far * v + self.W.sum() * (v - ref)
+               - conv[self._reads])
         for c, K in self.far:
             out -= c * _far_data_integral(K, closure, lat.nodes[lat.interior],
                                           self.R_eff)

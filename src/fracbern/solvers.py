@@ -14,6 +14,7 @@ iteration stays as an independent fixed-point oracle.
 
 import numpy as np
 
+from ._quad import sq_norms
 from .kernels import bellman_max, operator_order, positive_orders
 from .funcspace import SmoothFunction, Tail, GridFunction, constant, \
     translate
@@ -40,15 +41,15 @@ def barrier(R=1.0, n=1):
     R = float(R)
 
     def val(x):
-        q = np.sum((x / R) ** 2, axis=1)
+        q = sq_norms(x / R)
         return np.where(q < 100.0, q - 2.0, 98.0)
 
     def grad(x):
-        q = np.sum((x / R) ** 2, axis=1)
+        q = sq_norms(x / R)
         return np.where((q < 100.0)[:, None], 2.0 * x / R ** 2, 0.0)
 
     def hess(x):
-        q = np.sum((x / R) ** 2, axis=1)
+        q = sq_norms(x / R)
         eye = np.eye(n) * (2.0 / R ** 2)
         return np.where((q < 100.0)[:, None, None], eye[None], 0.0)
 
@@ -367,7 +368,7 @@ def _linearize(problem, gf, info):
 
     # data-driven constants
     gam1, gam2 = data_derivative_constants(problem, lat)
-    rad = np.linalg.norm(nodes_int, axis=1)
+    rad = np.sqrt(sq_norms(nodes_int))
     inner = rad < problem.R_dom - 2 * lat.h
     lip = max(gam1, 1.0)
     tol = 10.0 * lat.h * lip
@@ -434,8 +435,8 @@ def data_derivative_constants(problem, lattice):
     rng = np.random.default_rng(11)
     n = lattice.n
     pts = rng.uniform(-problem.R_dom, problem.R_dom, size=(400, n))
-    pts = pts[np.linalg.norm(pts, axis=1) < problem.R_dom]
-    fgrad = np.linalg.norm(problem.f.gradient(pts), axis=1)
+    pts = pts[np.sqrt(sq_norms(pts)) < problem.R_dom]
+    fgrad = np.sqrt(sq_norms(problem.f.gradient(pts)))
     fh = problem.f.hessian(pts)
     fpp = np.max(np.linalg.eigvalsh(fh), axis=1)
     g1 = float(np.max(fgrad))
@@ -443,7 +444,7 @@ def data_derivative_constants(problem, lattice):
     best_g1 = 0.0
     best_g2 = 0.0
     for _, g in problem.members:
-        gg = float(np.max(np.linalg.norm(g.gradient(pts), axis=1)))
+        gg = float(np.max(np.sqrt(sq_norms(g.gradient(pts)))))
         gh = np.max(np.linalg.eigvalsh(g.hessian(pts)), axis=1)
         best_g1 = max(best_g1, gg)
         best_g2 = max(best_g2, float(np.max(np.maximum(gh, 0.0))))
@@ -473,10 +474,10 @@ def max_principle_estimate(ops, phi, R):
 
     rng = np.random.default_rng(3)
     inner = rng.uniform(-R, R, size=(4000, 1))
-    inner = inner[np.linalg.norm(inner, axis=1) < R]
+    inner = inner[np.sqrt(sq_norms(inner)) < R]
     sup_in = float(np.max(phi(inner)))
     outer = rng.uniform(-6 * R, 6 * R, size=(12000, 1))
-    outer = outer[np.linalg.norm(outer, axis=1) >= R]
+    outer = outer[np.sqrt(sq_norms(outer)) >= R]
     sup_out = max(float(np.max(phi(outer))), phi.tail.limit)
     gap = sup_in - sup_out
     if g0 <= 0.0:
@@ -518,7 +519,7 @@ def unified_derivative_bound(problem, gf, info, R, cr_form=None):
     L, rep, ddu_full, Lddu = _linearize(problem, gf, info)
     nodes_int = lat.nodes[lat.interior]
     u_int = gf.values.ravel()[lat.interior]
-    rad = np.linalg.norm(nodes_int, axis=1)
+    rad = np.sqrt(sq_norms(nodes_int))
 
     sup_u_R = float(np.max(u_int[rad < R])) if np.any(rad < R) else 0.0
     shift_full = gf.values.ravel() - sup_u_R

@@ -771,6 +771,70 @@ MEASURES = [MeasureOnUnit([(0.0, 0.2), (0.5, 0.5), (1.0, 0.3)]),
             MeasureOnUnit([(0.0, 0.4), (1.0, 0.6)])]
 
 
+def _gather_reference(disc, values_full, closure):
+    """apply_to_grid by the windowed gather that the FFT action replaced:
+    the window of W's shape around every interior node of the
+    zero-filled band, summed in differences u_i - u_{i+k}, 16 rows at a
+    time."""
+    lat, w = disc.lattice, disc.W.ravel()
+    idx = np.stack(np.unravel_index(lat.interior, (lat.N,) * lat.n), axis=1)
+    starts = idx - idx.min(axis=0)
+    G = np.zeros(disc._side)
+    G.flat[disc._box] = values_full[disc._box_nodes]
+    if disc._beyond.size:
+        G.flat[disc._beyond] = closure(disc._beyond_pts)
+    windows = np.lib.stride_tricks.sliding_window_view(G, disc.W.shape)
+    v = values_full[lat.interior]
+    out = disc.tail_mass_far * v
+    for a in range(0, v.size, 16):
+        d = windows[tuple(starts[a:a + 16].T)].reshape(-1, w.size)
+        out[a:a + 16] += (v[a:a + 16, None] - d) @ w
+    for c, K in disc.far:
+        out -= c * _far_data_integral(K, closure, lat.nodes[lat.interior],
+                                      disc.R_eff)
+    return out
+
+
+@pytest.mark.parametrize("op, N", [
+    (fractional_kernel(2, 0.3), 49), (fractional_kernel(2, 0.8), 49),
+    (anisotropic_kernel(0.3, np.array([[1.4, 0.3], [0.3, 0.8]])), 49),
+    (anisotropic_kernel(0.8, np.array([[1.4, 0.3], [0.3, 0.8]])), 49),
+    (fractional_kernel(1, 0.5), 513), (MEASURES[0], 49)],
+    ids=["2d-s0.3", "2d-s0.8", "2d-aniso-s0.3", "2d-aniso-s0.8", "1d-N513",
+         "2d-measure"])
+def test_fft_action_matches_gather(op, N):
+    """At the benchmark's lattice sizes, b and the grid action from the
+    FFT convolution agree with the windowed gather up to round-off."""
+    n = 2 if N == 49 else 1
+    lat = Lattice(n, 2.0, N, 1.0)
+    ext = gaussian_bump(n, [0.1] * n, 0.8, 0.7)
+    disc = assemble_discrete(op, lat, ext)
+    diag = np.diag(disc.A).max()
+    data = ext(lat.nodes)
+    data[lat.interior] = 0.0
+    b = _gather_reference(disc, data, ext)
+    assert np.max(np.abs(disc.b - b)) <= 1e-13 * diag * ext.sup
+    g = gaussian_bump(n, [0.2] * n, 0.6, -0.7) + ext
+    vals = g(lat.nodes)
+    assert np.max(np.abs(disc.apply_to_grid(vals, g)
+                         - _gather_reference(disc, vals, g))) \
+        <= 1e-13 * diag * np.max(np.abs(vals))
+
+
+@pytest.mark.parametrize("n, N, op", [
+    (n, N, op) for n, N in ((1, 257), (1, 513), (2, 49))
+    for op in (0.05, 0.5, 0.95, fractional_kernel(n, 0.7))]
+    + [(2, 49, anisotropic_kernel(0.6, np.array([[1.4, 0.3], [0.3, 0.8]])))])
+def test_constant_grid_function_maps_to_exact_zero(n, N, op):
+    """A constant grid function leaves every difference from the
+    reference value exactly 0, so its stencil action is exactly 0.0, not
+    round-off."""
+    lat, c = Lattice(n, 2.0, N, 1.0), constant(3.7, n)
+    disc = assemble_discrete(op, lat, c)
+    out = disc.apply_to_grid(np.full(lat.nodes.shape[0], 3.7), c)
+    assert np.all(out == 0.0)
+
+
 @pytest.mark.parametrize("mu", MEASURES, ids=["0-0.5-1", "0.3-0.7", "0-1"])
 @pytest.mark.parametrize("lat, ext", [
     (Lattice(1, 2.0, 65, 1.0), gaussian_bump(1, 0.1, 1.5, 0.3)),
