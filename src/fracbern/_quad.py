@@ -109,7 +109,7 @@ def half_sphere(n, count):
                       np.full(count // 2, 4 * np.pi / count))
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=256)
 def radial_rule(kernel, r_lo, r_hi, order, ppd, n_ang):
     """Nodes z, kernel values K(z) and weights w with
 
@@ -119,7 +119,8 @@ def radial_rule(kernel, r_lo, r_hi, order, ppd, n_ang):
     geometric radial grid times half_sphere(n, n_ang), w = wt t^{n-1} wd.
     Radius-major, so a prefix of whole panels is the rule on fewer
     panels.  Cached, since zone edges, outer radii and rules recur from
-    call to call; the arrays are read-only.
+    call to call; the arrays are read-only.  The cache holds the few
+    hundred rules (a few MB) of a sweep over nine orders in 1d and 2d.
     """
     t, wt = panel_nodes(geometric_edges(r_lo, r_hi, ppd), order)
     dirs, wd = half_sphere(kernel.n, n_ang)

@@ -51,7 +51,7 @@ the fractional Laplacian with Fourier symbol |xi|^{2s}.
 """
 
 from functools import lru_cache
-from math import factorial
+from math import factorial, isqrt
 
 import numpy as np
 
@@ -70,8 +70,11 @@ __all__ = [
 R_INNER = 1e-2   # Taylor part below this radius, panels above
 N_ANGULAR = 48   # trapezoid directions per radius in 2d, half evaluated
 T_NODES = 6      # Gauss nodes of the Bochner segment integral
-CHUNK = 16384    # integrand points per call, see _chunked
-STENCIL_BYTES = 1 << 21  # bound on each (probes, nodes) temporary
+# integrand points per call (see _chunked), and the block size of the
+# lattice's 2d cell masses and of the gather that builds A
+CHUNK = 16384
+# bound on each (probes, nodes) temporary of the far field and the oracle
+STENCIL_BYTES = 1 << 21
 ORACLE_DIRS = (6, 384)   # first and last direction count of the 2d oracle
 ORACLE_HEAD = 1e-2       # the oracle's Gauss-Jacobi head panel is [0, 1e-2 Xi]
 EPS = np.finfo(float).eps
@@ -697,19 +700,25 @@ def _stencil(op, lattice):
         masses = _cell_masses_1d(kernel, h, kmax)
         masses[0] += 0.5 * M2[0, 0] / h ** 2
     else:
-        ks = np.arange(-kmax, kmax + 1)
-        KX, KY = np.meshgrid(ks, ks, indexing="ij")
-        cells = np.stack([KX.ravel(), KY.ravel()], axis=1)
-        cells = cells[sq_norms(cells) <= (kmax + 0.5) ** 2]
-        # keep only one of each +-pair: evenness makes them equal
-        offsets = cells[(cells[:, 0] > 0)
-                        | ((cells[:, 0] == 0) & (cells[:, 1] > 0))]
+        # the half disc a^2 + b^2 <= (kmax + 1/2)^2, one offset of each
+        # +-pair (evenness makes them equal): row a = 0..kmax holds b = 1
+        # (a = 0) or -bmax(a) up to bmax(a), so the offsets are sorted by
+        # the key a (2 kmax + 1) + b
+        bmax = [isqrt(kmax * kmax + kmax - a * a) for a in range(kmax + 1)]
+        cols = [np.arange(-b if a else 1, b + 1) for a, b in enumerate(bmax)]
+        rows = np.repeat(np.arange(kmax + 1), [len(c) for c in cols])
+        offsets = np.stack([rows, np.concatenate(cols)], axis=1)
         x, w = gl_rule(4)
         gx, gy = np.meshgrid(x, x, indexing="ij")
         sub = np.stack([gx.ravel(), gy.ravel()], axis=1) * 0.5 * h
         subw = np.outer(w, w).ravel() * (0.25 * h * h)
-        pts = (offsets[:, None, :] * h + sub[None, :, :]).reshape(-1, 2)
-        masses = kernel(pts).reshape(offsets.shape[0], -1) @ subw
+        # the cell masses, CHUNK kernel points per call
+        masses = np.empty(len(offsets))
+        step = CHUNK // len(sub)
+        for i in range(0, len(offsets), step):
+            pts = offsets[i:i + step, None, :] * h + sub[None, :, :]
+            masses[i:i + step] = kernel(pts.reshape(-1, 2)).reshape(
+                -1, len(sub)) @ subw
         # singular cell: eigen-split of the second moment onto lattice
         # directions (axis and diagonal stencils keep the scheme monotone)
         evals, evecs = np.linalg.eigh(M2)
@@ -719,8 +728,8 @@ def _stencil(op, lattice):
         extra = np.zeros(len(cand))
         np.add.at(extra, pick,
                   0.5 * evals / (sq_norms(cand[pick]) * h * h))
-        at = [np.flatnonzero(np.all(offsets == c, axis=1))[0] for c in cand]
-        masses[at] += extra
+        key = np.array([2 * kmax + 1, 1])
+        masses[np.searchsorted(offsets @ key, cand @ key)] += extra
     if np.any(masses < 0):
         raise ValueError("negative cell weight; discretization not monotone")
     W = np.zeros((2 * kmax + 1,) * n)
@@ -747,10 +756,13 @@ def assemble_discrete(op, lattice, exterior):
     kernel; order 0 is the identity and order 1 the 3/5-point
     Laplacian.  A measure is the sum of its atoms' stencils times their
     weights: kmax depends only on the lattice, so its kernel atoms share
-    R_eff.  Constants are annihilated exactly and all off-diagonal
-    entries stay nonpositive.  Returns a DiscreteOperatorDense; for a
-    kernel, its offsets and masses are the half stencil (one offset of
-    each +-pair).
+    R_eff.  All off-diagonal entries stay nonpositive.  A kernel or an
+    order annihilates constants exactly (0.0); a measure maps them to
+    its order-0 mass, up to a few ulps of t |c| (t = tail_mass_far) with
+    two or more kernel atoms, since t u_i sums their tail masses while
+    the far field subtracts each atom's c T_K apart.  Returns a
+    DiscreteOperatorDense; for a kernel, its offsets and masses are the
+    half stencil (one offset of each +-pair).
     """
     if not isinstance(op, MeasureOnUnit):
         W, t, far, offsets, masses = _stencil(op, lattice)
@@ -827,7 +839,12 @@ class DiscreteOperatorDense:
     <= 0); b is apply_to_grid of the exterior data with the interior
     zeroed.  offsets and masses keep the half stencil a kernel's
     weights came from.  W's transform is kept for apply_to_grid's FFT
-    convolution.
+    convolution, with the band it acts on: one slice per axis of the
+    band and of the lattice for the band's part inside the box, and the
+    band points beyond the box but within the stencil's reach (a mask
+    from per-axis coordinates) with their coordinates, where the closure
+    is evaluated.  A is gathered from W by row blocks of at most CHUNK
+    entries, so no temporary scales like A.
     """
 
     def __init__(self, lattice, W, exterior, tail_mass_far=0.0, far=(),
@@ -853,26 +870,39 @@ class DiscreteOperatorDense:
         self._fft = (tuple(_smooth_len(m) for m in self._side),
                      tuple(range(n)))
         self._W_hat = np.fft.rfftn(W, *self._fft)
-        band = np.indices(self._side).reshape(n, -1).T + lo
-        in_box = np.all((band >= 0) & (band < lat.N), axis=1)
-        self._box = np.flatnonzero(in_box)
-        self._box_nodes = np.ravel_multi_index(band[in_box].T, (lat.N,) * n)
+        # the band inside the box is a rectangle: one slice per axis of
+        # the band and of the lattice
+        N = lat.N
+        self._band_sl = tuple(slice(max(-l, 0), min(N - l, m))
+                              for l, m in zip(lo, self._side))
+        self._lat_sl = tuple(slice(max(l, 0), min(l + m, N))
+                             for l, m in zip(lo, self._side))
         # the closure is evaluated only out to the stencil's reach; the
         # band points past it hold the reference value, a difference of
         # 0, and meet only zero weights
-        pts = lat.axis[0] + band * lat.h
         reach = lat.R_dom + lat.h * (np.sqrt(
             sq_norms(np.argwhere(W != 0) - k)).max(initial=0) + 1)
-        beyond = ~in_box & (np.sqrt(sq_norms(pts)) < reach)
-        self._beyond, self._beyond_pts = np.flatnonzero(beyond), pts[beyond]
+        coords = [lat.axis[0] + np.arange(l, l + m) * lat.h
+                  for l, m in zip(lo, self._side)]
+        beyond = np.sqrt(sum(np.ix_(*[c * c for c in coords]))) < reach
+        beyond[self._band_sl] = False
+        at = np.nonzero(beyond)
+        self._beyond = np.ravel_multi_index(at, self._side)
+        self._beyond_pts = np.stack([c[i] for c, i in zip(coords, at)],
+                                    axis=1)
 
         # A[i, j] = -W[idx_j - idx_i], from W padded to cover every
-        # difference of two interior nodes
+        # difference of two interior nodes, gathered CHUNK entries at a
+        # time
         kA = max(k, int(np.max(idx.max(axis=0) - idx.min(axis=0))))
-        Wp = np.pad(W, kA - k).ravel()
+        Wn = -np.pad(W, kA - k).ravel()
         sp = (2 * kA + 1) ** np.arange(n - 1, -1, -1)
         fi = idx @ sp
-        self.A = -Wp[fi[None, :] - fi[:, None] + kA * sp.sum()]
+        col = fi + kA * sp.sum()
+        self.A = np.empty((lat.n_int,) * 2)
+        step = max(CHUNK // lat.n_int, 1)
+        for a in range(0, lat.n_int, step):
+            np.take(Wn, col - fi[a:a + step, None], out=self.A[a:a + step])
         np.fill_diagonal(self.A, tail_mass_far + W.sum())
         vals = exterior(lat.nodes)
         vals[lat.interior] = 0.0
@@ -890,7 +920,7 @@ class DiscreteOperatorDense:
 
     def apply_to_grid(self, values_full, closure):
         """Stencil action on an arbitrary grid function, in difference
-        form, so constants are annihilated exactly.
+        form (constants: see assemble_discrete).
 
         values_full: values at every lattice node; closure: SmoothFunction
         supplying values beyond the box (evaluated once, on the lattice
@@ -906,7 +936,8 @@ class DiscreteOperatorDense:
         v = values_full[lat.interior]
         ref = v[0]
         G = np.full(self._side, ref)
-        G.flat[self._box] = values_full[self._box_nodes]
+        G[self._band_sl] = values_full.reshape(
+            (lat.N,) * lat.n)[self._lat_sl]
         if self._beyond.size:
             G.flat[self._beyond] = closure(self._beyond_pts)
         G -= ref

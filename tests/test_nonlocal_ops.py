@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -27,7 +28,7 @@ from fracbern.nonlocal_ops import (apply_nonlocal, apply_fractional,
                                    assemble_discrete, Lattice, default_plan,
                                    QuadratureFailure, OperatorValue,
                                    _far_data_integral, _oracle_nodes,
-                                   _tail, N_ANGULAR)
+                                   _stencil, _tail, N_ANGULAR)
 from fracbern.solvers import barrier, _quotient_closure
 
 
@@ -766,24 +767,60 @@ def test_stencil_matches_offset_loop(K, lat, ext):
         <= 1e-13 * diag.max() * np.max(np.abs(g(lat.nodes)))
 
 
+@pytest.mark.parametrize("K, N", [
+    (fractional_kernel(2, 0.3), 9), (fractional_kernel(2, 0.8), 49),
+    (anisotropic_kernel(0.5, np.array([[1.4, 0.3], [0.3, 0.8]])), 49),
+    (fractional_kernel(2, 0.5), 97)],
+    ids=["s0.3-N9", "s0.8-N49", "anisotropic-N49", "s0.5-N97"])
+def test_half_disc_offsets_and_block_masses(K, N):
+    """The 2d half stencil, built row by row with its cell masses a block
+    of offsets at a time, is the filter of the full square of candidate
+    offsets, with every mass from one kernel call, bit for bit; only the
+    four nearest cells gain the singular fold."""
+    lat = Lattice(2, 2.0, N, 1.0)
+    W, _, _, offsets, masses = _stencil(K, lat)
+    kmax, h = W.shape[0] // 2, lat.h
+    ks = np.arange(-kmax, kmax + 1)
+    cells = np.stack(np.meshgrid(ks, ks, indexing="ij"), -1).reshape(-1, 2)
+    cells = cells[np.sum(cells ** 2, axis=1) <= (kmax + 0.5) ** 2]
+    ref = cells[(cells[:, 0] > 0) | ((cells[:, 0] == 0) & (cells[:, 1] > 0))]
+    assert np.array_equal(offsets, ref)
+    x, w = np.polynomial.legendre.leggauss(4)
+    sub = np.stack(np.meshgrid(x, x, indexing="ij"), -1).reshape(-1, 2)
+    pts = (ref[:, None, :] * h + sub * 0.5 * h).reshape(-1, 2)
+    cell = K(pts).reshape(len(ref), -1) @ (np.outer(w, w).ravel()
+                                           * (0.25 * h * h))
+    near = np.abs(ref).max(axis=1) == 1
+    assert np.array_equal(masses[~near], cell[~near])
+    assert np.all(masses[near] >= cell[near])
+    assert np.sum(masses[near] - cell[near]) > 0
+
+
 MEASURES = [MeasureOnUnit([(0.0, 0.2), (0.5, 0.5), (1.0, 0.3)]),
             MeasureOnUnit([(0.3, 0.5), (0.7, 0.5)]),
             MeasureOnUnit([(0.0, 0.4), (1.0, 0.6)])]
 
 
 def _gather_reference(disc, values_full, closure):
-    """apply_to_grid by the windowed gather that the FFT action replaced:
-    the window of W's shape around every interior node of the
-    zero-filled band, summed in differences u_i - u_{i+k}, 16 rows at a
-    time."""
-    lat, w = disc.lattice, disc.W.ravel()
+    """apply_to_grid by the windowed gather that the FFT action replaced,
+    built from the lattice and W alone: the band of lattice indices
+    within W's half-width of the interior holds the lattice values inside
+    the box and the closure outside it, and the window of W's shape
+    around every interior node is summed in differences u_i - u_{i+k},
+    16 rows at a time."""
+    lat, W = disc.lattice, disc.W
+    k, w = W.shape[0] // 2, W.ravel()
     idx = np.stack(np.unravel_index(lat.interior, (lat.N,) * lat.n), axis=1)
+    band = np.stack(np.meshgrid(*[np.arange(a - k, b + k + 1) for a, b in
+                                  zip(idx.min(axis=0), idx.max(axis=0))],
+                                indexing="ij"), axis=-1)
+    in_box = np.all((band >= 0) & (band < lat.N), axis=-1)
+    G = np.empty(in_box.shape)
+    G[in_box] = values_full[np.ravel_multi_index(band[in_box].T,
+                                                 (lat.N,) * lat.n)]
+    G[~in_box] = closure(lat.axis[0] + band[~in_box] * lat.h)
+    windows = np.lib.stride_tricks.sliding_window_view(G, W.shape)
     starts = idx - idx.min(axis=0)
-    G = np.zeros(disc._side)
-    G.flat[disc._box] = values_full[disc._box_nodes]
-    if disc._beyond.size:
-        G.flat[disc._beyond] = closure(disc._beyond_pts)
-    windows = np.lib.stride_tricks.sliding_window_view(G, disc.W.shape)
     v = values_full[lat.interior]
     out = disc.tail_mass_far * v
     for a in range(0, v.size, 16):
@@ -833,6 +870,42 @@ def test_constant_grid_function_maps_to_exact_zero(n, N, op):
     disc = assemble_discrete(op, lat, c)
     out = disc.apply_to_grid(np.full(lat.nodes.shape[0], 3.7), c)
     assert np.all(out == 0.0)
+
+
+@pytest.mark.parametrize("n, N", [(1, 257), (2, 49)], ids=["1d", "2d"])
+@pytest.mark.parametrize("mu", [
+    MeasureOnUnit([(0.3, 0.5), (0.7, 0.5)]),
+    MeasureOnUnit([(0.2, 0.3), (0.5, 0.3), (0.8, 0.4)]),
+    MeasureOnUnit([(0.3, 0.5), (1.0, 0.5)])],
+    ids=["two-kernels", "three-kernels", "kernel-and-laplacian"])
+def test_constant_under_a_measure(mu, n, N):
+    """With one kernel atom a measure annihilates constants exactly, as a
+    kernel does; with two or more, t u_i sums their tail masses while
+    the far field subtracts each atom's share apart, and a constant
+    leaves a few ulps of t |c|."""
+    lat, c = Lattice(n, 2.0, N, 1.0), -3.7
+    disc = assemble_discrete(mu, lat, constant(c, n))
+    out = disc.apply_to_grid(np.full(lat.nodes.shape[0], c), constant(c, n))
+    if sum(0.0 < s < 1.0 for s, _ in mu) < 2:
+        assert np.all(out == 0.0)
+    else:
+        assert np.max(np.abs(out)) <= 4 * EPS * disc.tail_mass_far * abs(c)
+
+
+def test_2d_assembly_peak_memory_is_under_twice_A():
+    """A is gathered by row blocks, and the band and the cell masses are
+    built by per-axis slices and blocks: the traced peak of a 2d N = 97
+    assembly stays within 2 A.nbytes (a full n_int^2 gather index alone
+    is as large as A)."""
+    lat = Lattice(2, 2.0, 97, 1.0)
+    ext = gaussian_bump(2, [0.1, 0.1], 0.8, 0.7)
+    tracemalloc.start()
+    try:
+        disc = assemble_discrete(fractional_kernel(2, 0.5), lat, ext)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * disc.A.nbytes
 
 
 @pytest.mark.parametrize("mu", MEASURES, ids=["0-0.5-1", "0.3-0.7", "0-1"])
@@ -911,6 +984,25 @@ def test_radial_rule_is_panels_times_half_sphere():
     ref = np.dot(F(full) * K(full),
                  np.repeat(wt * t * (2 * np.pi / N_ANGULAR), N_ANGULAR))
     assert np.dot(F(z) * kz, w) == pytest.approx(ref, rel=1e-13)
+
+
+def test_radial_rule_cache_holds_a_sweep_over_orders():
+    """A sweep of pointwise values and oracle values over nine orders in
+    1d and 2d fits the radial-rule cache: a second identical sweep builds
+    no rule again."""
+    orders = [round(0.1 * k, 1) for k in range(1, 10)]
+
+    def sweep():
+        for n in (1, 2):
+            u = gaussian_bump(n, [0.1] * n, 0.7)
+            for s in orders:
+                apply_fractional(s, u, [0.2] * n)
+                spectral_oracle(s, u, [0.2] * n)
+
+    sweep()
+    misses = radial_rule.cache_info().misses
+    sweep()
+    assert radial_rule.cache_info().misses == misses
 
 
 # -- the far field's radial cut against the full rule -----------------------------
