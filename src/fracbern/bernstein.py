@@ -104,10 +104,11 @@ def _twice(op, f, coef, probes, plan):
 def _split(op, sq, f, coef, probes, plan):
     """L sq - 2 coef L f at the probes and its summed error: how far L
     of a composite square sq = c^2 f^2 (or c^2 f_+^2) exceeds its
-    linearisation, with coef = c^2 f (or c^2 f_+) at the probes."""
+    linearisation, with coef = c^2 f (or c^2 f_+) at the probes; then
+    the linearisation 2 coef L f and its error."""
     l_sq, e_sq = apply_batch(op, sq, probes, plan)
     t, e_t = _twice(op, f, coef, probes, plan)
-    return l_sq - t, e_sq + e_t
+    return l_sq - t, e_sq + e_t, t, e_t
 
 
 def _integral(op, G, x, plan):
@@ -165,12 +166,10 @@ def check_first_order_fraclap(u, eta, e, s, probes,
     """
     plan = _lenient(u.n)
     probes = as_points(probes, u.n)
-    A, S, errA, errS = check_first_order_batch(u, eta, e, s, probes)
+    du, (A, errA, t_du, e_du), (S, errS, t_u, e_u) = _first_order_pieces(
+        u, eta, e, s, probes, plan)
     sigma0 = doubling_bisection(
         lambda sig: np.all(A + sig * S <= errA + sig * errS))
-    du = directional_derivative(u, e)
-    t_du, e_du = _twice(s, du, eta(probes) ** 2 * du(probes), probes, plan)
-    t_u, e_u = _twice(s, u, u(probes), probes, plan)
     reports = []
     for mult in verify_multipliers:
         sig = sigma0 * mult
@@ -192,13 +191,19 @@ def check_first_order_batch(u, eta, e, s, probes):
     estimates of the batched integrals it is built from.  s is the
     operator: an order in [0, 1], a Kernel or a MeasureOnUnit.
     """
-    plan = _lenient(u.n)
     probes = as_points(probes, u.n)
-    du = directional_derivative(u, e)
-    A, errA = _split(s, (eta * eta) * (du * du), du,
-                     eta(probes) ** 2 * du(probes), probes, plan)
-    S, errS = _split(s, u * u, u, u(probes), probes, plan)
+    _, (A, errA, _, _), (S, errS, _, _) = _first_order_pieces(
+        u, eta, e, s, probes, _lenient(u.n))
     return A, S, errA, errS
+
+
+def _first_order_pieces(u, eta, e, s, probes, plan):
+    """d_e u and, for the terms eta^2 (d_e u)^2 and u^2, each a tuple
+    (_split's difference, its error, 2 coef L f, its error)."""
+    du = directional_derivative(u, e)
+    return du, _split(s, (eta * eta) * (du * du), du,
+                      eta(probes) ** 2 * du(probes), probes, plan), \
+        _split(s, u * u, u, u(probes), probes, plan)
 
 
 def sigma_affinity(u, eta, e, s, x, sigmas, op=None):
@@ -266,12 +271,13 @@ def check_second_order_fraclap(u, s, R=1.0, probes=None, measure=None):
     du = directional_derivative(u, e)
     ddu = _second_directional(u, e)
     ushift = u - float(kappa)
-    P0, E0 = _split(op, (etab_R * etab_R) * positive_part_square(ddu), ddu,
-                    etab_R(probes) ** 2 * np.maximum(ddu(probes), 0.0),
-                    probes, plan)
-    P1, E1 = _split(op, (eta_R * eta_R) * (du * du), du,
-                    eta_R(probes) ** 2 * du(probes), probes, plan)
-    P2, E2 = _split(op, ushift * ushift, ushift, ushift(probes), probes, plan)
+    P0, E0, _, _ = _split(
+        op, (etab_R * etab_R) * positive_part_square(ddu), ddu,
+        etab_R(probes) ** 2 * np.maximum(ddu(probes), 0.0), probes, plan)
+    P1, E1, _, _ = _split(op, (eta_R * eta_R) * (du * du), du,
+                          eta_R(probes) ** 2 * du(probes), probes, plan)
+    P2, E2, _, _ = _split(op, ushift * ushift, ushift, ushift(probes),
+                          probes, plan)
     P1, E1, P2, E2 = P1 / R ** 2, E1 / R ** 2, P2 / R ** 4, E2 / R ** 4
 
     def feasible_pair(tau, sig_ratio):
@@ -310,10 +316,10 @@ def check_positive_part_global(v, eta, e, s, probes):
     probes = as_points(probes, v.n)
     dv = directional_derivative(v, e)
     # 0 * (unbounded) := 0 convention at the zeros of d_e v
-    A, errA = _split(s, (eta * eta) * positive_part_square(dv), dv,
-                     eta(probes) ** 2 * np.maximum(dv(probes), 0.0),
-                     probes, plan)
-    S, errS = _split(s, v * v, v, v(probes), probes, plan)
+    A, errA, _, _ = _split(s, (eta * eta) * positive_part_square(dv), dv,
+                           eta(probes) ** 2 * np.maximum(dv(probes), 0.0),
+                           probes, plan)
+    S, errS, _, _ = _split(s, v * v, v, v(probes), probes, plan)
 
     def feasible(sig):
         return np.all(A + sig * S <= errA + sig * errS)
@@ -440,24 +446,23 @@ def odd_taper(delta):
     return xi, xi1, xi2
 
 
-def _plain_kernel_integral(kernel, W, r_lo, r_hi, plan):
-    """integral over r_lo < |y| < r_hi of W(y) K(y) dy: the even part
-    (W(y) + W(-y)) / 2 on the plan's radial rule, in every dimension."""
+def _even_integral(kernel, W, r_lo, r_hi):
+    """integral over r_lo < |y| < r_hi of W(y) K(y) dy for each integrand
+    W returns as a list: the even part (W(y) + W(-y)) / 2 on the lenient
+    plan's radial rule, in every dimension."""
+    plan = _lenient(kernel.n)
     z, kz, w = radial_rule(kernel, r_lo, r_hi, plan.order,
                            plan.panels_per_decade, N_ANGULAR)
-    return float(np.dot(0.5 * (W(z) + W(-z)) * kz, w))
+    return [float(np.dot(0.5 * (p + q) * kz, w))
+            for p, q in zip(W(z), W(-z))]
 
 
 def taper_moment(kernel, delta):
     """J3 = integral over B_1 of |y| |Z_delta(y)| K(y) dy."""
     xi, _, _ = odd_taper(delta)
-
-    def W(y):
-        r = np.sqrt(sq_norms(y))
-        z = np.sqrt(sq_norms(xi(y)))
-        return r * z
-
-    return _plain_kernel_integral(kernel, W, 1e-10, 1.0, _lenient(kernel.n))
+    return _even_integral(
+        kernel, lambda y: [np.sqrt(sq_norms(y)) * np.sqrt(sq_norms(xi(y)))],
+        1e-10, 1.0)[0]
 
 
 def select_delta(kernel, eps):
@@ -543,63 +548,42 @@ def compute_J_terms(kernel, u, eta, delta):
     n = kernel.n
     plan = _lenient(n)
     e = np.zeros(n); e[0] = 1.0
-    x0 = np.zeros(n)
-    xm = x0.reshape(1, -1)
-    xi, xi1, xi2 = odd_taper(delta)
+    xm = np.zeros((1, n))
+    tapers = odd_taper(delta)
     eta0 = float(eta(xm)[0])
     geta0 = eta.gradient(xm)[0]
     du = directional_derivative(u, e)
     du0 = float(du(xm)[0])
     u0 = float(u(xm)[0])
 
-    def phi(y):
-        return eta0 - eta(y) + xi(y) @ geta0
+    def integrands(y):
+        """The integrands of J1, J2 and the direct route's I1 at the
+        nodes y, each field evaluated once: phi the taper-corrected
+        cutoff increment eta(0) - eta(y) + Z_delta(y) . grad eta(0), and
+        rho_i = d_e^i K / K."""
+        E, uy, duy, Ky = eta.jet(y, 2), u(y), du(y), kernel(y)
+        xi, xi1, xi2 = (f(y) for f in tapers)
+        eta_e = E[1] @ e
+        phi = eta0 - E[0] + xi @ geta0
+        dphi_e = -eta_e + (xi1 * geta0[None, :]) @ e
+        d2phi_e = (-np.einsum("i,mij,j->m", e, E[2], e)
+                   + (xi2 * geta0[None, :] * e[None, :] ** 2).sum(axis=1))
+        rho1 = (kernel.grad(y) @ e) / Ky
+        rho2 = np.einsum("i,mij,j->m", e, kernel.hess(y), e) / Ky
+        psi = (E[0] * duy - eta0 * du0) * (uy - u0)
+        inner = (d2phi_e * E[0] + dphi_e * eta_e
+                 + (2 * dphi_e * E[0] + phi * eta_e) * rho1
+                 + phi * E[0] * rho2)
+        return [(dphi_e + phi * rho1) * psi, inner * (0.5 * (uy - u0) ** 2),
+                eta0 * phi * du0 * duy]
 
-    def dphi_e(y):
-        ge = eta.gradient(y) @ e
-        return -ge + (xi1(y) * geta0[None, :]) @ e
-
-    def d2phi_e(y):
-        he = np.einsum("i,mij,j->m", e, eta.hessian(y), e)
-        return -he + (xi2(y) * geta0[None, :] * e[None, :] ** 2).sum(axis=1)
-
-    def rho1(y):
-        return (kernel.grad(y) @ e) / kernel(y)
-
-    def rho2(y):
-        return np.einsum("i,mij,j->m", e, kernel.hess(y), e) / kernel(y)
-
-    def psi(y):
-        return (eta(y) * du(y) - eta0 * du0) * (u(y) - u0)
-
-    def W1(y):
-        return (dphi_e(y) + phi(y) * rho1(y)) * psi(y)
-
-    def eta_e(y):
-        return eta.gradient(y) @ e
-
-    def W2(y):
-        sq = 0.5 * (u(y) - u0) ** 2
-        inner = (d2phi_e(y) * eta(y) + dphi_e(y) * eta_e(y)
-                 + (2 * dphi_e(y) * eta(y) + phi(y) * eta_e(y)) * rho1(y)
-                 + phi(y) * eta(y) * rho2(y))
-        return inner * sq
-
-    r_hi = _decay_radius(u)
-    J1 = _plain_kernel_integral(kernel, W1, 1e-9, r_hi, plan)
-    J2 = _plain_kernel_integral(kernel, W2, 1e-9, r_hi, plan)
+    J1, J2, I1 = _even_integral(kernel, integrands, 1e-9, _decay_radius(u))
     J3 = taper_moment(kernel, delta)
-
-    # direct route: integral of I1 = eta(0) phi(y) d_e u(0) d_e u(y) K(y)
-    def WI1(y):
-        return eta0 * phi(y) * du0 * du(y)
-
-    I1 = _plain_kernel_integral(kernel, WI1, 1e-9, r_hi, plan)
 
     (R1, _), (R2, _) = _squares(kernel, eta, [(du, du0)], u, xm, plan)
     fitted_C = max((abs(J1) + abs(J2) - R1 / 8.0) / max(R2, 1e-300), 0.0)
-    phi0 = float(phi(xm)[0])
-    dphi0 = float(dphi_e(xm)[0])
+    phi0 = float((tapers[0](xm) @ geta0)[0])  # eta0 - eta(0) vanishes
+    dphi0 = float((-(geta0 @ e) + (tapers[1](xm) * geta0[None, :]) @ e)[0])
     return {
         "J1": J1, "J2": J2, "J3": J3, "I1_direct": I1,
         "route_gap": abs(I1 - (J1 + J2)),

@@ -21,16 +21,17 @@ one order more.  The segment averages evaluate all their quadrature
 shifts as one stacked call.
 
 The catalog leaves (constants, Gaussian bumps, polynomial Gaussians,
-modulated Gaussians, plane waves, cutoffs, and tensor products of these)
-have exact jets of every order.  Leaves built from closures,
-SmoothFunction(n, value, gradient, hessian, d3=None), supply derivatives
-up to the Hessian, or up to d3 when given; their higher orders come from
-central differences of their own highest derivative.  These closure
-leaves (grid-function promotions, harmonic polynomials, barriers and
-test functions) are the only place finite differences enter.  The flag
-exact_jets, fixed at construction, says that the jets are exact to
-order 6: it holds for catalog nodes and their composites, and not for
-closure leaves, positive_part, positive_part_square or any node above
+modulated Gaussians, plane waves, cutoffs, harmonic polynomials, and
+tensor products of these) have exact jets of every order, and so have
+the piecewise polynomials (grid-function promotions, the barrier of
+solvers), through one routine for tensor polynomials of degree <= 3 per
+axis.  Finite differences enter only through closure leaves a user
+supplies, SmoothFunction(n, value, gradient, hessian, d3=None), whose
+orders above the Hessian (or d3 when given) are central differences of
+their highest derivative.  The flag exact_jets, fixed at construction,
+says that the jets are exact to order 6: it holds for catalog nodes and
+their composites, and not for closure leaves, promotions (knots), the
+barrier (a kink), positive_part, positive_part_square or any node above
 one of these.
 
 Arithmetic propagates the metadata as well, so auxiliary functions like
@@ -41,7 +42,7 @@ operators can be applied to.
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, perm
 
 import numpy as np
 from numpy.polynomial import hermite_e
@@ -264,16 +265,46 @@ def _sqrt_jet(A, k, n):
     return [root] + [_bc(root, j) * J[j] for j in range(1, k + 1)]
 
 
+def _poly_jet(t, C, k):
+    """Exact jet of a tensor polynomial of degree <= 3 per axis, sum_a
+    C[a] t^a in 1d and sum_ab C[a, b] t_1^a t_2^b in 2d, at the rows of
+    t.  C has shape (4,) * n + (m,), one coefficient block per row, or
+    (4,) * n + (1,), one block for all rows.  The derivative of order d_i
+    along each axis i sums C[a] prod_i a_i!/(a_i-d_i)! t_i^(a_i-d_i)
+    over the nonzero C[a] with every a_i >= d_i."""
+    m, n = t.shape
+    pw = [[1.0, s, s * s, s * s * s] for s in t.T]
+    terms = [(a, C[a]) for a in itertools.product(range(4), repeat=n)
+             if np.any(C[a])]
+    out = []
+    for j in range(k + 1):
+        D = np.zeros((m,) + (n,) * j)
+        parts = {}
+        for idx in itertools.product(range(n), repeat=j):
+            d = tuple(map(idx.count, range(n)))
+            if d not in parts:
+                parts[d] = np.zeros(m)
+                for a, c in terms:
+                    if all(x >= y for x, y in zip(a, d)):
+                        for i in range(n):
+                            c = c * (perm(a[i], d[i]) * pw[i][a[i] - d[i]])
+                        parts[d] += c
+            D[(slice(None),) + idx] = parts[d]
+        out.append(D)
+    return out
+
+
 # -- core container -----------------------------------------------------------
 
 class SmoothFunction:
     """A function on R^n: derivative jets plus sup bounds and tail data.
 
-    Built directly it is a closure leaf: value, gradient and hessian (and
-    d3 if given) map (m, n) point arrays to D^0, D^1, D^2 (and D^3);
-    orders above the highest one supplied are central differences of it.
-    A closure leaf carries no Fourier data, so the spectral oracle
-    refuses it.
+    Built directly it is a user's closure leaf: value, gradient and
+    hessian (and d3 if given) map (m, n) point arrays to D^0, D^1, D^2
+    (and D^3); orders above the highest one supplied are central
+    differences of it, the only finite differences in the package.  A
+    closure leaf carries no Fourier data, so the spectral oracle refuses
+    it.
     """
 
     _children = ()  # (function, extra order) for each one a rule evaluates
@@ -742,35 +773,15 @@ def tensor_product(f1, f2):
 
 def harmonic_polynomial(n, kind):
     """Small catalog of harmonic polynomials, clipped metadata on B_4."""
+    terms = {"x1": {(1,) + (0,) * (n - 1): 1.0}}
     if n == 2:
-        table = {
-            "x1": (lambda x: x[:, 0],
-                   lambda x: np.stack([np.ones(len(x)), np.zeros(len(x))], 1),
-                   lambda x: np.zeros((len(x), 2, 2))),
-            "re_z2": (lambda x: x[:, 0] ** 2 - x[:, 1] ** 2,
-                      lambda x: np.stack([2 * x[:, 0], -2 * x[:, 1]], 1),
-                      lambda x: np.broadcast_to(np.diag([2.0, -2.0]),
-                                                (len(x), 2, 2)).copy()),
-            "im_z2": (lambda x: 2 * x[:, 0] * x[:, 1],
-                      lambda x: np.stack([2 * x[:, 1], 2 * x[:, 0]], 1),
-                      lambda x: np.broadcast_to(np.array([[0.0, 2.0], [2.0, 0.0]]),
-                                                (len(x), 2, 2)).copy()),
-            "re_z3": (lambda x: x[:, 0] ** 3 - 3 * x[:, 0] * x[:, 1] ** 2,
-                      lambda x: np.stack([3 * x[:, 0] ** 2 - 3 * x[:, 1] ** 2,
-                                          -6 * x[:, 0] * x[:, 1]], 1),
-                      lambda x: np.stack([
-                          np.stack([6 * x[:, 0], -6 * x[:, 1]], 1),
-                          np.stack([-6 * x[:, 1], -6 * x[:, 0]], 1)], 1)),
-        }
-    else:
-        table = {
-            "x1": (lambda x: x[:, 0],
-                   lambda x: np.ones((len(x), 1)),
-                   lambda x: np.zeros((len(x), 1, 1))),
-        }
-    val, grad, hess = table[kind]
-    return SmoothFunction(n, val, grad, hess, sup=60.0, grad_sup=60.0,
-                          hess_sup=40.0, tail=Tail.bounded(60.0))
+        terms.update(re_z2={(2, 0): 1.0, (0, 2): -1.0}, im_z2={(1, 1): 2.0},
+                     re_z3={(3, 0): 1.0, (1, 2): -3.0})
+    C = np.zeros((4,) * n + (1,))
+    for a, c in terms[kind].items():
+        C[a] = c
+    return _Node(n, lambda x, k, call: _poly_jet(x, C, k), sup=60.0,
+                 grad_sup=60.0, hess_sup=40.0, tail=Tail.bounded(60.0))
 
 
 # -- transforms ---------------------------------------------------------------
@@ -1043,6 +1054,30 @@ def averaged_square_root(u, h, e):
 
 # -- grid functions -----------------------------------------------------------
 
+def _spline_cells(y, h, clamped):
+    """Cell cubics along axis 0 of the cubic spline through y at nodes
+    spaced h: c of shape (4, N - 1) + y.shape[1:], cell i's cubic
+    sum_a c[a, i] t^a in t = x - x_i.  The scaled slopes m = h y' solve
+    m_{i-1} + 4 m_i + m_{i+1} = 3 (y_{i+1} - y_{i-1}) inside, with m = 0
+    at clamped ends and else the not-a-knot ends (de Boor, A Practical
+    Guide to Splines, ch. IV); the cubics follow from local differences."""
+    N = y.shape[0]
+    dy = np.diff(y, axis=0)
+    A = 4.0 * np.eye(N) + np.eye(N, k=1) + np.eye(N, k=-1)
+    b = np.empty_like(y)
+    b[1:-1] = 3.0 * (dy[1:] + dy[:-1])
+    if clamped:
+        A[0, 1] = A[-1, -2] = b[0] = b[-1] = 0.0
+    else:  # D^3 continuous across the second and the last but one node
+        A[0, :2] = A[-1, :-3:-1] = 1.0, 2.0
+        b[0] = 0.5 * (5.0 * dy[0] + dy[1])
+        b[-1] = 0.5 * (dy[-2] + 5.0 * dy[-1])
+    m = np.linalg.solve(A, b.reshape(N, -1)).reshape(y.shape)
+    m0, m1 = m[:-1], m[1:]
+    return np.stack([y[:-1], m0 / h, (3.0 * dy - 2.0 * m0 - m1) / h ** 2,
+                     (m0 + m1 - 2.0 * dy) / h ** 3])
+
+
 class GridFunction:
     """Values on a uniform lattice over [-L, L]^n plus an exterior closure."""
 
@@ -1068,41 +1103,24 @@ class GridFunction:
         return np.stack([X.ravel(), Y.ravel()], axis=1)
 
     def promote(self):
-        """Cubic-spline SmoothFunction: spline inside, closure outside."""
-        ext = self.exterior
-        if self.n == 1:
-            from scipy.interpolate import CubicSpline
-            sp = CubicSpline(self.axis, self.values, bc_type="clamped")
-            ds = (sp, sp.derivative(1), sp.derivative(2))
+        """The interpolating cubic spline inside the box, the exterior's
+        jet past it: clamped (zero end slopes) in 1d, the tensor product
+        of not-a-knot splines in 2d, which reproduces cubics."""
+        ext, L, h = self.exterior, self.L, self.h
+        cells = _spline_cells(self.values, h, self.n == 1)
+        if self.n == 2:  # (a, i, j) -> (b, j, a, i) -> (a, b, i, j)
+            cells = np.ascontiguousarray(_spline_cells(
+                np.moveaxis(cells, 2, 0), h, False).transpose(2, 0, 3, 1))
 
-            def spline(p, k):
-                return ds[k](p[:, 0]).reshape((-1,) + (1,) * k)
-        else:
-            from scipy.interpolate import RectBivariateSpline
-            sp = RectBivariateSpline(self.axis, self.axis, self.values,
-                                     kx=3, ky=3)
-
-            def spline(p, k):
-                def d(dx, dy):
-                    return sp.ev(p[:, 0], p[:, 1], dx=dx, dy=dy)
-                if k == 0:
-                    return d(0, 0)
-                if k == 1:
-                    return np.stack([d(1, 0), d(0, 1)], axis=1)
-                dxy = d(1, 1)
-                return np.stack([d(2, 0), dxy, dxy, d(0, 2)],
-                                axis=1).reshape(-1, 2, 2)
-
-        def glued(k):
-            # D^k of the spline at the points clipped into the box, and of
-            # the closure at the points outside it
-            def f(x):
-                out = spline(np.clip(x, -self.L, self.L), k)
-                outside = np.any(np.abs(x) > self.L, axis=1)
-                if outside.any():
-                    out[outside] = ext.jet(x[outside], k)[k]
-                return out
-            return f
+        def jet(x, k, call):
+            xc = np.clip(x, -L, L)
+            i = np.minimum(((xc + L) / h).astype(int), self.N - 2)
+            J = _poly_jet(xc - self.axis[i], cells[(...,) + tuple(i.T)], k)
+            outside = np.any(np.abs(x) > L, axis=1)
+            if outside.any():
+                for D, E in zip(J, call.jet(ext, x[outside], k)):
+                    D[outside] = E
+            return J
 
         sup = max(float(np.max(np.abs(self.values))), ext.sup)
         rs = ext.tail.resid
@@ -1110,8 +1128,8 @@ class GridFunction:
                     lambda r: np.where(r > self.L * np.sqrt(self.n), rs(r),
                                        rs(r) + sup + abs(ext.tail.limit)),
                     ext.tail.period, ext.tail.amp)
-        return SmoothFunction(self.n, glued(0), glued(1), glued(2), sup=sup,
-                              grad_sup=np.inf, hess_sup=np.inf, tail=tail)
+        return _Node(self.n, jet, ((ext, 0),), exact=False, sup=sup,
+                     grad_sup=np.inf, hess_sup=np.inf, tail=tail)
 
     def boundary_mismatch(self):
         """Largest gap between the grid values and the exterior closure

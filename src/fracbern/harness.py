@@ -42,19 +42,31 @@ def _ball_samples(R, n, m, rng):
     return pts[:m]
 
 
-def _stable_sup(fn, R, n):
-    """sup of fn over B_R from seeded samples, 400 doubling up to five
-    times until two rounds agree to 1%."""
+def _sample_levels(R, n, fs, k):
+    """The seeded sample levels over B_R, 400 points doubling up to four
+    times, drawn on first use: level(i) is the order-k jets of each of
+    fs at the points of level i."""
     rng = np.random.default_rng(0)
+    levels = []
+
+    def level(i):
+        while len(levels) <= i:
+            pts = _ball_samples(R, n, 400 * 2 ** len(levels), rng)
+            levels.append([f.jet(pts, k) for f in fs])
+        return levels[i]
+
+    return level
+
+
+def _stable_sup(fn, level):
+    """sup of fn(jets) over the sample levels, stopping at the first
+    level that agrees with the one before to 1%."""
     prev = None
-    m = 400
-    for _ in range(5):
-        pts = _ball_samples(R, n, m, rng)
-        cur = float(np.max(fn(pts)))
+    for i in range(5):
+        cur = float(np.max(fn(level(i))))
         if prev is not None and abs(cur - prev) <= 0.01 * max(abs(cur), 1e-12):
             return cur
         prev = cur
-        m *= 2
     return prev
 
 
@@ -66,67 +78,49 @@ def problem_constants(problem, R=None, want_second=True):
     linearized-operator bounds, the identity-atom flag of the measures
     involved, and the composed zero-order source -F(-g_1, ..., -g_J).
     With want_second, data whose sampled second derivatives diverge fail
-    the semiconcavity certificate with ValueError.
+    the semiconcavity certificate with ValueError.  Every constant reads
+    the jets of f and the g_j at one shared set of sample levels.
     """
     n = problem.f.n
     if R is None:
         R = problem.R_dom
     e = np.zeros(n); e[0] = 1.0
     F = problem.nonlinearity or bellman_max(problem.J)
-    gs = [g for _, g in problem.members]
+    fs = [problem.f] + [g for _, g in problem.members]
+    level = _sample_levels(R, n, fs, 2 if want_second else 1)
 
-    def fg_neg(pts):
-        out = []
-        for g in gs:
-            out.append(np.maximum(-(problem.f(pts) + g(pts)), 0.0))
-        return np.max(np.stack(out), axis=0)
+    def over_g(fn):  # max over the members of fn(jet of f, jet of g)
+        return lambda J: np.max(np.stack([fn(J[0], G) for G in J[1:]]),
+                                axis=0)
 
-    def fg_grad(pts):
-        out = []
-        for g in gs:
-            out.append(np.sqrt(sq_norms(problem.f.gradient(pts)
-                                        + g.gradient(pts))))
-        return np.max(np.stack(out), axis=0)
-
-    def fg_de(pts):
-        out = []
-        for g in gs:
-            out.append(np.abs((problem.f.gradient(pts)
-                               + g.gradient(pts)) @ e))
-        return np.max(np.stack(out), axis=0)
-
-    def fg_dee_pos(pts):
-        out = []
-        for g in gs:
-            H = problem.f.hessian(pts) + g.hessian(pts)
-            out.append(np.maximum(np.einsum("i,mij,j->m", e, H, e), 0.0))
-        return np.max(np.stack(out), axis=0)
-
-    G0 = _stable_sup(fg_neg, R, n)
-    G1 = _stable_sup(fg_grad, R, n)
-    Ge1 = _stable_sup(fg_de, R, n)
+    fg_dee_pos = over_g(lambda Jf, G: np.maximum(np.einsum(
+        "i,mij,j->m", e, Jf[2] + G[2], e), 0.0))
+    G0 = _stable_sup(over_g(lambda Jf, G: np.maximum(-(Jf[0] + G[0]), 0.0)),
+                     level)
+    G1 = _stable_sup(over_g(lambda Jf, G: np.sqrt(sq_norms(Jf[1] + G[1]))),
+                     level)
+    Ge1 = _stable_sup(over_g(lambda Jf, G: np.abs((Jf[1] + G[1]) @ e)),
+                      level)
     Ge2 = None
     if want_second:
         rng = np.random.default_rng(1)
-        a = float(np.max(fg_dee_pos(_ball_samples(R, n, 500, rng))))
-        b = float(np.max(fg_dee_pos(_ball_samples(R, n, 16000, rng))))
+        a, b = [float(np.max(fg_dee_pos([f.jet(p, 2) for f in fs])))
+                for p in [_ball_samples(R, n, m, rng) for m in (500, 16000)]]
         if b > 2.0 * max(a, 1e-9) + 1e-6:
             raise ValueError("data fail the semiconcavity certificate: "
                              "second-derivative sampling diverges")
-        Ge2 = _stable_sup(fg_dee_pos, R, n)
+        Ge2 = _stable_sup(fg_dee_pos, level)
 
-    gamma1 = _stable_sup(
-        lambda p: np.sqrt(sq_norms(problem.f.gradient(p))), R, n) \
-        + max(_stable_sup(lambda p, g=g: np.sqrt(sq_norms(g.gradient(p))),
-                          R, n) for g in gs)
+    def f_plus_max_g(fn):  # sup fn(jet of f) + max_j sup fn(jet of g_j)
+        sups = [_stable_sup(lambda J, i=i: fn(J[i]), level)
+                for i in range(len(fs))]
+        return sups[0] + max(sups[1:])
+
+    gamma1 = f_plus_max_g(lambda Jf: np.sqrt(sq_norms(Jf[1])))
     gamma2 = None
     if want_second:
-        def fpp(pts):
-            H = problem.f.hessian(pts)
-            return np.maximum(np.max(np.linalg.eigvalsh(H), axis=1), 0.0)
-        gamma2 = _stable_sup(fpp, R, n) + max(
-            _stable_sup(lambda p, g=g: np.maximum(np.max(np.linalg.eigvalsh(
-                g.hessian(p)), axis=1), 0.0), R, n) for g in gs)
+        gamma2 = f_plus_max_g(lambda Jf: np.maximum(np.max(
+            np.linalg.eigvalsh(Jf[2]), axis=1), 0.0))
 
     omega0 = 0
     for op, _ in problem.members:
@@ -136,7 +130,7 @@ def problem_constants(problem, R=None, want_second=True):
             omega0 = 1
 
     def g_composite(pts):
-        stack = np.stack([-g(pts) for g in gs], axis=1)
+        stack = np.stack([-g(pts) for g in fs[1:]], axis=1)
         return -F(stack)
 
     return ProblemConstants(G0=G0, G1=G1, Ge1=Ge1, Ge2=Ge2,

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._quad import sq_norms
 from .kernels import bellman_max, operator_order, positive_orders
-from .funcspace import SmoothFunction, Tail, GridFunction, constant, \
+from .funcspace import Tail, GridFunction, _Node, _poly_jet, constant, \
     translate
 from .nonlocal_ops import assemble_discrete, apply_batch, default_plan
 
@@ -39,23 +39,22 @@ def barrier(R=1.0, n=1):
     of the toolkit see it as a strict supersolution on B_R.
     """
     R = float(R)
+    C = np.zeros((4,) * n + (1,))  # |x/R|^2 - 2
+    C[(0,) * n], C[tuple(2 * np.eye(n, dtype=int))] = -2.0, R ** -2
 
-    def val(x):
-        q = sq_norms(x / R)
-        return np.where(q < 100.0, q - 2.0, 98.0)
+    def jet(x, k, call):
+        # outside B_{10R} the value 98 and zero derivatives; the kink at
+        # |x| = 10R is why the jets are not marked exact
+        J = _poly_jet(x, C, k)
+        out = sq_norms(x / R) >= 100.0
+        J[0][out] = 98.0
+        for D in J[1:]:
+            D[out] = 0.0
+        return J
 
-    def grad(x):
-        q = sq_norms(x / R)
-        return np.where((q < 100.0)[:, None], 2.0 * x / R ** 2, 0.0)
-
-    def hess(x):
-        q = sq_norms(x / R)
-        eye = np.eye(n) * (2.0 / R ** 2)
-        return np.where((q < 100.0)[:, None, None], eye[None], 0.0)
-
-    return SmoothFunction(n, val, grad, hess, sup=100.0,
-                          grad_sup=20.0 / R, hess_sup=2.0 / R ** 2,
-                          tail=Tail(98.0, lambda r: np.where(r < 10 * R, 100.0, 0.0)))
+    return _Node(n, jet, exact=False, sup=100.0, grad_sup=20.0 / R,
+                 hess_sup=2.0 / R ** 2,
+                 tail=Tail(98.0, lambda r: np.where(r < 10 * R, 100.0, 0.0)))
 
 
 def barrier_check(op, R=1.0, sweep=(0.5, 1.0, 2.0, 4.0)):

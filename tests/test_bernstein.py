@@ -190,6 +190,23 @@ def test_first_order_fraclap_is_bisection_over_batch():
         lambda sg: np.all(A + sg * S <= errA + sg * errS))
 
 
+def test_first_order_fraclap_integrates_each_term_once(monkeypatch):
+    # the search pieces give the linearised terms of the verification:
+    # the four batched integrals of the search, then one per multiplier
+    import fracbern.bernstein as bern
+    calls, apply_batch = [], bern.apply_batch
+
+    def counting(*args, **kw):
+        calls.append(args[1])
+        return apply_batch(*args, **kw)
+
+    monkeypatch.setattr(bern, "apply_batch", counting)
+    check_first_order_fraclap(_mix(), make_cutoff(0.25, 0.5, n=1), E1, 0.5,
+                              np.linspace(-0.8, 0.8, 3),
+                              verify_multipliers=(1.0, 2.0))
+    assert len(calls) == 6
+
+
 def test_first_order_batch_classical_endpoint():
     # s = 1: L(f^2) - 2 f L f = -2 |f'|^2 exactly, with no quadrature error
     u = _mix()

@@ -142,8 +142,11 @@ def test_d6_match_fd_of_d5(monkeypatch):
 
 def test_exact_jets_flag():
     u = gaussian_bump(1, 0.0, 1.0)
-    closure = harmonic_polynomial(1, "x1")
+    closure = SmoothFunction(1, lambda x: x[:, 0],
+                             lambda x: np.ones((len(x), 1)),
+                             lambda x: np.zeros((len(x), 1, 1)))
     assert u.exact_jets and (u * u + constant(1.0, 1)).exact_jets
+    assert harmonic_polynomial(2, "re_z3").exact_jets
     assert not closure.exact_jets and not (u * closure).exact_jets
     assert not positive_part_square(u - 0.5).exact_jets
     assert not (positive_part(u - 0.5) * u).exact_jets
@@ -450,9 +453,9 @@ def test_grid_function_promote_2d():
 
 
 def test_grid_function_promote_2d_derivatives():
-    # a bicubic spline reproduces the cubic Re z^3, so the promoted jet
-    # matches the closed form inside the box up to round-off, and is the
-    # exterior's jet outside it
+    # a bicubic not-a-knot spline reproduces the cubic Re z^3, so the
+    # promoted jet to order 3 matches the closed form inside the box up
+    # to round-off, and is the exterior's jet outside it
     u = harmonic_polynomial(2, "re_z3")
     axis = np.linspace(-1.5, 1.5, 25)
     X, Y = np.meshgrid(axis, axis, indexing="ij")
@@ -460,10 +463,10 @@ def test_grid_function_promote_2d_derivatives():
                       .reshape(25, 25), u)
     prom = gf.promote()
     pts = np.random.default_rng(12).uniform(-1.5, 1.5, size=(200, 2))
-    for a, b in zip(prom.jet(pts, 2), u.jet(pts, 2)):
+    for a, b in zip(prom.jet(pts, 3), u.jet(pts, 3)):
         assert np.max(np.abs(a - b)) < 1e-12
     out = np.array([[2.0, 0.3], [-0.4, -1.7], [3.0, 3.0]])
-    for a, b in zip(prom.jet(out, 2), u.jet(out, 2)):
+    for a, b in zip(prom.jet(out, 3), u.jet(out, 3)):
         np.testing.assert_array_equal(a, b)
 
 

@@ -276,15 +276,28 @@ def test_cli_extension(tmp_path, capsys, config):
 
 
 def test_import_loads_no_scipy():
-    # scipy is imported lazily, by GridFunction.promote alone, so a cold
-    # start of the package and its command line pays nothing for it, and
-    # neither does the spectral oracle's first call in 1d and in 2d
+    # numpy is the only runtime dependency: a cold start of the package
+    # and its command line, the spectral oracle's first call in 1d and
+    # in 2d, a 1d solve -> promote -> apply chain and a 2d promoted
+    # third-order jet load no scipy module
     r = subprocess.run(
-        [sys.executable, "-c", "import sys, fracbern, fracbern.cli; "
-         "from fracbern.funcspace import gaussian_bump; "
-         "from fracbern.nonlocal_ops import spectral_oracle; "
-         "spectral_oracle(0.3, gaussian_bump(1), 0.2); "
-         "spectral_oracle(0.7, gaussian_bump(2), [0.2, -0.1]); "
+        [sys.executable, "-c", "import sys, fracbern, fracbern.cli\n"
+         "import numpy as np\n"
+         "from fracbern.funcspace import GridFunction, constant, "
+         "gaussian_bump\n"
+         "from fracbern.nonlocal_ops import Lattice, apply_batch, "
+         "default_plan, spectral_oracle\n"
+         "from fracbern.solvers import solve_linear_dirichlet\n"
+         "spectral_oracle(0.3, gaussian_bump(1), 0.2)\n"
+         "spectral_oracle(0.7, gaussian_bump(2), [0.2, -0.1])\n"
+         "gf, _ = solve_linear_dirichlet(0.5, constant(1.0, 1), "
+         "gaussian_bump(1, 0.0, 0.6), Lattice(1, 2.0, 33, 1.0))\n"
+         "apply_batch(0.5, gf.promote(), np.array([[0.1], [0.4]]), "
+         "default_plan(1).scaled(strict=False))\n"
+         "ext = gaussian_bump(2, [0.1, 0.0], 0.8)\n"
+         "vals = ext(GridFunction(2, 1.5, np.zeros((9, 9)), ext).nodes())\n"
+         "GridFunction(2, 1.5, vals.reshape(9, 9), ext).promote().jet("
+         "np.array([[0.2, -0.3], [2.0, 0.1]]), 3)\n"
          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
         capture_output=True, text=True, check=True)
     assert r.stdout.strip() == "[]"
