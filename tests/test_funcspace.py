@@ -1,5 +1,8 @@
 """Function catalog, derivatives, cutoffs, quotients, grids."""
 
+import sys
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -497,3 +500,110 @@ def test_harmonic_polynomials_are_harmonic():
         pts = np.random.default_rng(10).uniform(-2, 2, size=(100, 2))
         lap = np.trace(u.hessian(pts), axis1=1, axis2=2)
         assert np.max(np.abs(lap)) < 1e-12
+
+
+# -- memory: a function keeps scalars, not scans -------------------------------
+
+def _arrays_reachable(obj):
+    """{id: (nbytes, path)} of every ndarray reachable from obj through
+    instance attributes, closure cells, defaults, bound methods and
+    containers.  Modules, classes and function globals are not followed."""
+    seen, found, todo = set(), {}, [(obj, "f")]
+    while todo:
+        o, path = todo.pop()
+        if (o is None or id(o) in seen
+                or isinstance(o, (type, types.ModuleType, str, bytes))):
+            continue
+        seen.add(id(o))
+        if isinstance(o, np.ndarray):
+            found[id(o)] = (o.nbytes, path)
+            todo.append((o.base, path + ".base"))
+        elif isinstance(o, types.FunctionType):
+            for name, c in zip(o.__code__.co_freevars, o.__closure__ or ()):
+                try:
+                    todo.append((c.cell_contents, "%s.%s" % (path, name)))
+                except ValueError:  # an empty cell
+                    pass
+            todo += [(d, path + ".<default>") for d in o.__defaults__ or ()]
+        elif isinstance(o, types.MethodType):
+            todo += [(o.__self__, path), (o.__func__, path)]
+        elif isinstance(o, dict):
+            todo += [(v, "%s[%r]" % (path, k)) for k, v in o.items()]
+            todo += [(k, path + ".<key>") for k in o]
+        elif isinstance(o, (list, tuple, set, frozenset)):
+            todo += [(v, "%s[%d]" % (path, i)) for i, v in enumerate(o)]
+        elif hasattr(o, "__dict__"):
+            todo += [(v, "%s.%s" % (path, k)) for k, v in vars(o).items()]
+    return found
+
+
+def _shared_arrays():
+    """Ids of the arrays that fracbern's module globals hold: caches
+    shared by every function, not owned by one."""
+    mods = [m for name, m in sys.modules.items()
+            if name == "fracbern" or name.startswith("fracbern.")]
+    return set().union(*(_arrays_reachable(vars(m)) for m in mods))
+
+
+def _memory_cases():
+    """name -> (function, byte budget per array): one or more instances
+    of every funcspace.__all__ constructor, the barrier, promotions, and
+    sums, products and tensor products of them."""
+    from fracbern import solvers
+    pg = polynomial_gaussian([0.2, 1.0, -0.3, 0.5], 0.3, 0.9)
+    g1, g2 = gaussian_bump(1, 0.1, 0.8), gaussian_bump(2, [0.1, -0.2], 0.7)
+    wave = plane_wave([1.5, 0.5], 0.3)
+    cases = {
+        "constant": constant(1.5, 2), "gaussian_bump": g2,
+        "polynomial_gaussian": pg,
+        "modulated_gaussian": modulated_gaussian([0.1, 0.2], 0.9,
+                                                 [1.0, 2.0], n=2),
+        "plane_wave": wave,
+        "tensor_product": tensor_product(pg, g1),
+        "translate": translate(pg, 0.4),
+        "affine_precompose": affine_precompose(g2, [[1.2, 0.3], [0.0, 0.9]]),
+        "directional_derivative": directional_derivative(wave, [0.6, 0.8]),
+        "positive_part": positive_part(pg - 0.1),
+        "positive_part_square": positive_part_square(pg - 0.1),
+        "make_cutoff": make_cutoff(0.5, 1.0, 2), "Cutoff": make_cutoff(0.3, 0.9),
+        "incremental_quotient": incremental_quotient(pg, 0.1, E1),
+        "averaged_square": averaged_square(g2, 0.2, [1.0, 0.0]),
+        "averaged_square_root": averaged_square_root(pg, 0.2, E1),
+        "harmonic_polynomial": harmonic_polynomial(2, "re_z3"),
+        "SmoothFunction": SmoothFunction(
+            1, lambda x: np.sin(x[:, 0]), np.cos,
+            lambda x: -np.sin(x)[:, :, None]),
+        "sum": pg + g1 + 2.0, "product": pg * g1 * (-3.0),
+        "tensor_of_composites": tensor_product(pg * pg, g1 + pg),
+        "barrier_1d": solvers.barrier(0.5), "barrier_2d": solvers.barrier(1.0, 2),
+    }
+    budget = {name: 1024 for name in cases}
+    for n, N, ext in ((1, 9, g1), (2, 5, g2)):
+        # a promotion keeps its spline: 4^n (N - 1)^n cell coefficients
+        vals = np.random.default_rng(n).uniform(size=(N,) * n)
+        name = "GridFunction.promote.%dd" % n
+        cases[name] = GridFunction(n, 1.5, vals, ext).promote()
+        budget[name] = max(1024, 8 * (4 * (N - 1)) ** n)
+    cases["promote_sum"] = cases["GridFunction.promote.1d"] + pg
+    budget["promote_sum"] = budget["GridFunction.promote.1d"]
+    return {name: (f, budget[name]) for name, f in cases.items()}
+
+
+def test_functions_hold_no_large_arrays():
+    """A catalog function costs O(1) memory: after a jet of order 3, no
+    array over 1 KB (a promotion: over its spline cells) is reachable from
+    it, other than caches that fracbern's modules share."""
+    import fracbern.funcspace as fs
+    cases = _memory_cases()
+    # Tail and Direction are not functions; every function's tail is walked
+    missing = [name for name in fs.__all__ if name not in ("Tail", "Direction")
+               and not any(c.split(".")[0] == name for c in cases)]
+    assert not missing, "no memory case for %s" % missing
+    shared = _shared_arrays()
+    for name, (f, budget) in cases.items():
+        x = np.random.default_rng(1).uniform(-1.0, 1.0, (64, f.n))
+        f.jet(x, 3)
+        large = sorted((nbytes, path) for i, (nbytes, path)
+                       in _arrays_reachable(f).items()
+                       if nbytes > budget and i not in shared)
+        assert not large, "%s holds %s" % (name, large)

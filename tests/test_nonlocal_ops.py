@@ -1005,6 +1005,22 @@ def test_radial_rule_cache_holds_a_sweep_over_orders():
     assert radial_rule.cache_info().misses == misses
 
 
+def test_radial_rule_shares_nodes_across_kernels():
+    """Two kernels of one dimension get the same z and w objects from
+    radial_rule, their K(z) is the kernel at z bit for bit, and all three
+    arrays are read-only."""
+    args = (1e-2, 8.0, 12, 6, N_ANGULAR)
+    for K1, K2 in ((fractional_kernel(1, 0.3), fractional_kernel(1, 0.7)),
+                   (fractional_kernel(2, 0.4),
+                    anisotropic_kernel(0.4, [[1.5, 0.3], [0.3, 0.8]]))):
+        z, k1, w = radial_rule(K1, *args)
+        z2, k2, w2 = radial_rule(K2, *args)
+        assert z2 is z and w2 is w
+        for K, kz in ((K1, k1), (K2, k2)):
+            assert np.array_equal(kz, K(z))
+            assert not any(a.flags.writeable for a in (z, kz, w))
+
+
 # -- the far field's radial cut against the full rule -----------------------------
 
 EPS = np.finfo(float).eps
