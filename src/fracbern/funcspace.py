@@ -1068,20 +1068,22 @@ def averaged_square_root(u, h, e):
 
 # -- grid functions -----------------------------------------------------------
 
-def _spline_cells(y, h, clamped):
+def _spline_cells(y, h, slopes=None):
     """Cell cubics along axis 0 of the cubic spline through y at nodes
     spaced h: c of shape (4, N - 1) + y.shape[1:], cell i's cubic
     sum_a c[a, i] t^a in t = x - x_i.  The scaled slopes m = h y' solve
-    m_{i-1} + 4 m_i + m_{i+1} = 3 (y_{i+1} - y_{i-1}) inside, with m = 0
-    at clamped ends and else the not-a-knot ends (de Boor, A Practical
+    m_{i-1} + 4 m_i + m_{i+1} = 3 (y_{i+1} - y_{i-1}) inside, with m = h
+    slopes at the two ends where slopes (y' at the first and the last
+    node) is given, and else the not-a-knot ends (de Boor, A Practical
     Guide to Splines, ch. IV); the cubics follow from local differences."""
     N = y.shape[0]
     dy = np.diff(y, axis=0)
     A = 4.0 * np.eye(N) + np.eye(N, k=1) + np.eye(N, k=-1)
     b = np.empty_like(y)
     b[1:-1] = 3.0 * (dy[1:] + dy[:-1])
-    if clamped:
-        A[0, 1] = A[-1, -2] = b[0] = b[-1] = 0.0
+    if slopes is not None:  # clamped: m = h y' at both ends
+        A[0, 1] = A[-1, -2] = 0.0
+        b[0], b[-1] = 4.0 * h * slopes[0], 4.0 * h * slopes[1]
     else:  # D^3 continuous across the second and the last but one node
         A[0, :2] = A[-1, :-3:-1] = 1.0, 2.0
         b[0] = 0.5 * (5.0 * dy[0] + dy[1])
@@ -1118,13 +1120,16 @@ class GridFunction:
 
     def promote(self):
         """The interpolating cubic spline inside the box, the exterior's
-        jet past it: clamped (zero end slopes) in 1d, the tensor product
-        of not-a-knot splines in 2d, which reproduces cubics."""
+        jet past it: in 1d clamped to the exterior's slopes at x = +-L,
+        so the gradient is continuous across the box edge; in 2d the
+        tensor product of not-a-knot splines, which reproduces cubics."""
         ext, L, h = self.exterior, self.L, self.h
-        cells = _spline_cells(self.values, h, self.n == 1)
-        if self.n == 2:  # (a, i, j) -> (b, j, a, i) -> (a, b, i, j)
-            cells = np.ascontiguousarray(_spline_cells(
-                np.moveaxis(cells, 2, 0), h, False).transpose(2, 0, 3, 1))
+        if self.n == 1:
+            cells = _spline_cells(self.values, h,
+                                  ext.gradient(np.array([[-L], [L]]))[:, 0])
+        else:  # (a, i, j) -> (b, j, a, i) -> (a, b, i, j)
+            cells = np.ascontiguousarray(_spline_cells(np.moveaxis(
+                _spline_cells(self.values, h), 2, 0), h).transpose(2, 0, 3, 1))
 
         def jet(x, k, call):
             xc = np.clip(x, -L, L)

@@ -9,6 +9,7 @@ Points are numpy arrays of shape (m, n); kernel evaluation returns (m,).
 """
 
 import json
+from functools import cache
 from math import gamma
 
 import numpy as np
@@ -229,7 +230,17 @@ class Kernel:
 # -- family constructors ------------------------------------------------------
 
 def fractional_kernel(n, s):
-    """K(z) = c_{n,s} |z|^{-n-2s}, the kernel of the fractional Laplacian."""
+    """K(z) = c_{n,s} |z|^{-n-2s}, the kernel of the fractional Laplacian.
+
+    One object per (n, s): every caller of an order shares its kernel,
+    the moments and radial rules cached on it, and the lattice stencil
+    plans keyed by it (nonlocal_ops.assemble_discrete resolves an order
+    to it too)."""
+    return _fractional_kernel(n, float(s))
+
+
+@cache
+def _fractional_kernel(n, s):
     c = normalizing_constant(n, s)
     p = n + 2 * s
 

@@ -50,13 +50,15 @@ int (u(x) - u(y)) K(x - y) dy, which for the standard power kernel is
 the fractional Laplacian with Fourier symbol |xi|^{2s}.
 """
 
+from collections import OrderedDict
 from functools import lru_cache
 from math import factorial, isqrt
 
 import numpy as np
 
-from ._quad import (geometric_edges, half_sphere, jacobi_rule, panel_nodes,
-                    periodic_tail_1d, gl_rule, radial_rule, row_dot, sq_norms)
+from ._quad import (_read_only, geometric_edges, half_sphere, jacobi_rule,
+                    panel_nodes, periodic_tail_1d, gl_rule, radial_rule,
+                    row_dot, sq_norms)
 from .kernels import MeasureOnUnit, as_points, fractional_kernel
 
 __all__ = [
@@ -64,7 +66,7 @@ __all__ = [
     "singular_integral", "singular_integral_batch", "apply_batch",
     "apply_nonlocal", "apply_fractional", "apply_superposition",
     "spectral_oracle", "spectral_oracle_batch",
-    "assemble_discrete", "Lattice", "DiscreteOperatorDense",
+    "assemble_discrete", "Lattice", "StencilPlan", "DiscreteOperatorDense",
 ]
 
 R_INNER = 1e-2   # Taylor part below this radius, panels above
@@ -75,6 +77,9 @@ T_NODES = 6      # Gauss nodes of the Bochner segment integral
 CHUNK = 16384
 # bound on each (probes, nodes) temporary of the far field and the oracle
 STENCIL_BYTES = 1 << 21
+# bytes of the stencil plans assemble_discrete keeps (least recently used
+# out first); a larger plan is built for its call and not kept
+PLAN_BYTES = 1 << 25
 ORACLE_DIRS = (6, 384)   # first and last direction count of the 2d oracle
 ORACLE_HEAD = 1e-2       # the oracle's Gauss-Jacobi head panel is [0, 1e-2 Xi]
 EPS = np.finfo(float).eps
@@ -185,9 +190,14 @@ def _richardson(kernel, F, m, r_lo, r_hi, fine, coarse, n_ang=N_ANGULAR):
 def _both_signs(f, xs, z):
     """(f(x + z), f(x - z)) for every probe row x of xs and offset row z
     of z, from one call of f; each of shape (m, k, ...)."""
-    m, k = xs.shape[0], z.shape[0]
-    pts = np.concatenate([xs[:, None] + z, xs[:, None] - z], axis=1)
-    out = f(pts.reshape(-1, xs.shape[1]))
+    (m, n), k = xs.shape, z.shape[0]
+    # one coordinate at a time: numpy broadcasts slowly over a short
+    # last axis
+    pts = np.empty((m, 2 * k, n))
+    for i in range(n):
+        np.add(xs[:, i, None], z[:, i], out=pts[:, :k, i])
+        np.subtract(xs[:, i, None], z[:, i], out=pts[:, k:, i])
+    out = f(pts.reshape(-1, n))
     out = out.reshape((m, 2 * k) + out.shape[1:])
     return out[:, :k], out[:, k:]
 
@@ -397,18 +407,6 @@ def _tail(kernel, G, xs, gx, R):
 
 # -- the one batch result and its entries ------------------------------------
 
-_FRACTIONAL_CACHE = {}
-
-
-def _cached_fractional(n, s):
-    key = (n, round(float(s), 14))
-    K = _FRACTIONAL_CACHE.get(key)
-    if K is None:
-        K = fractional_kernel(n, s)
-        _FRACTIONAL_CACHE[key] = K
-    return K
-
-
 def _exact(value):
     """The result of an exact L u: every probe converged with error 0."""
     zeros = np.zeros(len(value))
@@ -434,7 +432,7 @@ def _lu(op, u, xs, plan):
         if op in (0.0, 1.0):
             return _exact(u(xs) if op == 0.0 else
                           -np.trace(u.hessian(xs), axis1=1, axis2=2))
-        op = _cached_fractional(u.n, op)
+        op = fractional_kernel(u.n, op)
     plan = plan or default_plan(op.n)
     res = _integrate(op, u, xs, plan)
     for key in PIECES:
@@ -504,7 +502,7 @@ def apply_fractional(s, u, x, plan=None):
     """(-Delta)^s u(x) for s in [0, 1]: apply_nonlocal inside (0, 1),
     with its breakdown, and apply_batch at one point at the ends."""
     if 0.0 < s < 1.0:
-        return apply_nonlocal(_cached_fractional(u.n, s), u, x, plan)
+        return apply_nonlocal(fractional_kernel(u.n, s), u, x, plan)
     (v,), (e,) = apply_batch(s, u, as_points(x, u.n)[:1], plan)
     return OperatorValue(v, e, {"mode": "identity" if s == 0 else "laplacian"})
 
@@ -692,7 +690,7 @@ def _stencil(op, lattice):
                 at[axis] = slice(None, None, 2)
                 W[tuple(at)] = 1.0 / h ** 2
             return W, 0.0, [], None, None
-    kernel = _cached_fractional(n, op) if np.isscalar(op) else op
+    kernel = fractional_kernel(n, op) if np.isscalar(op) else op
     kmax = int(np.ceil(max(4 * lattice.L, 8.0) / h))
     M2, _ = kernel.second_moment_matrix(h / 2)
     if n == 1:
@@ -715,10 +713,14 @@ def _stencil(op, lattice):
         # the cell masses, CHUNK kernel points per call
         masses = np.empty(len(offsets))
         step = CHUNK // len(sub)
+        pts = np.empty((step, len(sub), 2))
         for i in range(0, len(offsets), step):
-            pts = offsets[i:i + step, None, :] * h + sub[None, :, :]
-            masses[i:i + step] = kernel(pts.reshape(-1, 2)).reshape(
-                -1, len(sub)) @ subw
+            o = offsets[i:i + step]
+            for c in range(2):  # one coordinate at a time, as _both_signs
+                np.add((o[:, c] * h)[:, None], sub[:, c],
+                       out=pts[:len(o), :, c])
+            masses[i:i + len(o)] = kernel(pts[:len(o)].reshape(-1, 2)) \
+                .reshape(-1, len(sub)) @ subw
         # singular cell: eigen-split of the second moment onto lattice
         # directions (axis and diagonal stencils keep the scheme monotone)
         evals, evecs = np.linalg.eigh(M2)
@@ -737,6 +739,10 @@ def _stencil(op, lattice):
     W += np.flip(W)
     return (W, kernel.tail_mass((kmax + 0.5) * h)[0], [(1.0, kernel)],
             offsets, masses)
+
+
+# assemble_discrete's plans by (op, n, L, N, R_dom), least recently used first
+_PLANS = OrderedDict()
 
 
 def assemble_discrete(op, lattice, exterior):
@@ -760,20 +766,39 @@ def assemble_discrete(op, lattice, exterior):
     order annihilates constants exactly (0.0); a measure maps them to
     its order-0 mass, up to a few ulps of t |c| (t = tail_mass_far) with
     two or more kernel atoms, since t u_i sums their tail masses while
-    the far field subtracts each atom's c T_K apart.  Returns a
-    DiscreteOperatorDense; for a kernel, its offsets and masses are the
-    half stencil (one offset of each +-pair).
+    the far field subtracts each atom's c T_K apart.
+
+    Everything but b is the StencilPlan of op on the lattice's geometry
+    (n, L, N, R_dom), built once: an order in (0, 1) first resolves to
+    kernels.fractional_kernel, one object per (n, s), and a measure is
+    keyed by its atoms.  Plans are kept least recently used first out
+    while they fit in PLAN_BYTES together; a larger plan serves its own
+    call only.  Returns a DiscreteOperatorDense, which computes b; for
+    a kernel, its offsets and masses are the half stencil (one offset
+    of each +-pair).
     """
+    if np.isscalar(op) and 0.0 < op < 1.0:
+        op = fractional_kernel(lattice.n, op)
+    key = (tuple(op) if isinstance(op, MeasureOnUnit) else op,
+           lattice.n, lattice.L, lattice.N, lattice.R_dom)
+    plan = _PLANS.pop(key, None) or _stencil_plan(op, lattice)
+    if plan.nbytes <= PLAN_BYTES:
+        _PLANS[key] = plan
+        while sum(p.nbytes for p in _PLANS.values()) > PLAN_BYTES:
+            _PLANS.popitem(last=False)
+    return DiscreteOperatorDense(plan, lattice, exterior)
+
+
+def _stencil_plan(op, lattice):
+    """The StencilPlan of a Kernel, an order in [0, 1] or a measure."""
     if not isinstance(op, MeasureOnUnit):
-        W, t, far, offsets, masses = _stencil(op, lattice)
-        return DiscreteOperatorDense(lattice, W, exterior, t, far, offsets,
-                                     masses)
+        return StencilPlan(lattice, *_stencil(op, lattice))
     parts = [(w, _stencil(s, lattice)) for s, w in op]
     k = max(st[0].shape[0] for _, st in parts) // 2
     W = sum(w * np.pad(st[0], k - st[0].shape[0] // 2) for w, st in parts)
     t = sum(w * st[1] for w, st in parts)
     far = [(w * wk, K) for w, st in parts for wk, K in st[2]]
-    return DiscreteOperatorDense(lattice, W, exterior, t, far)
+    return StencilPlan(lattice, W, t, far)
 
 
 def _far_data_integral(kernel, exterior, xs, R):
@@ -823,36 +848,33 @@ def _smooth_len(m):
     return m if r == 1 else _smooth_len(m + 1)
 
 
-class DiscreteOperatorDense:
-    """A translation-invariant stencil on a lattice, as a dense interior
-    matrix A plus an affine exterior vector b:
+class StencilPlan:
+    """A translation-invariant stencil on a lattice's geometry: the part
+    of a DiscreteOperatorDense that does not read the exterior data,
+    shared by every operator of one (op, n, L, N, R_dom).
 
-        (L u)(x_i) ~ (A u_int + b)_i
-                   = t u_i + sum_k W_k (u_i - u_{i+k}) - far_i,
-
-    W the full symmetric weight array of side 2 k + 1 (zero at its
-    center), t = tail_mass_far the mass acting on u_i alone, and far_i
-    = sum of c_K times the far-field integral of the exterior data with
-    kernel K past R_eff = (k + 1/2) h, over the (c_K, K) pairs of far
-    (empty for a local stencil).  A[i, j] = -W[j - i] off the diagonal
-    and t + sum W on it, so A is symmetric and monotone (off-diagonals
-    <= 0); b is apply_to_grid of the exterior data with the interior
-    zeroed.  offsets and masses keep the half stencil a kernel's
-    weights came from.  W's transform is kept for apply_to_grid's FFT
-    convolution, with the band it acts on: one slice per axis of the
-    band and of the lattice for the band's part inside the box, and the
-    band points beyond the box but within the stencil's reach (a mask
-    from per-axis coordinates) with their coordinates, where the closure
-    is evaluated.  A is gathered from W by row blocks of at most CHUNK
-    entries, so no temporary scales like A.
+    W is the full symmetric weight array of side 2 k + 1 (zero at its
+    center), tail_mass_far the mass acting on u_i alone, far the (c_K,
+    K) pairs of the far field past R_eff = (k + 1/2) h (empty for a
+    local stencil), offsets and masses the half stencil a kernel's
+    weights came from, and A the interior matrix: A[i, j] = -W[j - i]
+    off the diagonal and t + sum W on it, so A is symmetric and
+    monotone (off-diagonals <= 0).  W's transform is kept for
+    apply_to_grid's FFT convolution, with the band it acts on: one slice
+    per axis of the band and of the lattice for the band's part inside
+    the box, and the band points beyond the box but within the stencil's
+    reach (a mask from per-axis coordinates) with their coordinates,
+    where the closure is evaluated.  A is gathered from W by row blocks
+    of at most CHUNK entries, so no temporary scales like A.  Every
+    array is read-only; nbytes counts them and the lattice's arrays.
     """
 
-    def __init__(self, lattice, W, exterior, tail_mass_far=0.0, far=(),
+    def __init__(self, lattice, W, tail_mass_far=0.0, far=(),
                  offsets=None, masses=None):
         lat = lattice
         n, k = lat.n, W.shape[0] // 2
-        self.lattice, self.W, self.exterior = lat, W, exterior
-        self.tail_mass_far, self.far = tail_mass_far, list(far)
+        self.lattice, self.W = lat, W
+        self.tail_mass_far, self.far = tail_mass_far, tuple(far)
         self.R_eff = (k + 0.5) * lat.h if self.far else None
         self.offsets, self.masses = offsets, masses
         idx = np.stack(np.unravel_index(lat.interior, (lat.N,) * n), axis=1)
@@ -904,19 +926,12 @@ class DiscreteOperatorDense:
         for a in range(0, lat.n_int, step):
             np.take(Wn, col - fi[a:a + step, None], out=self.A[a:a + step])
         np.fill_diagonal(self.A, tail_mass_far + W.sum())
-        vals = exterior(lat.nodes)
-        vals[lat.interior] = 0.0
-        self.b = self.apply_to_grid(vals, exterior)
-
-    def apply(self, u_int):
-        return self.A @ u_int + self.b
-
-    def full_values(self, u_int):
-        """Lattice-wide value vector: solution inside, closure data outside."""
-        lat = self.lattice
-        vals = self.exterior(lat.nodes)
-        vals[lat.interior] = u_int
-        return vals
+        arrays = [a for a in (W, offsets, masses, self.A, self._W_hat,
+                              self._beyond, self._beyond_pts, *self._reads)
+                  if a is not None]
+        _read_only(*arrays)
+        self.nbytes = sum(a.nbytes for a in arrays + [lat.axis, lat.nodes,
+                                                      lat.interior])
 
     def apply_to_grid(self, values_full, closure):
         """Stencil action on an arbitrary grid function, in difference
@@ -949,3 +964,43 @@ class DiscreteOperatorDense:
             out -= c * _far_data_integral(K, closure, lat.nodes[lat.interior],
                                           self.R_eff)
         return out
+
+
+class DiscreteOperatorDense:
+    """A stencil plan with its exterior data: a dense interior matrix A
+    plus an affine exterior vector b,
+
+        (L u)(x_i) ~ (A u_int + b)_i
+                   = t u_i + sum_k W_k (u_i - u_{i+k}) - far_i,
+
+    far_i = sum of c_K times the far-field integral of the exterior data
+    with kernel K past R_eff, over the (c_K, K) pairs of far.  W,
+    tail_mass_far (t), far, R_eff, offsets, masses and A are the plan's
+    (StencilPlan), read-only and shared by every operator of the same op
+    and lattice geometry; lattice is the caller's.  b, the one part that
+    reads the exterior, is apply_to_grid of the exterior data with the
+    interior zeroed.
+    """
+
+    def __init__(self, plan, lattice, exterior):
+        self.plan, self.lattice, self.exterior = plan, lattice, exterior
+        self.W, self.A, self.far = plan.W, plan.A, plan.far
+        self.tail_mass_far, self.R_eff = plan.tail_mass_far, plan.R_eff
+        self.offsets, self.masses = plan.offsets, plan.masses
+        vals = exterior(lattice.nodes)
+        vals[lattice.interior] = 0.0
+        self.b = plan.apply_to_grid(vals, exterior)
+
+    def apply(self, u_int):
+        return self.A @ u_int + self.b
+
+    def full_values(self, u_int):
+        """Lattice-wide value vector: solution inside, closure data outside."""
+        lat = self.lattice
+        vals = self.exterior(lat.nodes)
+        vals[lat.interior] = u_int
+        return vals
+
+    def apply_to_grid(self, values_full, closure):
+        """The plan's StencilPlan.apply_to_grid."""
+        return self.plan.apply_to_grid(values_full, closure)

@@ -444,6 +444,23 @@ def test_grid_function_promote_1d():
                          - ext.hessian(h_pts)[:, 0, 0])) < 1e-3
 
 
+def test_grid_function_promote_1d_meets_the_exterior_slope():
+    """The 1d spline is clamped to the exterior's slopes at x = +-L: the
+    promoted gradient is the exterior's on both sides of the box edge,
+    and D^2 in the last half cell stays near the exterior's (clamping to
+    slope 0 left a gradient jump and an O(slope / h) D^2 there)."""
+    ext = gaussian_bump(1, 0.2, 0.8, 0.7)
+    axis = np.linspace(-2.0, 2.0, 257)
+    prom = GridFunction(1, 2.0, ext(axis.reshape(-1, 1)), ext).promote()
+    h = axis[1] - axis[0]
+    for edge in (-2.0, 2.0):
+        x = np.array([[edge - 1e-9], [edge + 1e-9]])
+        np.testing.assert_allclose(prom.gradient(x), ext.gradient(x),
+                                   rtol=1e-6)
+        y = np.array([[edge - np.sign(edge) * h / 2]])
+        assert abs(prom.hessian(y) - ext.hessian(y)).max() < 1e-3
+
+
 def test_grid_function_promote_2d():
     axis = np.linspace(-1.5, 1.5, 49)
     ext = gaussian_bump(2, [0.0, 0.0], 0.8)

@@ -28,8 +28,11 @@ from fracbern.nonlocal_ops import (apply_nonlocal, apply_fractional,
                                    assemble_discrete, Lattice, default_plan,
                                    QuadratureFailure, OperatorValue,
                                    _far_data_integral, _oracle_nodes,
-                                   _stencil, _tail, N_ANGULAR)
-from fracbern.solvers import barrier, _quotient_closure
+                                   _stencil, _tail, _both_signs, _PLANS,
+                                   N_ANGULAR)
+from fracbern import nonlocal_ops
+from fracbern.solvers import (barrier, _quotient_closure, BellmanProblem,
+                              ObstacleProblem, solve_bellman, solve_obstacle)
 
 
 def test_constant_maps_to_zero():
@@ -899,6 +902,7 @@ def test_2d_assembly_peak_memory_is_under_twice_A():
     is as large as A)."""
     lat = Lattice(2, 2.0, 97, 1.0)
     ext = gaussian_bump(2, [0.1, 0.1], 0.8, 0.7)
+    _PLANS.clear()  # a cold build, plan and b
     tracemalloc.start()
     try:
         disc = assemble_discrete(fractional_kernel(2, 0.5), lat, ext)
@@ -906,6 +910,147 @@ def test_2d_assembly_peak_memory_is_under_twice_A():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * disc.A.nbytes
+
+
+# -- stencil plans ------------------------------------------------------------
+
+ANISO = anisotropic_kernel(0.6, np.array([[1.4, 0.3], [0.3, 0.8]]))
+
+
+@pytest.mark.parametrize("n, op", [
+    (1, fractional_kernel(1, 0.5)), (1, 0.3), (1, 0.0), (1, 1.0),
+    (1, MEASURES[0]), (2, fractional_kernel(2, 0.5)), (2, ANISO), (2, 0.0),
+    (2, 1.0), (2, MEASURES[1])],
+    ids=["1d-kernel", "1d-order", "1d-order0", "1d-order1", "1d-measure",
+         "2d-kernel", "2d-anisotropic", "2d-order0", "2d-order1",
+         "2d-measure"])
+def test_warm_plan_assembles_as_a_cold_build(n, op):
+    """A plan built under one exterior and lattice object, reused for
+    another exterior on an equal lattice, gives A, b, W and the grid
+    action of a cold build bit for bit."""
+    N = 129 if n == 1 else 33
+    ext = gaussian_bump(n, [0.1] * n, 0.8, 0.7)
+    g = gaussian_bump(n, [0.2] * n, 0.6, -0.7) + ext
+    _PLANS.clear()
+    first = assemble_discrete(op, Lattice(n, 2.0, N, 1.0),
+                              gaussian_bump(n, [-0.3] * n, 1.1, 0.4))
+    lat = Lattice(n, 2.0, N, 1.0)
+    warm = assemble_discrete(op, lat, ext)
+    _PLANS.clear()
+    cold = assemble_discrete(op, lat, ext)
+    assert warm.plan is first.plan and cold.plan is not first.plan
+    assert warm.lattice is lat and warm.exterior is ext
+    for name in ("A", "b", "W"):
+        assert np.array_equal(getattr(warm, name), getattr(cold, name))
+    vals = g(lat.nodes)
+    assert np.array_equal(warm.apply_to_grid(vals, g),
+                          cold.apply_to_grid(vals, g))
+
+
+def _plan_problems(n):
+    K2 = ANISO if n == 2 else fractional_kernel(1, 0.7)
+    bell = BellmanProblem(
+        [(fractional_kernel(n, 0.5), constant(0.0, n)),
+         (K2, gaussian_bump(n, [-0.2] * n, 0.45, -0.35))],
+        gaussian_bump(n, [0.1] * n, 0.5, 0.4),
+        gaussian_bump(n, None, 1.5, 0.3), 1.0)
+    obst = ObstacleProblem(0.5, gaussian_bump(n, [0.05] * n, 0.7, 0.35),
+                           gaussian_bump(n, [0.0] * n, 0.45, -0.25),
+                           constant(0.0, n), 1.0)
+    return bell, obst
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_warm_plans_solve_as_cold_builds(n):
+    """solve_bellman and solve_obstacle on plans kept from a solve with
+    other data return what they return on cold builds, bit for bit."""
+    lat = Lattice(n, 2.0, 129 if n == 1 else 25, 1.0)
+    bell, obst = _plan_problems(n)
+    other = BellmanProblem(bell.members, bell.f,
+                           gaussian_bump(n, [0.3] * n, 0.9, -0.2), 1.0)
+
+    def outputs():
+        gf, policy, info = solve_bellman(bell, lat)
+        go, contact, oinfo = solve_obstacle(obst, lat)
+        return [gf.values, policy, info["history"], go.values, contact,
+                oinfo["history"], oinfo["complementarity"]]
+
+    _PLANS.clear()
+    cold = outputs()
+    _PLANS.clear()
+    solve_bellman(other, Lattice(n, 2.0, lat.N, 1.0))
+    kept = len(_PLANS)
+    warm = outputs()
+    # the obstacle's order 0.5 is member 0's kernel: one more plan, order 0
+    assert kept == 2 and len(_PLANS) == 3
+    for a, b in zip(cold, warm):
+        assert np.array_equal(a, b)
+
+
+def test_plans_are_shared_and_read_only():
+    """Equal lattice geometries share one plan and one A; an order in
+    (0, 1) and its fractional kernel hit the same plan; no plan array
+    can be written."""
+    ext = gaussian_bump(1, 0.1, 0.8, 0.7)
+    a = assemble_discrete(0.5, Lattice(1, 2.0, 65, 1.0), ext)
+    b = assemble_discrete(fractional_kernel(1, 0.5), Lattice(1, 2.0, 65, 1.0),
+                          constant(0.3, 1))
+    assert b.plan is a.plan and b.A is a.A and b.lattice is not a.lattice
+    assert fractional_kernel(1, 0.5) is fractional_kernel(1, np.float64(0.5))
+    assert assemble_discrete(0.5, Lattice(1, 2.0, 65, 0.9), ext).plan \
+        is not a.plan
+    plan = a.plan
+    arrays = [plan.A, plan.W, plan.offsets, plan.masses, plan._W_hat,
+              plan._beyond, plan._beyond_pts, *plan._reads]
+    lat = plan.lattice
+    assert plan.nbytes == sum(x.nbytes for x in arrays) + lat.axis.nbytes \
+        + lat.nodes.nbytes + lat.interior.nbytes
+    for x in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            x.flat[0] = 1
+    assert b.b.flags.writeable
+
+
+def test_plan_cache_stays_within_its_budget(monkeypatch):
+    """The kept plans never hold more than PLAN_BYTES: after the 2d N =
+    49, 97 and 129 assemblies the N = 97 plan is kept, and N = 129 (its
+    A alone 82 MB) is built for its call and not kept.  The least
+    recently used plan goes first."""
+    K, ext = fractional_kernel(2, 0.5), gaussian_bump(2, [0.1, 0.1], 0.8, 0.7)
+    _PLANS.clear()
+    plans = {}
+    for N in (49, 97, 129):
+        plans[N] = assemble_discrete(K, Lattice(2, 2.0, N, 1.0), ext).plan
+        assert sum(p.nbytes for p in _PLANS.values()) \
+            <= nonlocal_ops.PLAN_BYTES
+    assert plans[129].nbytes > nonlocal_ops.PLAN_BYTES
+    assert list(_PLANS.values())[-1] is plans[97]
+    assert all(p is not plans[129] for p in _PLANS.values())
+    # room for two equal-sized plans: a hit on the first makes the
+    # second the least recently used, and the third evicts it
+    lat = Lattice(2, 2.0, 33, 1.0)
+    _PLANS.clear()
+    first = assemble_discrete(K, lat, ext).plan
+    monkeypatch.setattr(nonlocal_ops, "PLAN_BYTES", 2 * first.nbytes)
+    second = assemble_discrete(fractional_kernel(2, 0.3), lat, ext).plan
+    assert assemble_discrete(K, lat, ext).plan is first
+    third = assemble_discrete(fractional_kernel(2, 0.7), lat, ext).plan
+    assert second.nbytes == third.nbytes == first.nbytes
+    assert list(_PLANS.values()) == [first, third]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("m", [1, 42])
+def test_both_signs_builds_the_concatenated_points(n, m):
+    """_both_signs builds its points one coordinate at a time: bit for
+    bit the broadcast and concatenated form.  (The 2d cell masses, built
+    the same way, are checked against the broadcast form in
+    test_half_disc_offsets_and_block_masses.)"""
+    rng = np.random.default_rng(10 * n + m)
+    xs, z = rng.normal(size=(m, n)), rng.normal(size=(437, n))
+    p, q = _both_signs(lambda pts: pts, xs, z)
+    ref = np.concatenate([xs[:, None] + z, xs[:, None] - z], axis=1)
+    assert np.array_equal(np.concatenate([p, q], axis=1), ref)
 
 
 @pytest.mark.parametrize("mu", MEASURES, ids=["0-0.5-1", "0.3-0.7", "0-1"])
