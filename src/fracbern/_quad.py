@@ -13,16 +13,11 @@ from functools import cache, lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-_GL_CACHE = {}
 
-
+@cache
 def gl_rule(order):
-    """Cached Gauss-Legendre nodes/weights on [-1, 1]."""
-    rule = _GL_CACHE.get(order)
-    if rule is None:
-        rule = leggauss(order)
-        _GL_CACHE[order] = rule
-    return rule
+    """Gauss-Legendre nodes/weights on [-1, 1].  Cached and read-only."""
+    return _read_only(*leggauss(order))
 
 
 def jacobi_rule(order, beta):

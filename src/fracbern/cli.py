@@ -85,7 +85,9 @@ def main(argv=None):
         description="integro-differential operator and auxiliary-function "
                     "verification toolkit")
     ap.add_argument("--tol", type=float, default=None,
-                    help="finite-difference tolerance of verify-kernels")
+                    help="relative slack of verify-kernels' checks; its "
+                         "derivatives are analytic for fractional and "
+                         "anisotropic kernels, else finite differences")
     ap.add_argument("--seed", type=int, default=None)
     ap.add_argument("--probes", type=int, default=None,
                     help="probe count of check-inequality")

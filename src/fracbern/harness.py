@@ -14,7 +14,7 @@ import numpy as np
 
 from . import __version__
 from ._quad import sq_norms
-from .kernels import MeasureOnUnit, bellman_max, positive_orders
+from .kernels import MeasureOnUnit, positive_orders
 from .solvers import grid_gradient, grid_second_difference
 
 __all__ = [
@@ -85,7 +85,6 @@ def problem_constants(problem, R=None, want_second=True):
     if R is None:
         R = problem.R_dom
     e = np.zeros(n); e[0] = 1.0
-    F = problem.nonlinearity or bellman_max(problem.J)
     fs = [problem.f] + [g for _, g in problem.members]
     level = _sample_levels(R, n, fs, 2 if want_second else 1)
 
@@ -129,13 +128,9 @@ def problem_constants(problem, R=None, want_second=True):
         elif np.isscalar(op) and float(op) == 0.0:
             omega0 = 1
 
-    def g_composite(pts):
-        stack = np.stack([-g(pts) for g in fs[1:]], axis=1)
-        return -F(stack)
-
     return ProblemConstants(G0=G0, G1=G1, Ge1=Ge1, Ge2=Ge2,
-                            H0=G0, H1=G1, gamma1=gamma1, gamma2=gamma2,
-                            omega0=omega0, g_composite=g_composite, R=R)
+                            gamma1=gamma1, gamma2=gamma2, omega0=omega0,
+                            g_composite=problem.source, R=R)
 
 
 class EstimateReport:

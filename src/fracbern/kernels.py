@@ -476,9 +476,10 @@ def validate_kernel_class(K, radii_count=40, tol_fd=1e-3):
     radii_count radii in [1e-3, 1e3] along 16 directions in 2d.
 
     Checks evenness exactly, then the two-sided power comparison (tight
-    max/min ratios give C1hat, C2hat) and the derivative bound via
-    centered finite differences at relative steps 1e-4 (gradient) and
-    1e-3 (Hessian).
+    max/min ratios give C1hat, C2hat) and the derivative bound, with
+    tol_fd their relative slack.  Its derivatives are analytic for
+    fractional and anisotropic kernels, else centered finite
+    differences at relative steps 1e-4 (gradient) and 1e-3 (Hessian).
     """
     radii = np.geomspace(1e-3, 1e3, radii_count)
     dirs = sphere_directions(K.n, 16)

@@ -692,11 +692,14 @@ def _stencil(op, lattice):
             return W, 0.0, [], None, None
     kernel = fractional_kernel(n, op) if np.isscalar(op) else op
     kmax = int(np.ceil(max(4 * lattice.L, 8.0) / h))
-    M2, _ = kernel.second_moment_matrix(h / 2)
     if n == 1:
         offsets = np.arange(1, kmax + 1).reshape(-1, 1)
         masses = _cell_masses_1d(kernel, h, kmax)
-        masses[0] += 0.5 * M2[0, 0] / h ** 2
+        # the fold adds the second moment the cells' point masses miss out
+        # to R_eff, the singular cell's included: order 2, not 2 - 2s
+        tot = kernel.second_moment_matrix((kmax + 0.5) * h)[0][0, 0]
+        have = 2 * np.sum(masses * (offsets[:, 0] * h) ** 2)
+        masses[0] += 0.5 * (tot - have) / h ** 2
     else:
         # the half disc a^2 + b^2 <= (kmax + 1/2)^2, one offset of each
         # +-pair (evenness makes them equal): row a = 0..kmax holds b = 1
@@ -723,7 +726,7 @@ def _stencil(op, lattice):
                 .reshape(-1, len(sub)) @ subw
         # singular cell: eigen-split of the second moment onto lattice
         # directions (axis and diagonal stencils keep the scheme monotone)
-        evals, evecs = np.linalg.eigh(M2)
+        evals, evecs = np.linalg.eigh(kernel.second_moment_matrix(h / 2)[0])
         cand = np.array([[1, 0], [0, 1], [1, 1], [1, -1]])
         candu = cand / np.sqrt(sq_norms(cand))[:, None]
         pick = np.argmax(np.abs(evecs.T @ candu.T), axis=1)
@@ -966,7 +969,7 @@ class StencilPlan:
         return out
 
 
-class DiscreteOperatorDense:
+class DiscreteOperatorDense(StencilPlan):
     """A stencil plan with its exterior data: a dense interior matrix A
     plus an affine exterior vector b,
 
@@ -974,19 +977,18 @@ class DiscreteOperatorDense:
                    = t u_i + sum_k W_k (u_i - u_{i+k}) - far_i,
 
     far_i = sum of c_K times the far-field integral of the exterior data
-    with kernel K past R_eff, over the (c_K, K) pairs of far.  W,
-    tail_mass_far (t), far, R_eff, offsets, masses and A are the plan's
-    (StencilPlan), read-only and shared by every operator of the same op
-    and lattice geometry; lattice is the caller's.  b, the one part that
-    reads the exterior, is apply_to_grid of the exterior data with the
-    interior zeroed.
+    with kernel K past R_eff, over the (c_K, K) pairs of far.  The
+    operator is its plan plus b: every attribute of the plan (W,
+    tail_mass_far (t), far, R_eff, offsets, masses, A and the band of
+    apply_to_grid) is the plan's own object, read-only and shared by
+    every operator of the same op and lattice geometry; lattice is the
+    caller's.  b, the one part that reads the exterior, is apply_to_grid
+    of the exterior data with the interior zeroed.
     """
 
     def __init__(self, plan, lattice, exterior):
+        vars(self).update(vars(plan))
         self.plan, self.lattice, self.exterior = plan, lattice, exterior
-        self.W, self.A, self.far = plan.W, plan.A, plan.far
-        self.tail_mass_far, self.R_eff = plan.tail_mass_far, plan.R_eff
-        self.offsets, self.masses = plan.offsets, plan.masses
         vals = exterior(lattice.nodes)
         vals[lattice.interior] = 0.0
         self.b = plan.apply_to_grid(vals, exterior)
@@ -1000,7 +1002,3 @@ class DiscreteOperatorDense:
         vals = self.exterior(lat.nodes)
         vals[lat.interior] = u_int
         return vals
-
-    def apply_to_grid(self, values_full, closure):
-        """The plan's StencilPlan.apply_to_grid."""
-        return self.plan.apply_to_grid(values_full, closure)

@@ -112,6 +112,16 @@ class BellmanProblem:
     def J(self):
         return len(self.members)
 
+    @property
+    def F(self):
+        """The nonlinearity, the max of the member values when none is
+        given."""
+        return self.nonlinearity or bellman_max(self.J)
+
+    def source(self, pts):
+        """The composed zero-order source -F(-g_1, ..., -g_J) at pts."""
+        return -self.F(np.stack([-g(pts) for _, g in self.members], axis=1))
+
 
 class ObstacleProblem:
     """max{ (-Delta)^s u, u - g } = f on B_1-scale domains."""
@@ -163,36 +173,39 @@ def _to_gridfunction(disc, u_int):
 
 
 def _members(problem, lattice):
-    """The discrete members, f and the g_m at the interior nodes, and the
-    first iterate: member 0 solved alone."""
+    """The discrete members, and f and the g_m at the interior nodes."""
     discs = [assemble_discrete(op, lattice, problem.exterior)
              for op, _ in problem.members]
     nodes_int = lattice.nodes[lattice.interior]
-    f_int = problem.f(nodes_int)
-    g_int = [g(nodes_int) for _, g in problem.members]
-    return discs, f_int, g_int, _solve_member(discs[0], f_int + g_int[0])
+    return (discs, problem.f(nodes_int),
+            [g(nodes_int) for _, g in problem.members])
 
 
-def _newton(problem, lattice, F, tol, max_iter):
+def _member_values(discs, g_int, u_int):
+    """The member values L_m u - g_m at the interior nodes, (n_int, J)."""
+    return np.stack([d.apply(u_int) - g for d, g in zip(discs, g_int)],
+                    axis=1)
+
+
+def _newton(problem, lattice, F):
     """Frozen-coefficient (semismooth Newton) iteration for
-    F(L_1 u - g_1, ...) = f: the subgradient selector of F gives the
-    weights of the frozen linear operator solved for each step.
+    F(L_1 u - g_1, ...) = f, from member 0 solved alone: each step solves
+    the LinearizedOperator that the subgradient selector of F freezes,
+    until the sup-norm residual is below 1e-9, at most 120 times.
 
     Returns (GridFunction, member values p at the last iterate, info).
     """
-    discs, f_int, g_int, u = _members(problem, lattice)
+    discs, f_int, g_int = _members(problem, lattice)
+    u = _solve_member(discs[0], f_int + g_int[0])
     history = []
-    for _ in range(max_iter):
-        p = np.stack([d.apply(u) - g for d, g in zip(discs, g_int)], axis=1)
+    for _ in range(120):
+        p = _member_values(discs, g_int, u)
         resid = F(p) - f_int
         history.append(float(np.max(np.abs(resid))))
-        if history[-1] <= tol:
+        if history[-1] <= 1e-9:
             break
-        alpha = F.subgradient(p)
-        Aw = np.zeros((lattice.n_int, lattice.n_int))
-        for m, d in enumerate(discs):
-            Aw += alpha[:, m:m + 1] * d.A
-        u = u + np.linalg.solve(Aw, -resid)
+        L = LinearizedOperator(discs, F.subgradient(p), F.theta0, lattice)
+        u = u + np.linalg.solve(L.matrix(), -resid)
     else:
         raise ArithmeticError("Newton iteration did not converge: residual "
                               "history %s" % history[-5:])
@@ -207,23 +220,22 @@ def solve_bellman(problem, lattice):
     solve_fully_nonlinear with F = max, whose first-argmax subgradient
     freezes one member per node.
 
-    Iterates until the sup-norm Bellman residual is below 1e-9, at most
-    80 times.  Returns (GridFunction, policy array, info dict with
-    residual history); the policy is the first argmax of the member
-    values at the last iterate.
+    Returns (GridFunction, policy array, info dict with residual
+    history); the policy is the first argmax of the member values at
+    the last iterate.
     """
-    gf, p, info = _newton(problem, lattice, bellman_max(problem.J), 1e-9, 80)
+    gf, p, info = _newton(problem, lattice, bellman_max(problem.J))
     return gf, np.argmax(p, axis=1), info
 
 
 def value_iteration(problem, lattice, tol=1e-9):
     """Damped fixed-point oracle for the same maximal equation: steps of
     0.85 times the residual over the largest diagonal, at most 400,000."""
-    discs, f_int, g_int, u = _members(problem, lattice)
+    discs, f_int, g_int = _members(problem, lattice)
+    u = _solve_member(discs[0], f_int + g_int[0])
     diag = np.max(np.stack([np.diag(d.A) for d in discs]), axis=0)
     for it in range(400000):
-        vals = np.stack([d.apply(u) - g for d, g in zip(discs, g_int)])
-        r = vals.max(axis=0) - f_int
+        r = _member_values(discs, g_int, u).max(axis=1) - f_int
         if np.max(np.abs(r)) <= tol:
             return u, it
         u = u - 0.85 * r / diag
@@ -233,13 +245,11 @@ def value_iteration(problem, lattice, tol=1e-9):
 def solve_fully_nonlinear(problem, lattice):
     """Frozen-coefficient (semismooth Newton) iteration for
     F(L_1 u - g_1, ...) = f, with F the problem's nonlinearity (the max
-    when omitted, where the iteration is policy iteration), to a
-    residual of 1e-8 in at most 120 iterations.
+    when omitted, where the iteration is policy iteration).
 
     Returns (GridFunction, info).
     """
-    F = problem.nonlinearity or bellman_max(problem.J)
-    gf, _, info = _newton(problem, lattice, F, 1e-8, 120)
+    gf, _, info = _newton(problem, lattice, problem.F)
     return gf, info
 
 
@@ -247,17 +257,13 @@ def solve_obstacle(problem, lattice):
     """Two-branch policy iteration for the obstacle problem.
 
     Returns (GridFunction, contact mask, info); the contact set is where
-    the constraint branch u - g - f attains the max.
+    the constraint branch u - g - f attains the max, and the
+    complementarity max |max(L u - f, u - g - f)| is the last Newton
+    residual.
     """
-    bell = problem.as_bellman()
-    gf, policy, info = solve_bellman(bell, lattice)
+    gf, policy, info = solve_bellman(problem.as_bellman(), lattice)
     contact = policy == 1
-    u_int = gf.values.ravel()[lattice.interior]
-    nodes_int = lattice.nodes[lattice.interior]
-    f_int = problem.f(nodes_int)
-    comp = np.maximum(info["discs"][0].apply(u_int) - f_int,
-                      u_int - problem.g(nodes_int) - f_int)
-    info["complementarity"] = float(np.max(np.abs(comp)))
+    info["complementarity"] = info["residual"]
     info["contact"] = contact
     return gf, contact, info
 
@@ -288,6 +294,14 @@ class LinearizedOperator:
     def apply_interior(self, u_int):
         parts = np.stack([d.apply(u_int) for d in self.discs], axis=1)
         return np.sum(self.alpha * parts, axis=1)
+
+    def matrix(self):
+        """sum_m alpha_m A_m by rows: the dense interior matrix of the
+        frozen operator, the one a Newton step solves."""
+        M = np.zeros((self.lattice.n_int,) * 2)
+        for m, d in enumerate(self.discs):
+            M += self.alpha[:, m:m + 1] * d.A
+        return M
 
 
 def _grid_shift(gf, e, sign):
@@ -326,8 +340,8 @@ def linearize(problem, gf, info):
 
     Derivatives of the solution are centered differences; a band of
     width 2 h near the domain boundary is excluded from the derivative
-    checks (one-sided effects).  tol = 10 h max(gamma_1, 1), gamma_1
-    the Lipschitz scale of the data.
+    checks (one-sided effects).  gamma_1 and gamma_2 are the data
+    constants of harness.problem_constants; tol = 10 h max(gamma_1, 1).
     """
     return _linearize(problem, gf, info)[:2]
 
@@ -335,21 +349,18 @@ def linearize(problem, gf, info):
 def _linearize(problem, gf, info):
     """linearize, plus the second difference dd_e u on the full lattice
     and L dd_e u, which unified_derivative_bound reuses."""
-    lat = info["discs"][0].lattice
+    from .harness import problem_constants
     discs = info["discs"]
-    F = problem.nonlinearity
+    lat = discs[0].lattice
+    F = problem.F
     nodes_int = lat.nodes[lat.interior]
     u_int = gf.values.ravel()[lat.interior]
-    g_int = [g(nodes_int) for _, g in problem.members]
-    p = np.stack([discs[m].apply(u_int) - g_int[m]
-                  for m in range(len(discs))], axis=1)
-    if F is None:
-        F = bellman_max(len(discs))
-    alpha = F.subgradient(p)
-    L = LinearizedOperator(discs, alpha, F.theta0, lat)
+    p = _member_values(discs, [g(nodes_int) for _, g in problem.members],
+                       u_int)
+    L = LinearizedOperator(discs, F.subgradient(p), F.theta0, lat)
 
     f_int = problem.f(nodes_int)
-    gcomp = -F(np.stack([-g for g in g_int], axis=1))
+    gcomp = problem.source(nodes_int)
     Lu = L.apply_interior(u_int)
 
     e = np.zeros(lat.n); e[0] = 1.0
@@ -365,8 +376,8 @@ def _linearize(problem, gf, info):
     Ldu_minus = L.apply_grid(du_minus, _quotient_closure(ext, e, lat.h, -1))
     Lddu = L.apply_grid(ddu_full, _fd_closure(ext, e, lat.h, 2))
 
-    # data-driven constants
-    gam1, gam2 = data_derivative_constants(problem, lat)
+    c = problem_constants(problem)
+    gam1, gam2 = c.gamma1, c.gamma2
     rad = np.sqrt(sq_norms(nodes_int))
     inner = rad < problem.R_dom - 2 * lat.h
     lip = max(gam1, 1.0)
@@ -421,33 +432,6 @@ def _fd_closure(ext, e, h, order):
                   ext.tail.period, scale if ext.tail.period else 0.0)
     d.sup, d.grad_sup, d.hess_sup = scale, np.inf, np.inf
     return d
-
-
-def data_derivative_constants(problem, lattice):
-    """gamma_1 and gamma_2 from dense sampling of the data derivatives
-    (400 seeded points of the domain's box, those in the ball kept).
-
-    The subgradient weights sum over any p to at most max over one-hot
-    selections for the max nonlinearity; smooth selectors are sampled at
-    the solution later, so the one-hot bound is used here.
-    """
-    rng = np.random.default_rng(11)
-    n = lattice.n
-    pts = rng.uniform(-problem.R_dom, problem.R_dom, size=(400, n))
-    pts = pts[np.sqrt(sq_norms(pts)) < problem.R_dom]
-    fgrad = np.sqrt(sq_norms(problem.f.gradient(pts)))
-    fh = problem.f.hessian(pts)
-    fpp = np.max(np.linalg.eigvalsh(fh), axis=1)
-    g1 = float(np.max(fgrad))
-    g2 = float(np.max(np.maximum(fpp, 0.0)))
-    best_g1 = 0.0
-    best_g2 = 0.0
-    for _, g in problem.members:
-        gg = float(np.max(np.sqrt(sq_norms(g.gradient(pts)))))
-        gh = np.max(np.linalg.eigvalsh(g.hessian(pts)), axis=1)
-        best_g1 = max(best_g1, gg)
-        best_g2 = max(best_g2, float(np.max(np.maximum(gh, 0.0))))
-    return g1 + best_g1, g2 + best_g2
 
 
 # -- maximum principle with estimate ---------------------------------------------

@@ -663,6 +663,20 @@ def test_assembly_consistency_order(lat129):
     assert min(rate) >= 0.9
 
 
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.8])
+def test_1d_grid_action_is_second_order(s):
+    # the stencil carries the kernel's whole second moment, so the grid
+    # action's gap to the oracle falls at order 2 for every s, not 2 - 2s
+    u = gaussian_bump(1, [0.1], 0.8, 0.7)
+    gaps = []
+    for N in (129, 257, 513):
+        lat = Lattice(1, 2.0, N, 1.0)
+        grid = assemble_discrete(s, lat, u).apply_to_grid(u(lat.nodes), u)
+        ref = spectral_oracle_batch(s, u, lat.nodes[lat.interior])
+        gaps.append(np.max(np.abs(grid - ref)) / np.max(np.abs(ref)))
+    assert min(np.log2(gaps[0] / gaps[1]), np.log2(gaps[1] / gaps[2])) >= 1.9
+
+
 def test_assembly_spike_sign_structure(lat129):
     K = fractional_kernel(1, 0.5)
     disc = assemble_discrete(K, lat129, constant(0.0, 1))
@@ -1316,6 +1330,25 @@ def test_zone_uncut_without_exact_jets():
     for G in (positive_part_square(du), barrier(1.0, 1)):
         assert singular_integral(K, G, 0.3).breakdown["r_zone"] == 1e-10
     assert singular_integral(K, du, 0.3).breakdown["r_zone"] > 1e-10
+
+
+def test_zone_reruns_uncut_where_it_holds_the_error(monkeypatch):
+    # a narrow bump: the first pass cuts the zone at 1e-6, and the zone's
+    # error then holds over half the tolerance, so the refinement reruns
+    # it uncut from eps without the quartic term.  The value is not
+    # checked: it sits in a blind spot of the error pairs
+    zone_cuts, first = nonlocal_ops._zone_cuts, []
+
+    def spy(*args):
+        out = zone_cuts(*args)
+        first.append(out[0])
+        return out
+
+    monkeypatch.setattr(nonlocal_ops, "_zone_cuts", spy)
+    b = apply_fractional(0.5, gaussian_bump(1, 0.0025, 0.0005), 0.0,
+                         default_plan(1).scaled(strict=False)).breakdown
+    assert first[0][0] == 1e-6
+    assert b["r_zone"] == 1e-10 and b["quartic"] == 0
 
 
 def test_roundoff_floor_covers_oracle_gap():
