@@ -687,8 +687,8 @@ def check_incremental_classical(u_h, eta, h, e, probes, sigma=None,
     phi_{h,e} = eta^2 (delta_{h,e} u)^2 + sigma * segment-average of u^2;
     for the one-sided variant the quotient of `positive_part_of` enters
     through its positive part.  Everything is evaluated with analytic
-    second derivatives of the composite; returns the report and the
-    sigma used (searched once when not supplied).
+    second derivatives of the composite, affine in sigma; returns the
+    report and the sigma used (searched once when not supplied).
     """
     probes = as_points(probes, u_h.n)
     dq = incremental_quotient(u_h, h, e)
@@ -700,9 +700,10 @@ def check_incremental_classical(u_h, eta, h, e, probes, sigma=None,
         head = (eta * eta) * (dq * dq)
         zavg = averaged_square(u_h, h, e)
 
+    H_head, H_zavg = head.hessian(probes), zavg.hessian(probes)
+
     def lap_at(sig):
-        comp = head + zavg * float(sig)
-        return np.trace(comp.hessian(probes), axis1=1, axis2=2)
+        return np.trace(H_head + float(sig) * H_zavg, axis1=1, axis2=2)
 
     if sigma is None:
         sigma = doubling_bisection(lambda sg: np.all(lap_at(sg) >= -1e-10))

@@ -6,7 +6,15 @@ configuration error.  Report schema v1.
 
 import argparse
 import json
+import os
 import sys
+
+from .kernels import make_kernel, validate_kernel_class
+from .funcspace import gaussian_bump, plane_wave
+from .nonlocal_ops import QuadratureFailure
+from .extension import extend, trace_constant
+from .bernstein import SearchFailure
+from .harness import run_experiment
 
 
 def _load_json(path):
@@ -15,7 +23,6 @@ def _load_json(path):
 
 
 def cmd_verify_kernels(args):
-    from .kernels import make_kernel, validate_kernel_class
     spec = _load_json(args.spec)
     specs = spec if isinstance(spec, list) else [spec]
     all_ok = True
@@ -32,7 +39,6 @@ def cmd_verify_kernels(args):
 def cmd_run(args):
     """check-inequality, solve and estimate: run the config's scenario
     (the command's own by default) and print its report."""
-    from .harness import run_experiment
     config = _load_json(args.config)
     config.setdefault("scenario", args.scenario)
     if args.seed is not None:
@@ -45,8 +51,6 @@ def cmd_run(args):
 
 
 def cmd_extension(args):
-    from .funcspace import gaussian_bump, plane_wave
-    from .extension import extend, trace_constant
     config = _load_json(args.config)
     s = float(config.get("s", 0.5))
     kind = config.get("function", "gaussian")
@@ -62,7 +66,6 @@ def cmd_extension(args):
 
 
 def cmd_report(args):
-    import os
     path = os.path.join(args.run_dir, "report.json")
     manifest = os.path.join(args.run_dir, "manifest.json")
     if not os.path.exists(path):
@@ -117,8 +120,6 @@ def main(argv=None):
     p.set_defaults(fn=cmd_report)
 
     args = ap.parse_args(argv)
-    from .bernstein import SearchFailure
-    from .nonlocal_ops import QuadratureFailure
     try:
         for flag, reader in (("tol", "verify-kernels"),
                              ("probes", "check-inequality")):

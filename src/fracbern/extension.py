@@ -24,6 +24,7 @@ import numpy as np
 
 from ._quad import (geometric_panels, gl_rule, panel_nodes, periodic_tail_1d,
                     ray_rule, row_dot)
+from .funcspace import make_cutoff
 from .nonlocal_ops import CHUNK
 
 __all__ = [
@@ -263,7 +264,6 @@ def verify_extension_identities(u, s, R=1.0, kappa=None):
       (iv)  Psi2 + tau R^-2 Psi1 + sigma R^-4 Psi0 is a supersolution
             once tau >= tau0 and sigma >= sigma0 tau      (doubling search)
     """
-    from .funcspace import make_cutoff
     E = extend(u, s)
     a = E.a
     eta = make_cutoff(R / 4.0, R / 2.0, n=1)

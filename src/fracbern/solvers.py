@@ -1,6 +1,6 @@
 """Grid solvers for the nonlocal Dirichlet, Bellman, fully nonlinear
-convex, and obstacle problems, plus barriers, the linearized operator,
-and the maximum principle with estimate.
+convex, and obstacle problems and their data constants, plus barriers,
+the linearized operator, and the maximum principle with estimate.
 
 Every member, whatever its kind, is one stencil from
 nonlocal_ops.assemble_discrete (monotone by construction).  Every
@@ -10,18 +10,24 @@ linear operator, which is solved for the step.  Policy iteration is its
 max case (the first-argmax subgradient picks one member per node), and
 the obstacle problem is that max over two members.  A damped value
 iteration stays as an independent fixed-point oracle.
+
+The fitted estimates share one scaling law (_radius_power) and one
+record of a solution's measured sups (_measured_sups); harness builds on
+this module, never the other way round.
 """
 
 import numpy as np
 
 from ._quad import sq_norms
-from .kernels import bellman_max, operator_order, positive_orders
+from .kernels import MeasureOnUnit, bellman_max, operator_order, \
+    positive_orders
 from .funcspace import Tail, GridFunction, _Node, _poly_jet, constant, \
-    translate
+    make_cutoff, translate
 from .nonlocal_ops import assemble_discrete, apply_batch, default_plan
 
 __all__ = [
     "barrier", "barrier_check", "BellmanProblem", "ObstacleProblem",
+    "ProblemConstants", "problem_constants",
     "solve_linear_dirichlet", "solve_bellman", "value_iteration",
     "solve_fully_nonlinear", "solve_obstacle", "linearize",
     "LinearizedOperator", "max_principle_estimate",
@@ -140,6 +146,112 @@ class ObstacleProblem:
             self.f, self.exterior, self.R_dom)
 
 
+# -- data constants -------------------------------------------------------------
+
+class ProblemConstants:
+    """Data-side constants of an instance, sampled by _stable_sup."""
+
+    def __init__(self, **kw):
+        self.__dict__.update(kw)
+        for k, v in kw.items():
+            if isinstance(v, float) and not np.isfinite(v):
+                raise ValueError("constant %s is not finite" % k)
+
+
+def _ball_samples(R, n, m, rng):
+    """The first m of 3 m uniform draws of [-R, R]^n that fall in B_R."""
+    pts = rng.uniform(-R, R, size=(3 * m, n))
+    pts = pts[np.sqrt(sq_norms(pts)) < R]
+    return pts[:m]
+
+
+def _sample_levels(R, n, fs):
+    """The seeded sample levels over B_R, 400 points doubling up to four
+    times, drawn on first use: level(i) is the order-2 jets of each of
+    fs at the points of level i."""
+    rng = np.random.default_rng(0)
+    levels = []
+
+    def level(i):
+        while len(levels) <= i:
+            pts = _ball_samples(R, n, 400 * 2 ** len(levels), rng)
+            levels.append([f.jet(pts, 2) for f in fs])
+        return levels[i]
+
+    return level
+
+
+def _stable_sup(fn, level):
+    """sup of fn(jets) over the sample levels, stopping at the first
+    level that agrees with the one before to 1%; when no two of the five
+    levels agree, the last level's sup."""
+    prev = None
+    for i in range(5):
+        cur = float(np.max(fn(level(i))))
+        if prev is not None and abs(cur - prev) <= 0.01 * max(abs(cur), 1e-12):
+            return cur
+        prev = cur
+    return prev
+
+
+def problem_constants(problem, R=None):
+    """Sup-type constants of the data f, g_j over the domain ball.
+
+    Computes the negative-part / gradient / directional constants of the
+    combined data (e the first axis), the gamma pair driving the
+    linearized-operator bounds and the identity-atom flag of the
+    measures involved.  Data whose sampled second derivatives diverge
+    (500 against 16,000 seeded points) fail the semiconcavity
+    certificate with ValueError.  Every other constant reads the jets of
+    f and the g_j at one shared set of sample levels.
+    """
+    n = problem.f.n
+    if R is None:
+        R = problem.R_dom
+    e = np.zeros(n); e[0] = 1.0
+    fs = [problem.f] + [g for _, g in problem.members]
+    level = _sample_levels(R, n, fs)
+
+    def over_g(fn):  # max over the members of fn(jet of f, jet of g)
+        return lambda J: np.max(np.stack([fn(J[0], G) for G in J[1:]]),
+                                axis=0)
+
+    fg_dee_pos = over_g(lambda Jf, G: np.maximum(np.einsum(
+        "i,mij,j->m", e, Jf[2] + G[2], e), 0.0))
+    G0 = _stable_sup(over_g(lambda Jf, G: np.maximum(-(Jf[0] + G[0]), 0.0)),
+                     level)
+    G1 = _stable_sup(over_g(lambda Jf, G: np.sqrt(sq_norms(Jf[1] + G[1]))),
+                     level)
+    Ge1 = _stable_sup(over_g(lambda Jf, G: np.abs((Jf[1] + G[1]) @ e)),
+                      level)
+    rng = np.random.default_rng(1)
+    a, b = [float(np.max(fg_dee_pos([f.jet(p, 2) for f in fs])))
+            for p in [_ball_samples(R, n, m, rng) for m in (500, 16000)]]
+    if b > 2.0 * max(a, 1e-9) + 1e-6:
+        raise ValueError("data fail the semiconcavity certificate: "
+                         "second-derivative sampling diverges")
+    Ge2 = _stable_sup(fg_dee_pos, level)
+
+    def f_plus_max_g(fn):  # sup fn(jet of f) + max_j sup fn(jet of g_j)
+        sups = [_stable_sup(lambda J, i=i: fn(J[i]), level)
+                for i in range(len(fs))]
+        return sups[0] + max(sups[1:])
+
+    gamma1 = f_plus_max_g(lambda Jf: np.sqrt(sq_norms(Jf[1])))
+    gamma2 = f_plus_max_g(lambda Jf: np.maximum(np.max(
+        np.linalg.eigvalsh(Jf[2]), axis=1), 0.0))
+
+    omega0 = 0
+    for op, _ in problem.members:
+        if isinstance(op, MeasureOnUnit):
+            omega0 = max(omega0, op.omega0)
+        elif np.isscalar(op) and float(op) == 0.0:
+            omega0 = 1
+
+    return ProblemConstants(G0=G0, G1=G1, Ge1=Ge1, Ge2=Ge2,
+                            gamma1=gamma1, gamma2=gamma2, omega0=omega0, R=R)
+
+
 # -- solvers ---------------------------------------------------------------------
 
 def solve_linear_dirichlet(op, f, exterior, lattice):
@@ -204,7 +316,7 @@ def _newton(problem, lattice, F):
         history.append(float(np.max(np.abs(resid))))
         if history[-1] <= 1e-9:
             break
-        L = LinearizedOperator(discs, F.subgradient(p), F.theta0, lattice)
+        L = LinearizedOperator(discs, F.subgradient(p), F.theta0)
         u = u + np.linalg.solve(L.matrix(), -resid)
     else:
         raise ArithmeticError("Newton iteration did not converge: residual "
@@ -276,11 +388,11 @@ class LinearizedOperator:
     alpha: (n_int, J) nonnegative weights with row sums >= theta0.
     """
 
-    def __init__(self, discs, alpha, theta0, lattice):
+    def __init__(self, discs, alpha, theta0):
         self.discs = discs
         self.alpha = np.asarray(alpha, dtype=float)
         self.theta0 = float(theta0)
-        self.lattice = lattice
+        self.lattice = discs[0].lattice
         if np.any(self.alpha < -1e-14):
             raise ValueError("negative linearization weight")
         if np.any(self.alpha.sum(axis=1) < theta0 - 1e-12):
@@ -341,7 +453,7 @@ def linearize(problem, gf, info):
     Derivatives of the solution are centered differences; a band of
     width 2 h near the domain boundary is excluded from the derivative
     checks (one-sided effects).  gamma_1 and gamma_2 are the data
-    constants of harness.problem_constants; tol = 10 h max(gamma_1, 1).
+    constants of problem_constants; tol = 10 h max(gamma_1, 1).
     """
     return _linearize(problem, gf, info)[:2]
 
@@ -349,7 +461,6 @@ def linearize(problem, gf, info):
 def _linearize(problem, gf, info):
     """linearize, plus the second difference dd_e u on the full lattice
     and L dd_e u, which unified_derivative_bound reuses."""
-    from .harness import problem_constants
     discs = info["discs"]
     lat = discs[0].lattice
     F = problem.F
@@ -357,7 +468,7 @@ def _linearize(problem, gf, info):
     u_int = gf.values.ravel()[lat.interior]
     p = _member_values(discs, [g(nodes_int) for _, g in problem.members],
                        u_int)
-    L = LinearizedOperator(discs, F.subgradient(p), F.theta0, lat)
+    L = LinearizedOperator(discs, F.subgradient(p), F.theta0)
 
     f_int = problem.f(nodes_int)
     gcomp = problem.source(nodes_int)
@@ -467,35 +578,53 @@ def max_principle_estimate(ops, phi, R):
         return {"pass": bool(gap <= 1e-7), "gamma0": 0.0,
                 "sup_in": sup_in, "sup_out": sup_out, "fitted_C": 0.0}
     fitted = max(gap, 0.0) / g0
-    orders = positive_orders(ops)
-    if len(orders) == 1:
-        normalized = fitted / R ** (2 * orders[0])
-        form = "R^2s"
-    else:
-        normalized = fitted / (1.0 + R ** 2)
-        form = "1+R^2"
+    C_R, form = _radius_power(ops, R)
     return {"pass": True, "gamma0": g0, "sup_in": sup_in,
             "sup_out": sup_out, "fitted_C": fitted,
-            "normalized_C": normalized, "scaling_form": form}
+            "normalized_C": fitted / C_R, "scaling_form": form}
+
+
+def _radius_power(ops, R):
+    """(C_R, its form) of the fitted estimates on B_R: (R^{2s}, "R^2s")
+    for a family of definite order s (exactly one positive order,
+    kernels.positive_orders; order-0 members and measures add none),
+    else (1 + R^2, "1+R^2")."""
+    orders = positive_orders(ops)
+    if len(orders) == 1:
+        return R ** (2 * orders[0]), "R^2s"
+    return 1.0 + R ** 2, "1+R^2"
+
+
+def _measured_sups(gf, exterior, R):
+    """The measured sups of a solved grid function, e the first axis:
+    |d_e u| on B_{R/2} and dd_e u on B_{R/4} and B_{R/2} (0 on an empty
+    ball) at the nodes at least 2 h inside B_R, |u| on B_R, and |u| over
+    the lattice and the exterior."""
+    e = np.zeros(gf.n); e[0] = 1.0
+    du = grid_gradient(gf, e)
+    ddu = grid_second_difference(gf, e)
+    rad = np.sqrt(sq_norms(gf.nodes()))
+    band = rad < R - 2 * gf.h
+    half, quarter = band & (rad < R / 2), band & (rad < R / 4)
+    dd = [float(np.max(ddu[m])) if np.any(m) else 0.0 for m in (quarter, half)]
+    return {"grad_half": float(np.max(np.abs(du[half]))),
+            "dd_quarter": dd[0], "dd_half": dd[1],
+            "u_R": float(np.max(np.abs(gf.values.ravel()[rad < R]))),
+            "u_all": max(float(np.max(np.abs(gf.values))), exterior.sup)}
 
 
 # -- the unified derivative-bound functional -------------------------------------
 
-def unified_derivative_bound(problem, gf, info, R, cr_form=None):
+def unified_derivative_bound(problem, gf, info, R):
     """Measured derivative sups against the two structural functionals.
 
     Computes a0, a1, a2 (the negative part / absolute value / positive
     part of the linearized operator on u - sup u, d_e u, dd_e u over the
     domain nodes), assembles the first and one-sided second bound
-    brackets with the declared C_R power, and returns the fitted
-    constants relating measured suprema to the brackets, with e the
-    first axis and the weights tau = sigma = 4 of the intermediate claim.
-
-    cr_form "R^2s" (C_R = R^{2s}) needs a family of definite order s:
-    exactly one positive order among the members (order-0 members such
-    as an obstacle's constraint, and measures, add none; see
-    kernels.positive_orders), else ValueError.  The default is "R^2s"
-    for such a family and "1+R^2" (C_R = 1 + R^2) otherwise.
+    brackets with the family's C_R power (_radius_power), and returns
+    the fitted constants relating the measured sups (_measured_sups) to
+    the brackets, with e the first axis and the weights tau = sigma = 4
+    of the intermediate claim.
     """
     lat = info["discs"][0].lattice
     e = np.zeros(lat.n); e[0] = 1.0
@@ -515,27 +644,17 @@ def unified_derivative_bound(problem, gf, info, R, cr_form=None):
     a1 = float(np.max(np.abs(Ldu[band])))
     a2 = float(np.max(np.maximum(Lddu[band], 0.0)))
 
-    orders = positive_orders(op for op, _ in problem.members)
-    if cr_form is None:
-        cr_form = "R^2s" if len(orders) == 1 else "1+R^2"
-    if cr_form == "R^2s" and len(orders) != 1:
-        raise ValueError("cr_form 'R^2s' needs a family of definite order; "
-                         "its positive orders are %s" % orders)
-    C_R = R ** (2 * orders[0]) if cr_form == "R^2s" else 1.0 + R ** 2
-
-    u_sup_R = float(np.max(np.abs(u_int[rad < R])))
-    u_sup_all = max(float(np.max(np.abs(gf.values))), problem.exterior.sup)
-    du_grid = du_full[lat.interior]
-    ddu_grid = ddu_full[lat.interior]
-    measured_grad = float(np.max(np.abs(du_grid[rad < R / 2])))
-    measured_dd = float(np.max(ddu_grid[rad < R / 4])) \
-        if np.any(rad < R / 4) else 0.0
+    C_R, form = _radius_power((op for op, _ in problem.members), R)
+    sups = _measured_sups(gf, problem.exterior, R)
+    u_sup_R, u_sup_all = sups["u_R"], sups["u_all"]
+    measured_grad, measured_dd = sups["grad_half"], sups["dd_quarter"]
+    du_grid, ddu_grid = du_full[lat.interior], ddu_full[lat.interior]
 
     bracket1 = C_R * a1 + np.sqrt(C_R * a0 * u_sup_R) / R + u_sup_all / R
     bracket2 = (C_R * a2 + C_R * a1 / R
                 + np.sqrt(C_R * a0 * u_sup_R) / R ** 2 + u_sup_all / R ** 2)
     out = {
-        "a0": a0, "a1": a1, "a2": a2, "C_R": C_R, "form": cr_form,
+        "a0": a0, "a1": a1, "a2": a2, "C_R": C_R, "form": form,
         "measured_grad_half": measured_grad,
         "measured_dd_quarter": measured_dd,
         "bracket_first": bracket1, "bracket_second": bracket2,
@@ -545,7 +664,6 @@ def unified_derivative_bound(problem, gf, info, R, cr_form=None):
     }
 
     # intermediate claim: sup phi <= Csharp (C_R sup Phi + R^-4 ||u||^2)
-    from .funcspace import make_cutoff
     etab = make_cutoff(R / 8.0, R / 2.0, n=lat.n)
     eta = make_cutoff(R / 2.0, 0.98 * R, n=lat.n)
     bv = etab(nodes_int)

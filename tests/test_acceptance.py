@@ -29,9 +29,9 @@ from fracbern.solvers import (barrier_check, solve_linear_dirichlet,
                               BellmanProblem, solve_bellman, value_iteration,
                               ObstacleProblem, solve_obstacle, linearize,
                               max_principle_estimate, grid_second_difference,
-                              unified_derivative_bound)
-from fracbern.harness import (problem_constants, measure_derivative_bounds,
-                              scaled_lemma_check, semiconcavity_refinement)
+                              unified_derivative_bound, problem_constants)
+from fracbern.harness import (measure_derivative_bounds, scaled_lemma_check,
+                              semiconcavity_refinement)
 
 
 def _line(num, name, ok, detail=""):
@@ -468,10 +468,10 @@ def test_criterion_13_scaled_lemma_and_pipeline():
     lattice = Lattice(1, 10.0, 513, 5.0)
     prob = _bellman_instance_large(lattice)
     gf, policy, info = solve_bellman(prob, lattice)
-    c = problem_constants(prob, R=5.0, want_second=False)
+    c = problem_constants(prob, R=5.0)
     nodes = lattice.nodes[lattice.interior]
     u_sup_all = max(float(np.max(np.abs(gf.values))), prob.exterior.sup)
-    fg = float(np.max(np.maximum(-(prob.f(nodes) + c.g_composite(nodes)), 0.0)))
+    fg = float(np.max(np.maximum(-(prob.f(nodes) + prob.source(nodes)), 0.0)))
     sigma0 = u_sup_all + c.gamma1 + np.sqrt(fg * u_sup_all)
     prom = gf.promote()
     rep = scaled_lemma_check(prom, m=1, sigma0=sigma0, interior_radius=2.0)

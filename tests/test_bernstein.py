@@ -8,7 +8,8 @@ from fracbern.kernels import (fractional_kernel, anisotropic_kernel,
                               MeasureOnUnit)
 from fracbern.funcspace import (gaussian_bump, plane_wave, constant,
                                 make_cutoff, harmonic_polynomial,
-                                modulated_gaussian, directional_derivative)
+                                modulated_gaussian, directional_derivative,
+                                SmoothFunction)
 from fracbern.bernstein import (check_supert_identity, check_first_order_fraclap,
                                 check_second_order_fraclap,
                                 check_positive_part_global, sigma_affinity,
@@ -484,6 +485,26 @@ def test_incremental_cubic_harmonic():
         _, rep_h = check_incremental_classical(u, eta, h, e, probes,
                                                sigma=sigma_star)
         assert rep_h.verdict, h
+
+
+def test_incremental_search_takes_each_hessian_once(monkeypatch):
+    # the composite's Hessian is affine in sigma, so the doubling search
+    # reads the Hessians of its two parts once, not once per step
+    calls = []
+    hessian = SmoothFunction.hessian
+
+    def counted(self, x):
+        calls.append(1)
+        return hessian(self, x)
+
+    monkeypatch.setattr(SmoothFunction, "hessian", counted)
+    u = harmonic_polynomial(2, "re_z3")
+    eta = make_cutoff(0.25, 0.45, n=2)
+    probes = _ball_probes(np.random.default_rng(4), 200, 0.49)
+    sigma, rep = check_incremental_classical(u, eta, 0.2, np.array([1.0, 0.0]),
+                                             probes)
+    assert sigma > 0 and rep.verdict
+    assert len(calls) <= 2
 
 
 def test_incremental_positive_part_variant():

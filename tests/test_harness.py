@@ -13,10 +13,9 @@ from fracbern.kernels import fractional_kernel, MeasureOnUnit, bellman_max
 from fracbern.funcspace import (gaussian_bump, constant, make_cutoff,
                                 SmoothFunction, Tail)
 from fracbern.nonlocal_ops import Lattice
-from fracbern.solvers import BellmanProblem, solve_bellman
-from fracbern.harness import (problem_constants, measure_derivative_bounds,
-                              scaled_lemma_check, run_experiment,
-                              semiconcavity_refinement)
+from fracbern.solvers import BellmanProblem, solve_bellman, problem_constants
+from fracbern.harness import (measure_derivative_bounds, scaled_lemma_check,
+                              run_experiment, semiconcavity_refinement)
 
 K05 = fractional_kernel(1, 0.5)
 
@@ -261,6 +260,15 @@ def test_definite_order_theorem_needs_an_order():
         measure_derivative_bounds(gf, prob, 1.0, theorem="definite-order")
     rep = measure_derivative_bounds(gf, prob, 1.0)
     assert np.isfinite(rep.fitted_C_first)
+
+
+def test_unknown_theorem_is_refused():
+    # a misspelt theorem must not fall into the indefinite-order bracket
+    prob, gf, info = _solved_instance(N=65)
+    with pytest.raises(ValueError) as exc:
+        measure_derivative_bounds(gf, prob, 1.0, theorem="definte-order")
+    for name in ("definite-order", "indefinite-order", "obstacle"):
+        assert "'%s'" % name in str(exc.value)
 
 
 @pytest.mark.parametrize("config", [{"s": 0.5},

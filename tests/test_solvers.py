@@ -451,7 +451,7 @@ def test_unified_bound_obstacle_takes_operator_order():
 
 def test_unified_bound_without_definite_order():
     # a measure has no definite order, nor has a family of two positive
-    # orders: the default form is 1 + R^2 and R^2s is refused
+    # orders: the form is 1 + R^2
     lattice = lat(65)
     f, ext = gaussian_bump(1, 0.0, 0.5, 0.3), constant(0.0, 1)
     for members in ([(MeasureOnUnit([(0.3, 0.5), (0.7, 0.5)]),
@@ -463,8 +463,6 @@ def test_unified_bound_without_definite_order():
         out = unified_derivative_bound(prob, gf, info, 0.8)
         assert out["form"] == "1+R^2"
         assert out["C_R"] == pytest.approx(1.64, rel=1e-15)
-        with pytest.raises(ValueError, match="R\\^2s"):
-            unified_derivative_bound(prob, gf, info, 0.8, cr_form="R^2s")
 
 
 def test_grid_differences_match_spline_reference():
