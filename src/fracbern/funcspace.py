@@ -51,7 +51,7 @@ from ._quad import gl_rule, sq_norms
 from .kernels import as_points
 
 __all__ = [
-    "Tail", "SmoothFunction", "Cutoff", "GridFunction", "Direction",
+    "Tail", "SmoothFunction", "Cutoff", "GridFunction",
     "constant", "gaussian_bump", "polynomial_gaussian", "modulated_gaussian",
     "plane_wave", "tensor_product", "translate", "affine_precompose",
     "directional_derivative", "positive_part", "positive_part_square",
@@ -1000,18 +1000,6 @@ def make_cutoff(r_in, r_out, n=1):
 
 
 # -- directions, quotients, segment averages ---------------------------------
-
-class Direction:
-    def __init__(self, e):
-        e = np.atleast_1d(np.asarray(e, dtype=float))
-        nrm = np.linalg.norm(e)
-        if abs(nrm - 1.0) > 1e-14:
-            e = e / nrm
-        self.e = e
-
-    def __array__(self, dtype=None):
-        return self.e.astype(dtype) if dtype else self.e
-
 
 def incremental_quotient(u, h, e):
     """(u(x + h e) - u(x)) / h; sup bound inherited from the gradient."""

@@ -54,8 +54,8 @@ def measure_derivative_bounds(gf, problem, R, theorem="indefinite-order"):
     if theorem not in ("definite-order", "indefinite-order", "obstacle"):
         raise ValueError("theorem %r: expected 'definite-order', "
                          "'indefinite-order' or 'obstacle'" % (theorem,))
-    c = problem_constants(problem, R=R)
     sups = _measured_sups(gf, problem.exterior, R)
+    c = problem_constants(problem, R=R)
     u_sup_all, u_sup_R = sups["u_all"], sups["u_R"]
 
     if theorem == "definite-order":

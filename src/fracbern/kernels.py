@@ -8,7 +8,6 @@ derivatives controlled by the kernel itself (constant C3).
 Points are numpy arrays of shape (m, n); kernel evaluation returns (m,).
 """
 
-import json
 from functools import cache
 from math import gamma
 
@@ -19,8 +18,8 @@ from ._quad import half_sphere, radial_rule, ray_rule, row_dot, sq_norms
 __all__ = [
     "normalizing_constant", "Kernel", "EllipticMatrix", "MeasureOnUnit",
     "ConvexNonlinearity", "fractional_kernel", "anisotropic_kernel",
-    "stable_kernel", "custom_kernel", "make_kernel", "kernel_from_json",
-    "kernel_to_json", "validate_kernel_class", "rescale_kernel",
+    "stable_kernel", "custom_kernel", "make_kernel",
+    "validate_kernel_class", "rescale_kernel",
     "operator_order", "positive_orders", "bellman_max", "log_sum_exp",
     "linear_nonlinearity",
 ]
@@ -97,7 +96,7 @@ class Kernel:
     """
 
     def __init__(self, n, s, density, family, C1, C2, C3,
-                 angular=None, params=None, grad=None, hess=None,
+                 angular=None, grad=None, hess=None,
                  radial_tail=None, radial_moment2=None):
         self.n = int(n)
         self.s = float(s)
@@ -105,7 +104,6 @@ class Kernel:
         self.family = family
         self.C1, self.C2, self.C3 = float(C1), float(C2), float(C3)
         self._angular = angular          # a(omega) for power-law families
-        self.params = params or {}
         self._grad = grad
         self._hess = hess
         self._radial_tail = radial_tail        # custom: int_a^inf K(t w) dt
@@ -263,7 +261,7 @@ def _fractional_kernel(n, s):
     C3 = p * (p + 2)
     return Kernel(n, s, density, "fractional", base, base, C3,
                   angular=lambda w: np.full(w.shape[0], c),
-                  params={}, grad=grad, hess=hess)
+                  grad=grad, hess=hess)
 
 
 def anisotropic_kernel(s, A):
@@ -297,7 +295,6 @@ def anisotropic_kernel(s, A):
     C3 = p * ratio + p * (p + 3) * ratio ** 2
     return Kernel(n, s, density, "anisotropic", C1, C2, C3,
                   angular=lambda w: c * np.sqrt(sq_norms(w @ A.A)) ** (-p),
-                  params={"A": A.A.tolist(), "lam": A.lam, "Lam": A.Lam},
                   grad=grad, hess=hess)
 
 
@@ -349,7 +346,7 @@ def stable_kernel(n, s, directional_density):
     C2 = a_probe.max() / (s * (1 - s))
     C3 = _fit_c3(density, n, sphere_directions(n, 64))
     return Kernel(n, s, density, "stable", C1, C2, C3,
-                  angular=sym, params={})
+                  angular=sym)
 
 
 def custom_kernel(n, s, density, C1, C2, C3, radial_tail=None,
@@ -434,22 +431,6 @@ def make_kernel(spec):
     raise ValueError("unknown kernel family %r" % fam)
 
 
-def kernel_to_json(K):
-    out = {"family": K.family, "n": K.n, "s": K.s,
-           "constants": [K.C1, K.C2, K.C3]}
-    out["params"] = {k: v for k, v in K.params.items()
-                     if isinstance(v, (int, float, list, str))}
-    return json.dumps(out)
-
-
-def kernel_from_json(text):
-    spec = json.loads(text)
-    if spec["family"] in ("fractional", "anisotropic"):
-        return make_kernel(spec)
-    raise ValueError("only fractional/anisotropic kernels round-trip "
-                     "through JSON without a density callable")
-
-
 def rescale_kernel(K, R):
     """K^[R](z) = R^{n+2s} K(R z); structural constants are unchanged."""
     if R <= 0:
@@ -468,7 +449,7 @@ def rescale_kernel(K, R):
     if K._radial_moment2 is not None:
         rm = lambda r: fac * K._radial_moment2(r * R) / R ** 3
     return Kernel(K.n, K.s, density, K.family, K.C1, K.C2, K.C3,
-                  radial_tail=rt, radial_moment2=rm, params=dict(K.params))
+                  radial_tail=rt, radial_moment2=rm)
 
 
 def validate_kernel_class(K, radii_count=40, tol_fd=1e-3):

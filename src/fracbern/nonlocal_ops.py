@@ -64,7 +64,7 @@ from .kernels import MeasureOnUnit, as_points, fractional_kernel
 __all__ = [
     "QuadraturePlan", "OperatorValue", "QuadratureFailure",
     "singular_integral", "singular_integral_batch", "apply_batch",
-    "apply_nonlocal", "apply_fractional", "apply_superposition",
+    "apply_nonlocal", "apply_fractional",
     "spectral_oracle", "spectral_oracle_batch",
     "assemble_discrete", "Lattice", "StencilPlan", "DiscreteOperatorDense",
 ]
@@ -505,15 +505,6 @@ def apply_fractional(s, u, x, plan=None):
         return apply_nonlocal(fractional_kernel(u.n, s), u, x, plan)
     (v,), (e,) = apply_batch(s, u, as_points(x, u.n)[:1], plan)
     return OperatorValue(v, e, {"mode": "identity" if s == 0 else "laplacian"})
-
-
-def apply_superposition(measure, u, x):
-    """L_mu u(x) = integral of (-Delta)^s u(x) over the measure's atoms:
-    apply_batch at one point."""
-    if not isinstance(measure, MeasureOnUnit):
-        measure = MeasureOnUnit(measure)
-    (v,), (e,) = apply_batch(measure, u, as_points(x, u.n)[:1])
-    return OperatorValue(v, e)
 
 
 # -- independent spectral oracle ----------------------------------------------

@@ -149,7 +149,8 @@ class ObstacleProblem:
 # -- data constants -------------------------------------------------------------
 
 class ProblemConstants:
-    """Data-side constants of an instance, sampled by _stable_sup."""
+    """Data-side constants of an instance: sups over one seeded
+    16,000-point draw of the ball (problem_constants)."""
 
     def __init__(self, **kw):
         self.__dict__.update(kw)
@@ -165,81 +166,56 @@ def _ball_samples(R, n, m, rng):
     return pts[:m]
 
 
-def _sample_levels(R, n, fs):
-    """The seeded sample levels over B_R, 400 points doubling up to four
-    times, drawn on first use: level(i) is the order-2 jets of each of
-    fs at the points of level i."""
-    rng = np.random.default_rng(0)
-    levels = []
-
-    def level(i):
-        while len(levels) <= i:
-            pts = _ball_samples(R, n, 400 * 2 ** len(levels), rng)
-            levels.append([f.jet(pts, 2) for f in fs])
-        return levels[i]
-
-    return level
-
-
-def _stable_sup(fn, level):
-    """sup of fn(jets) over the sample levels, stopping at the first
-    level that agrees with the one before to 1%; when no two of the five
-    levels agree, the last level's sup."""
-    prev = None
-    for i in range(5):
-        cur = float(np.max(fn(level(i))))
-        if prev is not None and abs(cur - prev) <= 0.01 * max(abs(cur), 1e-12):
-            return cur
-        prev = cur
-    return prev
-
-
 def problem_constants(problem, R=None):
     """Sup-type constants of the data f, g_j over the domain ball.
 
     Computes the negative-part / gradient / directional constants of the
     combined data (e the first axis), the gamma pair driving the
     linearized-operator bounds and the identity-atom flag of the
-    measures involved.  Data whose sampled second derivatives diverge
-    (500 against 16,000 seeded points) fail the semiconcavity
-    certificate with ValueError.  Every other constant reads the jets of
-    f and the g_j at one shared set of sample levels.
+    measures involved.  The order-2 jets of f and the g_j are taken at
+    500 and then 16,000 points of B_R drawn from seed 1.  Data whose
+    sampled second derivatives diverge (the 16,000-point sup of the
+    positive part of dd_e (f + g_j) above twice the 500-point one) fail
+    the semiconcavity certificate with ValueError; every constant is
+    the max of its integrand over the 16,000 points.
     """
     n = problem.f.n
     if R is None:
         R = problem.R_dom
     e = np.zeros(n); e[0] = 1.0
     fs = [problem.f] + [g for _, g in problem.members]
-    level = _sample_levels(R, n, fs)
+    rng = np.random.default_rng(1)
+    small, big = [[f.jet(p, 2) for f in fs]
+                  for p in [_ball_samples(R, n, m, rng) for m in (500, 16000)]]
 
-    def over_g(fn):  # max over the members of fn(jet of f, jet of g)
-        return lambda J: np.max(np.stack([fn(J[0], G) for G in J[1:]]),
-                                axis=0)
+    def over_g(fn):  # sup over a draw of the max over the members
+        return lambda J: float(np.max([fn(J[0], G) for G in J[1:]]))
 
     fg_dee_pos = over_g(lambda Jf, G: np.maximum(np.einsum(
         "i,mij,j->m", e, Jf[2] + G[2], e), 0.0))
-    G0 = _stable_sup(over_g(lambda Jf, G: np.maximum(-(Jf[0] + G[0]), 0.0)),
-                     level)
-    G1 = _stable_sup(over_g(lambda Jf, G: np.sqrt(sq_norms(Jf[1] + G[1]))),
-                     level)
-    Ge1 = _stable_sup(over_g(lambda Jf, G: np.abs((Jf[1] + G[1]) @ e)),
-                      level)
-    rng = np.random.default_rng(1)
-    a, b = [float(np.max(fg_dee_pos([f.jet(p, 2) for f in fs])))
-            for p in [_ball_samples(R, n, m, rng) for m in (500, 16000)]]
-    if b > 2.0 * max(a, 1e-9) + 1e-6:
+    a, Ge2 = fg_dee_pos(small), fg_dee_pos(big)
+    if Ge2 > 2.0 * max(a, 1e-9) + 1e-6:
         raise ValueError("data fail the semiconcavity certificate: "
                          "second-derivative sampling diverges")
-    Ge2 = _stable_sup(fg_dee_pos, level)
+    G0 = over_g(lambda Jf, G: np.maximum(-(Jf[0] + G[0]), 0.0))(big)
+    G1 = over_g(lambda Jf, G: np.sqrt(sq_norms(Jf[1] + G[1])))(big)
+    Ge1 = over_g(lambda Jf, G: np.abs((Jf[1] + G[1]) @ e))(big)
 
     def f_plus_max_g(fn):  # sup fn(jet of f) + max_j sup fn(jet of g_j)
-        sups = [_stable_sup(lambda J, i=i: fn(J[i]), level)
-                for i in range(len(fs))]
+        sups = [float(np.max(fn(J))) for J in big]
         return sups[0] + max(sups[1:])
 
-    gamma1 = f_plus_max_g(lambda Jf: np.sqrt(sq_norms(Jf[1])))
-    gamma2 = f_plus_max_g(lambda Jf: np.maximum(np.max(
-        np.linalg.eigvalsh(Jf[2]), axis=1), 0.0))
+    def top_eig(H):
+        # the larger eigenvalue of a symmetric 1x1 or 2x2 H in closed
+        # form, (tr H + sqrt(2 |H|_F^2 - (tr H)^2)) / 2 (max(H, 0) in
+        # 1d); where the two nearly agree it loses about sqrt(eps)
+        # relative, far below the sampling error
+        tr = np.einsum("mii->m", H)
+        gap2 = 2.0 * np.einsum("mij,mij->m", H, H) - tr * tr
+        return 0.5 * (tr + np.sqrt(np.maximum(gap2, 0.0)))
+
+    gamma1 = f_plus_max_g(lambda J: np.sqrt(sq_norms(J[1])))
+    gamma2 = f_plus_max_g(lambda J: np.maximum(top_eig(J[2]), 0.0))
 
     omega0 = 0
     for op, _ in problem.members:
@@ -597,18 +573,22 @@ def _radius_power(ops, R):
 
 def _measured_sups(gf, exterior, R):
     """The measured sups of a solved grid function, e the first axis:
-    |d_e u| on B_{R/2} and dd_e u on B_{R/4} and B_{R/2} (0 on an empty
-    ball) at the nodes at least 2 h inside B_R, |u| on B_R, and |u| over
-    the lattice and the exterior."""
-    e = np.zeros(gf.n); e[0] = 1.0
-    du = grid_gradient(gf, e)
-    ddu = grid_second_difference(gf, e)
+    |d_e u| on B_{R/2} and dd_e u on B_{R/4} (0 when it holds no such
+    node) and B_{R/2} at the nodes at least 2 h inside B_R, |u| on B_R,
+    and |u| over the lattice and the exterior.  Raises ValueError when
+    no node of B_{R/2} is 2 h inside B_R."""
     rad = np.sqrt(sq_norms(gf.nodes()))
     band = rad < R - 2 * gf.h
     half, quarter = band & (rad < R / 2), band & (rad < R / 4)
-    dd = [float(np.max(ddu[m])) if np.any(m) else 0.0 for m in (quarter, half)]
+    if not np.any(half):
+        raise ValueError("R = %g leaves no node of B_{R/2} 2h = %g inside "
+                         "B_R" % (R, 2 * gf.h))
+    e = np.zeros(gf.n); e[0] = 1.0
+    du = grid_gradient(gf, e)
+    ddu = grid_second_difference(gf, e)
+    dd_quarter = float(np.max(ddu[quarter])) if np.any(quarter) else 0.0
     return {"grad_half": float(np.max(np.abs(du[half]))),
-            "dd_quarter": dd[0], "dd_half": dd[1],
+            "dd_quarter": dd_quarter, "dd_half": float(np.max(ddu[half])),
             "u_R": float(np.max(np.abs(gf.values.ravel()[rad < R]))),
             "u_all": max(float(np.max(np.abs(gf.values))), exterior.sup)}
 
@@ -626,6 +606,7 @@ def unified_derivative_bound(problem, gf, info, R):
     the brackets, with e the first axis and the weights tau = sigma = 4
     of the intermediate claim.
     """
+    sups = _measured_sups(gf, problem.exterior, R)
     lat = info["discs"][0].lattice
     e = np.zeros(lat.n); e[0] = 1.0
     L, rep, ddu_full, Lddu = _linearize(problem, gf, info)
@@ -645,7 +626,6 @@ def unified_derivative_bound(problem, gf, info, R):
     a2 = float(np.max(np.maximum(Lddu[band], 0.0)))
 
     C_R, form = _radius_power((op for op, _ in problem.members), R)
-    sups = _measured_sups(gf, problem.exterior, R)
     u_sup_R, u_sup_all = sups["u_R"], sups["u_all"]
     measured_grad, measured_dd = sups["grad_half"], sups["dd_quarter"]
     du_grid, ddu_grid = du_full[lat.interior], ddu_full[lat.interior]

@@ -17,6 +17,7 @@ import pytest
 from fracbern.kernels import fractional_kernel
 from fracbern.funcspace import constant, gaussian_bump
 from fracbern.nonlocal_ops import Lattice
+from fracbern import harness, solvers
 from fracbern.solvers import (BellmanProblem, solve_bellman,
                               unified_derivative_bound)
 from fracbern.harness import measure_derivative_bounds
@@ -93,3 +94,31 @@ def test_both_fitted_bounds_read_one_sup_record(n, N):
         assert out["measured_grad_half"] == rep.sup_grad_half
         assert out["measured_dd_quarter"] == rep.sup_dd_quarter
         assert np.isfinite(rep.sup_dd_half)
+
+
+def test_a_radius_within_two_steps_is_refused_first(monkeypatch):
+    # 1d N = 65 on [-2, 2]: h = 0.0625, so R = 0.1 leaves no node 2h
+    # inside B_R, and R = 0.15 keeps the origin
+    prob = BellmanProblem([(fractional_kernel(1, 0.5), constant(0.0, 1))],
+                          gaussian_bump(1, None, 0.5, 0.4),
+                          gaussian_bump(1, None, 1.5, 0.3), 1.0)
+    gf, _, info = solve_bellman(prob, Lattice(1, 2.0, 65, 1.0))
+    assert np.isfinite(unified_derivative_bound(prob, gf, info, 0.15)
+                       ["bracket_first"])
+    assert np.isfinite(measure_derivative_bounds(gf, prob, 0.15).rhs_first)
+    fits = (lambda R: unified_derivative_bound(prob, gf, info, R),
+            lambda R: measure_derivative_bounds(gf, prob, R))
+    refusal = r"R = 0\.1 .* 2h = 0\.125 "
+    for fit in fits:
+        with pytest.raises(ValueError, match=refusal):
+            fit(0.1)
+
+    def later_work(*args, **kw):
+        raise AssertionError("ran before the radius was checked")
+
+    # the check comes before the linearization and the data constants
+    monkeypatch.setattr(solvers, "_linearize", later_work)
+    monkeypatch.setattr(harness, "problem_constants", later_work)
+    for fit in fits:
+        with pytest.raises(ValueError, match=refusal):
+            fit(0.1)

@@ -14,7 +14,7 @@ from fracbern.funcspace import (SmoothFunction, Tail, gaussian_bump,
                                 directional_derivative, positive_part,
                                 positive_part_square,
                                 incremental_quotient, averaged_square,
-                                averaged_square_root, GridFunction, Direction,
+                                averaged_square_root, GridFunction,
                                 constant, harmonic_polynomial)
 
 E1 = np.array([1.0])
@@ -421,11 +421,6 @@ def test_periodic_product_mean_starts_past_the_residual():
         assert p.tail.limit == pytest.approx(0.5, abs=1e-12), center
 
 
-def test_direction_normalizes():
-    d = Direction([3.0, 4.0])
-    assert np.linalg.norm(d.e) == pytest.approx(1.0, abs=1e-14)
-
-
 def test_grid_function_promote_1d():
     axis = np.linspace(-2, 2, 161)
     ext = gaussian_bump(1, 0.0, 1.0)
@@ -612,8 +607,8 @@ def test_functions_hold_no_large_arrays():
     it, other than caches that fracbern's modules share."""
     import fracbern.funcspace as fs
     cases = _memory_cases()
-    # Tail and Direction are not functions; every function's tail is walked
-    missing = [name for name in fs.__all__ if name not in ("Tail", "Direction")
+    # Tail is not a function; every function's tail is walked
+    missing = [name for name in fs.__all__ if name != "Tail"
                and not any(c.split(".")[0] == name for c in cases)]
     assert not missing, "no memory case for %s" % missing
     shared = _shared_arrays()

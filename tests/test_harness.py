@@ -13,7 +13,9 @@ from fracbern.kernels import fractional_kernel, MeasureOnUnit, bellman_max
 from fracbern.funcspace import (gaussian_bump, constant, make_cutoff,
                                 SmoothFunction, Tail)
 from fracbern.nonlocal_ops import Lattice
-from fracbern.solvers import BellmanProblem, solve_bellman, problem_constants
+from fracbern import solvers
+from fracbern.solvers import (BellmanProblem, _ball_samples, solve_bellman,
+                              problem_constants)
 from fracbern.harness import (measure_derivative_bounds, scaled_lemma_check,
                               run_experiment, semiconcavity_refinement)
 
@@ -89,6 +91,45 @@ def test_constants_semiconcavity_guard():
                           constant(0.0, 1), 1.0)
     with pytest.raises(ValueError):
         problem_constants(prob)
+
+
+def _two_member_problem(n):
+    """Orders 0.5 and 0.7 with off-centre data, so 2d Hessians have two
+    distinct eigenvalues."""
+    c = [-0.2, 0.1][:n]
+    return BellmanProblem(
+        [(fractional_kernel(n, 0.5), constant(0.0, n)),
+         (fractional_kernel(n, 0.7), gaussian_bump(n, c, 0.45, -0.35))],
+        gaussian_bump(n, [0.15, -0.1][:n], 0.5, 0.4),
+        gaussian_bump(n, None, 1.5, 0.3), 1.0)
+
+
+def test_constants_read_the_guards_draw(monkeypatch):
+    # one seeded draw of 500 points, then 16,000, serves the guard and
+    # every constant
+    sizes = []
+
+    def record(R, n, m, rng):
+        sizes.append(m)
+        return _ball_samples(R, n, m, rng)
+
+    monkeypatch.setattr(solvers, "_ball_samples", record)
+    problem_constants(_two_member_problem(1))
+    assert sizes == [500, 16000]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_gamma2_is_the_top_eigenvalue_over_the_draw(n):
+    prob = _two_member_problem(n)
+    rng = np.random.default_rng(1)
+    _ball_samples(1.0, n, 500, rng)
+    pts = _ball_samples(1.0, n, 16000, rng)
+    fs = [prob.f] + [g for _, g in prob.members]
+    sups = [np.max(np.maximum(np.linalg.eigvalsh(f.hessian(pts))[:, -1], 0.0))
+            for f in fs]
+    want = sups[0] + max(sups[1:])
+    assert want > 0
+    assert problem_constants(prob).gamma2 == pytest.approx(want, rel=1e-7)
 
 
 def _solved_instance(N=129, ops=(K05, fractional_kernel(1, 0.7))):

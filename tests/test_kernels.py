@@ -8,8 +8,7 @@ from fracbern.kernels import (normalizing_constant, fractional_kernel,
                               anisotropic_kernel, stable_kernel,
                               custom_kernel, validate_kernel_class,
                               rescale_kernel, MeasureOnUnit, EllipticMatrix,
-                              bellman_max, log_sum_exp, linear_nonlinearity,
-                              kernel_to_json, kernel_from_json)
+                              bellman_max, log_sum_exp, linear_nonlinearity)
 from fracbern.funcspace import gaussian_bump
 from fracbern.nonlocal_ops import apply_nonlocal, spectral_oracle
 
@@ -298,13 +297,6 @@ def test_smooth_convex_families():
         assert np.all(a.sum(axis=1) >= F.theta0 - 1e-9)
         gap = F(q) - F(p) - np.sum(a * (q - p), axis=1)
         assert np.min(gap) >= -1e-9
-
-
-def test_kernel_json_roundtrip():
-    K = anisotropic_kernel(0.35, np.array([[1.4, 0.1], [0.1, 0.9]]))
-    K2 = kernel_from_json(kernel_to_json(K))
-    z = np.random.default_rng(4).normal(size=(20, 2))
-    assert np.allclose(K(z), K2(z), rtol=1e-12)
 
 
 def _ray_tail_kernels():

@@ -22,7 +22,7 @@ from fracbern._quad import (geometric_edges, geometric_panels, half_sphere,
                            jacobi_rule, panel_nodes, periodic_tail_1d,
                            radial_rule)
 from fracbern.nonlocal_ops import (apply_nonlocal, apply_fractional,
-                                   apply_batch, apply_superposition,
+                                   apply_batch,
                                    spectral_oracle, spectral_oracle_batch,
                                    singular_integral, singular_integral_batch,
                                    assemble_discrete, Lattice, default_plan,
@@ -93,13 +93,13 @@ def test_sweep_to_classical_order():
 def test_superposition_atoms():
     g = gaussian_bump(1, 0.0, 1.0)
     mu = MeasureOnUnit.dirac(0.5)
-    a = apply_superposition(mu, g, 0.3)
+    (a,), _ = apply_batch(mu, g, np.array([[0.3]]))
     b = apply_fractional(0.5, g, 0.3)
-    assert a.value == pytest.approx(b.value, rel=1e-12)
+    assert a == pytest.approx(b.value, rel=1e-12)
     # half identity, half Laplacian on cos at 0: 1/2 + 1/2 = 1
     mu2 = MeasureOnUnit([(0.0, 0.5), (1.0, 0.5)])
     c = plane_wave(1.0)
-    assert apply_superposition(mu2, c, 0.0).value == pytest.approx(1.0)
+    assert apply_batch(mu2, c, np.array([[0.0]]))[0][0] == pytest.approx(1.0)
 
 
 def test_superposition_identity_on_barrier():
@@ -107,9 +107,9 @@ def test_superposition_identity_on_barrier():
     b = barrier(1.0, 1)
     pts = np.linspace(-0.9, 0.9, 7)
     for x in pts:
-        v = apply_superposition(mu, b, x)
-        assert v.value <= -1.0 + 1e-12
-        assert v.value == pytest.approx(x * x - 2.0)
+        (v,), _ = apply_batch(mu, b, np.array([[x]]))
+        assert v <= -1.0 + 1e-12
+        assert v == pytest.approx(x * x - 2.0)
 
 
 def test_oracle_exact_symbols():

@@ -15,9 +15,8 @@ ROOT = Path(__file__).resolve().parent.parent
 CALLERS = ("src", "tests", "demos", "perfbench")
 
 # options that stay although no call sets them: part of the function's
-# definition, the entry-point convention, and the numpy array protocol
-KEPT = {("modulated_gaussian", "phase"), ("main", "argv"),
-        ("__array__", "dtype")}
+# definition and the entry-point convention
+KEPT = {("modulated_gaussian", "phase"), ("main", "argv")}
 
 
 def _options():
