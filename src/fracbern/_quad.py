@@ -14,6 +14,12 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 
+# integrand points per call of the far field (half that in a pass, see
+# nonlocal_ops._chunks), and the block size of the zone weight, the
+# lattice's 2d cell masses and the gather that builds A
+CHUNK = 16384
+
+
 @cache
 def gl_rule(order):
     """Gauss-Legendre nodes/weights on [-1, 1].  Cached and read-only."""
@@ -105,15 +111,17 @@ def half_sphere(n, count):
 
 
 @lru_cache(maxsize=256)
-def _radial_nodes(n, r_lo, r_hi, order, ppd, n_ang):
-    """The nodes z and weights w of radial_rule, which do not depend on
-    the kernel: one read-only pair per geometry, shared by every kernel
-    of dimension n."""
-    t, wt = panel_nodes(geometric_edges(r_lo, r_hi, ppd), order)
+def _radial_nodes(n, r_lo, r_hi, order, ppd, n_ang, zone=False):
+    """The radii t, nodes z and weights w of radial_rule (of zone_rule:
+    a panel on [0, r_lo] first, and no t^{n-1} in w), which do not
+    depend on the kernel: read-only, shared by every kernel of
+    dimension n."""
+    edges = geometric_edges(r_lo, r_hi, ppd)
+    t, wt = panel_nodes(np.append(0.0, edges) if zone else edges, order)
     dirs, wd = half_sphere(n, n_ang)
     z = (t[:, None, None] * dirs).reshape(-1, n)
-    w = ((wt * t ** (n - 1))[:, None] * wd).ravel()
-    return _read_only(z, w)
+    w = ((wt * t ** (0 if zone else n - 1))[:, None] * wd).ravel()
+    return _read_only(t, z, w)
 
 
 @lru_cache(maxsize=256)
@@ -129,10 +137,25 @@ def radial_rule(kernel, r_lo, r_hi, order, ppd, n_ang):
     call to call; the arrays are read-only.  z and w depend only on the
     geometry and are shared by all kernels of one dimension, so a rule
     adds one K(z) array per kernel: pointwise and oracle values over nine
-    orders in 1d and 2d fill 72 rules on 12 geometries, 0.9 MB in all.
+    orders in 1d and 2d fill 36 rules and 36 zone_rules on 14
+    geometries, 0.7 MB in all.
     """
-    z, w = _radial_nodes(kernel.n, r_lo, r_hi, order, ppd, n_ang)
+    _, z, w = _radial_nodes(kernel.n, r_lo, r_hi, order, ppd, n_ang)
     return (z,) + _read_only(kernel(z)) + (w,)
+
+
+@lru_cache(maxsize=256)
+def zone_rule(kernel, r_lo, r_hi, order, ppd, n_ang):
+    """Nodes z, weights k and w with sum w F k ~ the integral of the
+    paired remainder (G(x+z) + G(x-z))/2 - G(x) - z^T H z / 2 against K
+    over r_lo < |z| < r_hi, F(z) = z^T (D^2 G(x+z) + D^2 G(x-z) - 2 H) z:
+    its form (1/2) int_0^1 (1-t) F(tz) / t^2 dt with rho = t |z| swapped
+    outside (Fubini), k = M / (2 rho^2), M = kernel.zone_weight.  Radii:
+    a Gauss panel on [0, r_lo], where M is linear, then ppd per decade;
+    cached as radial_rule, z and w shared by the kernels of dimension n."""
+    t, z, w = _radial_nodes(kernel.n, r_lo, r_hi, order, ppd, n_ang, True)
+    k = kernel.zone_weight(t, half_sphere(kernel.n, n_ang)[0], r_lo, r_hi)
+    return (z,) + _read_only((k / (2 * t * t)[:, None]).ravel()) + (w,)
 
 
 @cache

@@ -1044,7 +1044,8 @@ def incremental_quotient(u, h, e):
 def averaged_square(u, h, e, order=16):
     """A(x) = integral over t in [0,1] of u^2(x + t h e) dt (GL nodes).
 
-    All quadrature shifts are evaluated as one stacked call."""
+    All quadrature shifts are evaluated as one stacked call and summed in
+    order, so a point's value does not depend on the other points."""
     if order < 16:
         raise ValueError("use at least 16 quadrature nodes")
     h = float(h)
@@ -1058,8 +1059,15 @@ def averaged_square(u, h, e, order=16):
     def jet(x, k, c):
         m = x.shape[0]
         J = c.jet(u2, (x[None] + shifts[:, None]).reshape(-1, u.n), k)
-        return [np.tensordot(wq, D.reshape((order, m) + D.shape[1:]), axes=1)
-                for D in J[:k + 1]]
+        out = []
+        for D in J[:k + 1]:
+            # einsum adds the shifts in order (BLAS blocks columns by
+            # four), but reduces a lone column as a dot: so never one
+            E = D.reshape(order, -1)
+            v = np.einsum("i,ij->j", wq, np.repeat(E, 2, 1) if E.shape[1] < 2
+                          else E)
+            out.append(v[:E.shape[1]].reshape((m,) + D.shape[1:]))
+        return out
 
     rs = u2.tail.resid
     tail = Tail(u2.tail.limit, lambda r: rs(np.maximum(r - abs(h), 0.0)),

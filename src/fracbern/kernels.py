@@ -13,7 +13,8 @@ from math import gamma
 
 import numpy as np
 
-from ._quad import half_sphere, radial_rule, ray_rule, row_dot, sq_norms
+from ._quad import (CHUNK, geometric_edges, gl_rule, half_sphere, radial_rule,
+                    ray_rule, row_dot, sq_norms)
 
 __all__ = [
     "normalizing_constant", "Kernel", "EllipticMatrix", "MeasureOnUnit",
@@ -186,6 +187,36 @@ class Kernel:
         pts = t[..., None] * np.asarray(omega, dtype=float)
         k = self(pts.reshape(-1, self.n)).reshape(t.shape)
         return a * row_dot(k[..., :-1], wu) + k[..., -1] * t[..., -1] / (p - 1)
+
+    def zone_weight(self, rho, dirs, r_lo, r_hi):
+        """M = integral over max(r_lo, rho) < r < r_hi of (r - rho) r^{n-1}
+        K(r w) dr (_quad.zone_rule) at the radii rho and unit rows w of
+        dirs, shape (len(rho), len(dirs)): closed for power laws (expm1
+        keeps s near 1/2 exact); else J_1 - rho J_0, J_p(a) the integral
+        over (a, r_hi) of r^{n-1+p} K, summed down over order-8 Gauss
+        panels cut at each max(r_lo, rho) and 6 per decade, CHUNK // 4
+        points (arrays under glibc's mmap threshold) per kernel call."""
+        lo = np.maximum(rho, r_lo)
+        if self.is_power_law():
+            s2, L, lo = 2 * self.s, np.log(r_hi / lo)[:, None], lo[:, None]
+            e1 = L if s2 == 1 else np.expm1((1 - s2) * L) / (1 - s2)
+            return self._angular(dirs) * lo ** -s2 * (
+                lo * e1 + rho[:, None] * np.expm1(-s2 * L) / s2)
+        x, wx = gl_rule(8)
+        # the panels' edges (np.union1d would load numpy.ma, 1 MB; a
+        # repeated edge only adds an empty panel)
+        e = np.sort(np.concatenate([lo, geometric_edges(r_lo, r_hi, 6)]))
+        a, step = e[:-1], max(CHUNK // (32 * len(dirs)), 1)
+        P = np.empty((2, len(a), len(dirs)))   # P[:, i]: over [e_i, e_i+1]
+        for i in range(0, len(a), step):
+            h = 0.5 * (e[i + 1:i + step + 1] - a[i:i + step])[:, None]
+            t = a[i:i + step, None] + h * (x + 1.0)
+            f = self((t[..., None, None] * dirs).reshape(-1, self.n)).reshape(
+                t.shape + (-1,)) * (h * t ** (self.n - 1))[..., None]
+            P[0, i:i + step] = np.einsum("kqd,q->kd", f, wx)
+            P[1, i:i + step] = np.einsum("kqd,q->kd", f * t[..., None], wx)
+        J = np.cumsum(P[:, ::-1], axis=1)[:, ::-1][:, np.searchsorted(e, lo)]
+        return J[1] - rho[:, None] * J[0]
 
     def second_moment_matrix(self, r):
         """(M, error) with M = integral over B_r of z z^T K(z) dz."""

@@ -11,8 +11,8 @@ keeps the value and error a call with it alone gives:
 
 - inner ball |z| < r0: the quadratic Taylor part against the exact
   kernel second moment;
-- correction zone r_zone < |z| < r0: a cancellation-free Bochner
-  segment form of the cubic remainder, with a fine/coarse panel pair;
+- correction zone r_zone < |z| < r0: the cubic remainder as one radial
+  rule of Hessian pairs (_quad.zone_rule), with a fine/coarse pair;
 - below r_zone: the paired remainder is even in z.  In 1d its quartic
   Taylor term D^4 G(x) z^4 / 24 is integrated exactly against the
   kernel's fourth moment, and the rest is at most sup |D^6 G| |z|^6 /
@@ -54,14 +54,14 @@ the fractional Laplacian with Fourier symbol |xi|^{2s}.
 """
 
 from collections import OrderedDict
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import factorial, isqrt
 
 import numpy as np
 
-from ._quad import (_read_only, geometric_edges, half_sphere, jacobi_rule,
-                    panel_nodes, periodic_tail_1d, gl_rule, radial_rule,
-                    row_dot, sq_norms)
+from ._quad import (CHUNK, _read_only, geometric_edges, half_sphere,
+                    jacobi_rule, panel_nodes, periodic_tail_1d, gl_rule,
+                    radial_rule, row_dot, sq_norms, zone_rule)
 from .funcspace import _derivative_bounds, _jets
 from .kernels import MeasureOnUnit, as_points, fractional_kernel
 
@@ -75,12 +75,6 @@ __all__ = [
 
 R_INNER = 1e-2   # Taylor part below this radius, panels above
 N_ANGULAR = 48   # trapezoid directions per radius in 2d, half evaluated
-T_NODES = 6      # Gauss nodes of the Bochner segment integral
-STACK = 1024     # points of a zone jet call that stacks several t-nodes
-# integrand points per call of the far field (half that in a pass, see
-# _chunks), and the block size of the lattice's 2d cell masses and of
-# the gather that builds A
-CHUNK = 16384
 # bound on each (probes, nodes) temporary of the far field and the oracle
 STENCIL_BYTES = 1 << 21
 # bytes of the stencil plans assemble_discrete keeps (least recently used
@@ -167,15 +161,13 @@ def _pick_outer(kernel, G, xnorm, rel_tol):
 
 def _chunks(F, m, z, width, points):
     """F(sl, zz) over m probes and the nodes z, a slice of the probes and
-    an even block zz of the nodes at a time: yields (slice, values),
-    nodes last.  A call covers at most the given points (2 per probe and
-    node) and CHUNK (point, integrand) pairs for width integrands, CHUNK
-    // 4 at one probe.  A pass's CHUNK // 2 points make a 1d value
-    array of 64 KB, half glibc's default mmap threshold, above which
-    every call of a batch would map and fault in fresh pages.  Even
-    blocks keep a rule's bits: averaged_square's BLAS shift sum can give
-    other bits to the last (points mod 4) of a call."""
-    nz = 2 * max(CHUNK // (16 * width), 1)
+    a block zz of the nodes at a time: yields (slice, values), nodes
+    last.  A call covers at most the given points (2 per probe and node)
+    and CHUNK (point, integrand) pairs for width integrands, CHUNK // 4
+    at one probe.  A pass's CHUNK // 2 points make a 1d value array of
+    64 KB, half glibc's default mmap threshold, above which every call of
+    a batch would map and fault in fresh pages."""
+    nz = max(CHUNK // (8 * width), 1)
     step = max(min(points, CHUNK // width) // (2 * len(z)), 1)
     for i in range(0, m, step):
         sl = slice(i, min(i + step, m))
@@ -183,14 +175,14 @@ def _chunks(F, m, z, width, points):
         yield sl, vals[0] if len(vals) == 1 else np.concatenate(vals, -1)
 
 
-def _richardson(kernel, F, m, width, r_lo, r_hi, fine, coarse, n_ang):
-    """Fine and coarse (order, panels per decade) radial_rules, on the
-    half-sphere of n_ang directions, for the integral of F K over
-    r_lo < |z| < r_hi, on one pass over the nodes of both; F as in
-    _chunks, values (probes, width, k), each slice reduced as it comes.
-    Returns (fine value, half the fine-coarse gap), probe-major."""
-    zf, kf, wf = radial_rule(kernel, r_lo, r_hi, *fine, n_ang)
-    zc, kc, wc = radial_rule(kernel, r_lo, r_hi, *coarse, n_ang)
+def _richardson(rule, F, m, width, fine, coarse, n_ang):
+    """Fine and coarse (order, panels per decade) members of a rule
+    (radial_rule or zone_rule, its first arguments bound) on n_ang
+    directions for sum w F k, on one pass over the nodes of both; F as
+    in _chunks, values (probes, width, k), each slice reduced as it
+    comes.  Returns (fine value, half the fine-coarse gap), probe-major."""
+    zf, kf, wf = rule(*fine, n_ang)
+    zc, kc, wc = rule(*coarse, n_ang)
     z, nf = np.concatenate([zf, zc]), len(zf)
     f, c = np.empty(m * width), np.empty(m * width)
     for sl, vals in _chunks(F, m, z, width, CHUNK // 2):
@@ -238,41 +230,19 @@ def _paired(Gs, xs, gx, z):
 
 
 def _bochner(Gs, xs, H, z):
-    """Cubic remainder (G(x+z) + G(x-z))/2 - G(x) - z^T H z / 2 without
-    cancellation for every G of the tuple Gs, H its Hessians (m,
-    len(Gs), n, n) at the probe rows x of xs, through the segment
-    representation
-
-        (G(x+z) + G(x-z))/2 - G(x)
-            = (1/2) int_0^1 (1-t) [q(x+tz, z) + q(x-tz, z)] dt,
-
-    q(y, z) = z^T D^2 G(y) z.  Noise scales with |z|^2 instead of with
-    the sup norm of G, which is what the singular zone needs.  The
-    T_NODES Gauss nodes t share jet calls of at most STACK points where
-    they fit (at one probe with few nodes), one t per call otherwise.
-    Returns (m, len(Gs), k).
-    """
-    tq, wq = gl_rule(T_NODES)
-    t = 0.5 * (tq + 1.0)
-    c = 0.25 * wq * (1.0 - t)
+    """z^T (D^2 G(x+z) + D^2 G(x-z) - 2 H) z, the zone's integrand
+    (_quad.zone_rule), for every G of the tuple Gs, H its Hessians (m,
+    len(Gs), n, n) at the probe rows x of xs, from one jet call: shape
+    (m, len(Gs), k).  Differenced before the contraction, so noise
+    scales with |z|^2, not with sup |G|; summed in one order per point."""
     (m, W), (k, n) = H.shape[:2], z.shape
-    d = min(max(STACK // (2 * m * W * k), 1), T_NODES)
-    out, q = np.zeros((W, m, k)), np.empty((d, W, m, k))
-    for a in range(0, T_NODES, d):
-        tz = (t[a:a + d, None, None] * z).reshape(-1, n)
-        qb = q[:len(tz) // k]
-        for i, J in enumerate(_jets(Gs, _points(xs, tz), 2)):
-            D = J[2].reshape(m, 2, -1, k, n, n)
-            np.einsum("ki,mtkij,kj->tmk", z, D[:, 0] + D[:, 1], z,
-                      out=qb[:, i])
-        for j, qj in enumerate(qb, a):
-            out += c[j] * qj
-    # z^T H z through the same einsum: "ki,mij,kj->mk" sums in another
-    # order at two or fewer offsets, so block sizes would change bits
-    for i in range(W):
-        out[i] -= 0.5 * np.einsum("ki,mtkij,kj->tmk", z, np.repeat(
-            H[:, i, None, None], k, axis=2), z)[0]
-    return out.transpose(1, 0, 2)
+    zz = (z[:, :, None] * z[:, None, :]).reshape(k, -1)
+    out = np.empty((m, W, k))
+    for i, J in enumerate(_jets(Gs, _points(xs, z), 2)):
+        D = J[2].reshape(m, 2, k, n * n)
+        A = D[:, 0] + D[:, 1] - 2.0 * H[:, i].reshape(m, 1, -1)
+        out[:, i] = sum(A[..., j] * zz[:, j] for j in range(n * n))
+    return out
 
 
 def _rows(arrays):
@@ -285,8 +255,8 @@ def _groups(rows, S, key):
     """The rows (probe-major indices of (probe, integrand) pairs, S
     integrands) by key: (key, probes P, integrands U, at, pos), at their
     positions in rows and pos in the probe-major product of P and U.  A
-    pass evaluates the product and keeps the rows; values are per point
-    and a probe's points a block of 4k (_chunks), so bits are kept."""
+    pass evaluates the product and keeps the rows; values are per point,
+    so bits are kept."""
     for k in sorted(set(key.tolist())):
         at = np.flatnonzero(key == k)
         p, g = np.divmod(rows[at], S)
@@ -369,8 +339,9 @@ def _integrate(kernel, Gs, xs, plan):
         for r_hi, P, U, at, pos in _groups(todo, S, r_outer):
             Us, xg, gg = tuple(Gs[g] for g in U), xs[P], gx2[P][:, U]
             v, e = _richardson(
-                kernel, lambda sl, z: _paired(Us, xg[sl], gg[sl], z),
-                len(P), len(U), R_INNER, r_hi, (order, ppd),
+                partial(radial_rule, kernel, R_INNER, r_hi),
+                lambda sl, z: _paired(Us, xg[sl], gg[sl], z),
+                len(P), len(U), (order, ppd),
                 (max(order // 2, 4), max(ppd - 2, 2)), N_ANGULAR)
             ann[at], ann_err[at] = v[pos], e[pos]
         # the tails, per G, where its outer radius is new
@@ -401,8 +372,9 @@ def _integrate(kernel, Gs, xs, plan):
         for r_lo, P, U, at, pos in _groups(rerun, S, out["r_zone"][rerun]):
             Us, xg, Hg = tuple(Gs[g] for g in U), xs[P], H2[P][:, U]
             v, e = _richardson(
-                kernel, lambda sl, z: _bochner(Us, xg[sl], Hg[sl], z),
-                len(P), len(U), r_lo, R_INNER, (zo, zp),
+                partial(zone_rule, kernel, r_lo, R_INNER),
+                lambda sl, z: _bochner(Us, xg[sl], Hg[sl], z),
+                len(P), len(U), (zo, zp),
                 (max(zo - 4, 4), max(zp - 1, 2)), N_ANGULAR // 3)
             out["zone"][rerun[at]], zone_err[rerun[at]] = v[pos], e[pos]
         zone, quartic = out["zone"][todo], out["quartic"][todo]

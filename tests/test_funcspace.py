@@ -370,6 +370,21 @@ def test_averaged_square_against_refined_reference():
     assert np.max(np.abs(a16(pts) - a96(pts))) <= 1e-10 * np.max(np.abs(a96(pts)))
 
 
+def test_averaged_square_bits_independent_of_blocking():
+    # a point's value, gradient and Hessian do not depend on the other
+    # points of its call: 768 seeded points as one call, as 682 + 86 and
+    # one at a time (the first eight)
+    u = gaussian_bump(1, 0.1, 0.8) + gaussian_bump(1, -0.4, 0.6, -0.5)
+    A = averaged_square(u, 0.1, E1)
+    x = np.random.default_rng(5).uniform(-2.0, 2.0, (768, 1))
+    for whole, head, rest in zip(A.jet(x, 2), A.jet(x[:682], 2),
+                                 A.jet(x[682:], 2)):
+        assert np.array_equal(whole, np.concatenate([head, rest]))
+    ones = [A.jet(x[i:i + 1], 2) for i in range(8)]
+    for j, whole in enumerate(A.jet(x, 2)):
+        assert np.array_equal(whole[:8], np.concatenate([J[j] for J in ones]))
+
+
 def test_positive_part_square_derivatives():
     v = polynomial_gaussian([0.0, 1.0])  # odd: changes sign at 0
     p = positive_part_square(v)

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 
+from fracbern._quad import geometric_edges, half_sphere, panel_nodes
 from fracbern.kernels import (normalizing_constant, fractional_kernel,
                               anisotropic_kernel, stable_kernel,
                               custom_kernel, validate_kernel_class,
@@ -130,6 +132,48 @@ def test_validate_log_modulated_ratio_three():
     # extremes of 2 + sin are 1 and 3
     assert rep["C2_hat"] / rep["C1_hat"] == pytest.approx(3.0, rel=5e-3)
     assert rep["pass"]
+
+
+def _zone_radii(r_lo, r_hi=1e-2):
+    # a fine zone rule's radii: one panel below r_lo, 6 per decade above
+    return panel_nodes(np.append(0.0, geometric_edges(r_lo, r_hi, 6)), 16)[0]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("s", [0.1, 0.5, 0.501, 0.9])
+@pytest.mark.parametrize("r_lo", [1e-10, 1e-4])
+def test_zone_weight_closed_form_matches_numeric(n, s, r_lo):
+    # the power-law closed form (expm1 at and near s = 1/2) against the
+    # numeric panel sums of the same density wrapped as a custom kernel;
+    # M = J_1 - rho J_0 cancels as rho nears r_hi, so the gap is held
+    # against J_1 + rho J_0, the sum it is taken from
+    K = fractional_kernel(n, s)
+    C = custom_kernel(n, s, K._density, K.C1, K.C2, K.C3)
+    rho, dirs = _zone_radii(r_lo), half_sphere(n, 16)[0]
+    M = K.zone_weight(rho, dirs, r_lo, 1e-2)
+    lo = np.maximum(rho, r_lo)[:, None]
+    J0 = K._angular(dirs) * (lo ** (-2 * s) - 1e-2 ** (-2 * s)) / (2 * s)
+    gap = np.abs(C.zone_weight(rho, dirs, r_lo, 1e-2) - M)
+    assert np.all(gap <= 1e-13 * (M + 2 * rho[:, None] * J0))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_zone_weight_numeric_matches_scipy(n):
+    # the log-modulated kernel's M against scipy's quad in log r, at
+    # radii on both sides of r_lo (M is linear in rho below it)
+    K, r_hi = _log_modulated(n, 0.5), 1e-2
+    w = half_sphere(n, 4)[0][-1]
+    for r_lo in (1e-10, 1e-5):
+        rho = r_lo * np.array([0.3, 0.9, 1.5, 40.0, 0.5 * r_hi / r_lo,
+                               0.99 * r_hi / r_lo])
+        got = K.zone_weight(rho, w[None], r_lo, r_hi)[:, 0]
+        for r, g in zip(rho, got):
+            def ref(sign):
+                f = lambda t: (np.exp(t) + sign * r) * np.exp(n * t) \
+                    * K(np.exp(t) * w[None])[0]
+                return quad(f, np.log(max(r, r_lo)), np.log(r_hi),
+                            epsabs=0.0, epsrel=1e-13, limit=200)[0]
+            assert abs(g - ref(-1.0)) <= 1e-11 * ref(1.0)
 
 
 @pytest.mark.parametrize("n", [1, 2])

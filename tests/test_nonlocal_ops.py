@@ -1382,8 +1382,8 @@ def test_zone_uncut_without_exact_jets():
 def test_zone_reruns_uncut_where_it_holds_the_error(monkeypatch):
     # a narrow bump: the first pass cuts the zone at 1e-6, and the zone's
     # error then holds over half the tolerance, so the refinement reruns
-    # it uncut from eps without the quartic term.  The value is not
-    # checked: it sits in a blind spot of the error pairs
+    # it uncut from eps without the quartic term, and the value lands
+    # within the summed errors of the oracle
     zone_cuts, first = nonlocal_ops._zone_cuts, []
 
     def spy(*args):
@@ -1392,10 +1392,43 @@ def test_zone_reruns_uncut_where_it_holds_the_error(monkeypatch):
         return out
 
     monkeypatch.setattr(nonlocal_ops, "_zone_cuts", spy)
-    b = apply_fractional(0.5, gaussian_bump(1, 0.0025, 0.0005), 0.0,
-                         default_plan(1).scaled(strict=False)).breakdown
+    u = gaussian_bump(1, 0.0025, 0.0005)
+    v = apply_fractional(0.5, u, 0.0, default_plan(1).scaled(strict=False))
     assert first[0][0] == 1e-6
-    assert b["r_zone"] == 1e-10 and b["quartic"] == 0
+    assert v.breakdown["r_zone"] == 1e-10 and v.breakdown["quartic"] == 0
+    o = spectral_oracle(0.5, u, 0.0)
+    assert abs(v.value - o.value) <= v.error + o.error
+
+
+# -- the correction zone's radial rule ----------------------------------------
+
+def test_narrow_bumps_within_errors_of_oracle():
+    # the zone's fine/coarse pair sees its one discretization (the
+    # t-integral is the kernel's weight M), so narrow bumps land within
+    # their certified errors of the oracle: a sweep of 13 widths in
+    # [5e-4, 2e-2], 12 centres in [0, 0.012] and s = 0.3, 0.5, 0.8 at
+    # x = 0, the bump of width 0.0007 whose value is -127.84 at s = 1/2,
+    # and a bump of width 0.005 at x = 0.01
+    cases = [(s, gaussian_bump(1, c, w), 0.0) for s in (0.3, 0.5, 0.8)
+             for w in np.geomspace(5e-4, 2e-2, 13)
+             for c in np.linspace(0.0, 0.012, 12)]
+    cases += [(0.5, gaussian_bump(1, 0.0025, 0.0007), 0.0)]
+    cases += [(s, gaussian_bump(1, 0.0, 0.005), 0.01) for s in (0.5, 0.8)]
+    for s, u, x in cases:
+        v, o = apply_fractional(s, u, x), spectral_oracle(s, u, x)
+        assert abs(v.value - o.value) <= v.error + o.error, (s, u, x)
+
+
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.8])
+def test_dilation_relation_narrow_bump(s):
+    # L_s[u(./lam)](x) = lam^{-2s} (L_s u)(x / lam), no oracle needed:
+    # the bump of width lam = 0.0007 against the unit-width one
+    lam = 0.0007
+    lhs = apply_fractional(s, gaussian_bump(1, 0.0025, lam), 0.0)
+    rhs = apply_fractional(s, gaussian_bump(1, 0.0025 / lam, 1.0), 0.0)
+    c = lam ** (-2 * s)
+    assert abs(lhs.value - c * rhs.value) <= lhs.error + c * rhs.error \
+        + 64 * np.finfo(float).eps * abs(lhs.value)
 
 
 def test_roundoff_floor_covers_oracle_gap():
